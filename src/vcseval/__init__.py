@@ -16,6 +16,7 @@ from .errors import (
     InsufficientSet,
     LengthMismatch,
     MalformedRecord,
+    NonFiniteGradient,
     NonFiniteLoss,
     NoPositives,
     OneClassOnly,

@@ -68,6 +68,14 @@ class AllZeroWeights(VcsEvalError):
     """The weighted soft statistic needs positive total weight."""
 
 
+class NonFiniteGradient(VcsEvalError):
+    """A weight-gradient entry of the soft statistic is not finite.
+
+    Raised instead of returning inf or NaN, for instance when the true
+    derivative exceeds the float64 range.
+    """
+
+
 class SpecViolation(VcsEvalError):
     """A generator spec breaks its invariants."""
 

@@ -269,12 +269,11 @@ def _demo_run(seed, gamma, epochs):
 
 
 def cmd_train_demo(args):
-    seeds = [int(s) for s in args.seeds.split(",")]
     rows = []
     try:
         for label, gamma in (("baseline", 0.0), ("vca", args.gamma)):
             aps, vcss, ks = [], [], []
-            for seed in seeds:
+            for seed in args.seeds:
                 ap, vcs_value, k, history = _demo_run(seed, gamma, args.epochs)
                 aps.append(ap)
                 vcss.append(vcs_value)
@@ -288,7 +287,7 @@ def cmd_train_demo(args):
     except NonFiniteLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    print(f"seeds: {','.join(str(s) for s in seeds)}  epochs: {args.epochs}  "
+    print(f"seeds: {','.join(str(s) for s in args.seeds)}  epochs: {args.epochs}  "
           f"gamma: {args.gamma}")
     print(f"{'arm':10s} {'ap_mean':>9s} {'ap_std':>8s} {'vcs_mean':>9s} "
           f"{'vcs_std':>8s} {'k_mean':>7s}")
@@ -296,6 +295,34 @@ def cmd_train_demo(args):
         print(f"{label:10s} {np.mean(aps):9.4f} {np.std(aps):8.4f} "
               f"{np.mean(vcss):9.4f} {np.std(vcss):8.4f} {np.mean(ks):7.1f}")
     return EXIT_OK
+
+
+def _checked(convert, ok, requirement):
+    """argparse type that converts the text, then rejects values failing ok."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+
+    return parse
+
+
+POSITIVE_FLOAT = _checked(
+    float, lambda v: math.isfinite(v) and v > 0, "must be a finite number > 0")
+NON_NEGATIVE_FLOAT = _checked(
+    float, lambda v: math.isfinite(v) and v >= 0, "must be a finite number >= 0")
+POSITIVE_INT = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
+NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "must be an integer >= 0")
+SEED_LIST = _checked(
+    lambda text: [int(s) for s in text.split(",")],
+    lambda seeds: min(seeds) >= 0,
+    "must be comma-separated integers >= 0",
+)
 
 
 def build_parser():
@@ -332,16 +359,17 @@ def build_parser():
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients by finite differences")
-    p.add_argument("--beta", type=float, default=5.0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--step", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--beta", type=POSITIVE_FLOAT, default=5.0)
+    p.add_argument("--trials", type=POSITIVE_INT, default=100)
+    p.add_argument("--step", type=POSITIVE_FLOAT, default=1e-6)
+    p.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train-demo", help="paired baseline vs penalty training runs")
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seed list")
-    p.add_argument("--epochs", type=int, default=DEMO_EPOCHS)
+    p.add_argument("--gamma", type=NON_NEGATIVE_FLOAT, default=0.1)
+    p.add_argument("--seeds", type=SEED_LIST, default="0,1,2,3,4",
+                   help="comma-separated seed list")
+    p.add_argument("--epochs", type=POSITIVE_INT, default=DEMO_EPOCHS)
     p.add_argument("--out-dir", help="directory for per-run history CSVs")
     p.set_defaults(func=cmd_train_demo)
 

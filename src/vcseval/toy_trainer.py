@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import instance_metrics
-from .errors import NonFiniteLoss, TooFewDisagreements
+from .errors import NonFiniteGradient, NonFiniteLoss, TooFewDisagreements
 from .event_stream import EvalStream, PredictionRecord, disagreement_set
 from .soft_vca import SoftConfig, vca_penalty, weighted_soft_t
 from .vcs import VcsConfig, vcs
@@ -122,7 +122,10 @@ def combined_loss(model, batch, config, step):
             n_ref = max(2, n // 2)
             t_lo, t_hi = float(batch.t.min()), float(batch.t.max())
             ref_times = t_lo + rng.random(n_ref) * (t_hi - t_lo)
-            trial = weighted_soft_t(batch.t, w, ref_times, beta)
+            try:
+                trial = weighted_soft_t(batch.t, w, ref_times, beta)
+            except NonFiniteGradient as exc:
+                raise NonFiniteLoss(step, str(exc)) from exc
             penalty, d_pen = vca_penalty(trial.t_soft, config.gamma)
             gz_pen = d_pen * trial.weight_gradient * np.sign(p - y) * p * (1.0 - p)
             gradient = gradient + x.T @ gz_pen

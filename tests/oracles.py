@@ -8,6 +8,7 @@ itself validated against the brute-force one in the unit tests.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -124,6 +125,78 @@ def soft_t_direct(timestamps, weights, ref_times, beta):
         d_ref.append(-math.log(math.fsum(terms)) / beta)
     a = math.fsum(d_ref) / len(d_ref)
     return a / (a + b)
+
+
+DenseSoftTrial = namedtuple(
+    "DenseSoftTrial",
+    ["d_r_soft", "d_disg_soft", "t_soft", "weight_gradient", "d_r_grad", "d_disg_grad"],
+)
+
+
+def _weighted_soft_rows(dist, log_w, beta):
+    """Per-row soft distance and its weight gradient.
+
+    dist: (q, n) absolute distances from q query points to n weighted
+    events; log_w: (n,) with -inf at zero weights. Row r yields
+    d(r) = -log(sum_j w_j exp(-beta*dist[r,j]))/beta and the gradient
+    d d(r)/d w_j = -exp(-beta*dist[r,j] - logS_r)/beta, which is finite
+    and generally nonzero even where w_j = 0.
+    """
+    ell = log_w[None, :] - beta * dist
+    m = ell.max(axis=1, keepdims=True)
+    log_s = m[:, 0] + np.log(np.exp(ell - m).sum(axis=1))
+    d = -log_s / beta
+    grad = -np.exp(-beta * dist - log_s[:, None]) / beta
+    return d, grad
+
+
+def dense_weighted_soft_t(timestamps, weights, random_times, beta):
+    """Weighted soft T and its weight gradient from full pairwise matrices.
+
+    The n x n and r x n form of the statistic, O(n^2) time and memory.
+    Inputs are assumed valid (>= 2 positive weights, >= 1 reference
+    time); an overflowing gradient comes back as inf. Also returns the
+    weight gradients of d_r_soft and d_disg_soft, for error bounds.
+    """
+    t = np.asarray(timestamps, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    r = np.asarray(random_times, dtype=np.float64)
+    w_total = w.sum()
+
+    with np.errstate(divide="ignore"):
+        log_w = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
+
+    dist_ev = np.abs(t[:, None] - t[None, :])
+    log_w_excl = np.tile(log_w, (t.size, 1))
+    np.fill_diagonal(log_w_excl, -np.inf)
+    ell = log_w_excl - beta * dist_ev
+    m = ell.max(axis=1, keepdims=True)
+    log_s_ev = m[:, 0] + np.log(np.exp(ell - m).sum(axis=1))
+    d_ev = -log_s_ev / beta
+    grad_ev = -np.exp(-beta * dist_ev - log_s_ev[:, None]) / beta
+    np.fill_diagonal(grad_ev, 0.0)
+
+    dist_r = np.abs(r[:, None] - t[None, :])
+    d_r, grad_r = _weighted_soft_rows(dist_r, log_w, beta)
+
+    numer = float((w * d_ev).sum())
+    b = numer / w_total
+    a = float(d_r.mean())
+
+    d_numer = d_ev + grad_ev.T @ w
+    db = (d_numer - b) / w_total
+    da = grad_r.mean(axis=0)
+    denom = a + b
+    dt = (da * b - a * db) / (denom * denom)
+
+    return DenseSoftTrial(
+        d_r_soft=a,
+        d_disg_soft=b,
+        t_soft=a / denom,
+        weight_gradient=dt,
+        d_r_grad=da,
+        d_disg_grad=db,
+    )
 
 
 def logistic_twin(features, labels, learning_rate, epochs):

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from vcseval import VcsConfig, parse_records
+from vcseval import NonFiniteGradient, VcsConfig, parse_records, toy_trainer
 from vcseval.report_cli import (
     build_eval_report,
     density_csv,
@@ -215,6 +215,17 @@ class TestGradcheckCommand:
         assert "FAIL" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--beta", "0"], ["--beta", "-1"], ["--beta", "nan"],
+        ["--step", "0"], ["--step", "-1e-6"], ["--trials", "0"],
+    ])
+    def test_bad_flag_exits_2(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", *flags])
+        assert exc.value.code == 2
+        assert "gradcheck: PASS" not in capsys.readouterr().out
+
+
 class TestTrainDemoCommand:
     def test_smoke_one_epoch(self, tmp_path, capsys):
         rc = main(["train-demo", "--epochs", "1", "--seeds", "0",
@@ -231,3 +242,21 @@ class TestTrainDemoCommand:
         baseline = lines[-2].split()[1:]
         vca = lines[-1].split()[1:]
         assert baseline == vca
+
+    @pytest.mark.parametrize("flags", [
+        ["--epochs", "0"], ["--seeds", "a"], ["--seeds", "0,,1"],
+        ["--seeds", "-1"], ["--gamma", "-0.1"],
+    ])
+    def test_bad_flag_exits_2(self, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["train-demo", *flags])
+        assert exc.value.code == 2
+
+    def test_gradient_overflow_exits_1(self, monkeypatch, capsys):
+        def overflow(*args):
+            raise NonFiniteGradient("weighted soft T weight gradient is not finite")
+
+        monkeypatch.setattr(toy_trainer, "weighted_soft_t", overflow)
+        rc = main(["train-demo", "--epochs", "2", "--seeds", "0"])
+        assert rc == 1
+        assert "not finite" in capsys.readouterr().err

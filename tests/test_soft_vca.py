@@ -1,12 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from vcseval import (
     AllZeroWeights,
     DisagreementSet,
     InsufficientSet,
+    NonFiniteGradient,
+    VcsEvalError,
     SoftConfig,
     finite_difference_check,
     nn_distance,
@@ -163,6 +168,34 @@ class TestWeightedSoftT:
         with pytest.raises(ValueError):
             weighted_soft_t(times, np.ones(3), np.array([]), 1.0)
 
+    def test_overflowing_gradient_raises(self):
+        # the zero-weight event at t=1 sits far closer to event 0 than any
+        # positive-weight neighbour does; the true derivative there is
+        # about -exp(995)/beta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteGradient):
+                weighted_soft_t([0.0, 1.0, 200.0, 201.0], [1.0, 0.0, 1.0, 1.0], [100.0], 5.0)
+        assert issubclass(NonFiniteGradient, VcsEvalError)
+
+    def test_beta_must_be_positive_and_finite(self):
+        for beta in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                weighted_soft_t([0.0, 1.0, 2.0], np.ones(3), [0.5], beta)
+
+    def test_large_n_is_finite(self):
+        # the dense pairwise form would need a 20,000 x 20,000 matrix here
+        rng = np.random.default_rng(8)
+        n = 20_000
+        times = rng.random(n) * 1000.0
+        w = rng.random(n)
+        ref = rng.random(n // 2) * 1000.0
+        beta = SoftConfig().effective_beta(times)
+        trial = weighted_soft_t(times, w, ref, beta)
+        assert np.isfinite([trial.t_soft, trial.d_r_soft, trial.d_disg_soft]).all()
+        assert trial.weight_gradient.shape == (n,)
+        assert np.isfinite(trial.weight_gradient).all()
+
     def test_trial_ratio_invariant(self):
         trial = weighted_soft_t(
             np.array([0.0, 1.0, 5.0]), np.ones(3), np.array([2.0, 3.0]), 2.0
@@ -170,6 +203,90 @@ class TestWeightedSoftT:
         assert trial.t_soft == pytest.approx(
             trial.d_r_soft / (trial.d_r_soft + trial.d_disg_soft), abs=1e-15
         )
+
+
+@st.composite
+def soft_t_cases(draw):
+    """Unsorted times with ties, zero weights, and references past both ends."""
+    n = draw(st.integers(2, 24))
+    coord = st.floats(-1e3, 1e3, allow_nan=False)
+    pool = draw(st.lists(coord, min_size=1, max_size=n))
+    times = np.array(draw(st.lists(st.sampled_from(pool) | coord, min_size=n, max_size=n)))
+    weights = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    positive = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    weights[positive] = np.maximum(weights[positive], 0.5)
+    span = float(np.ptp(times))
+    if span > 0:
+        lo, hi = times.min() - span, times.max() + span
+    else:
+        lo, hi = times[0] - 1.0, times[0] + 1.0
+    ref = np.array(draw(st.lists(st.floats(lo, hi), min_size=1, max_size=12)))
+    beta_span = 10.0 ** draw(st.floats(-1.0, 6.0))
+    beta = beta_span / span if span > 0 else beta_span
+    assume(math.isfinite(beta))
+    return times, weights, ref, beta
+
+
+def oracle_error_bounds(want, weights, beta, rel):
+    """First-order error bounds on weighted_soft_t's outputs.
+
+    Soft distances are -log(S)/beta, and log S carries an absolute
+    rounding error of a few ulps in any implementation, so a and b get
+    rel times (|value| + 1/beta): relative, with a floor of rel kernel
+    lengths. t_soft = a / (a + b) and its gradient
+    (da * b - a * db) / (a + b)^2 inherit bounds from a, b, da and db;
+    db contains d_ev - b, which cancels when every event has the same
+    soft distance, so its error scales with |b| / sum(w).
+    """
+    a, b = want.d_r_soft, want.d_disg_soft
+    floor = 1.0 / beta
+    err_a, err_b = abs(a) + floor, abs(b) + floor
+    denom = a + b
+    err_denom = (err_a + err_b) / abs(denom)
+    err_t = (abs(b) * err_a + abs(a) * err_b) / denom**2
+    da, db = np.abs(want.d_r_grad), np.abs(want.d_disg_grad)
+    err_g = (
+        da * (abs(b) + err_b) + db * err_a + abs(a) * abs(b) / weights.sum()
+    ) / denom**2 + 2 * np.abs(want.weight_gradient) * err_denom
+    return rel * err_a, rel * err_b, rel * err_t, rel * err_g.max()
+
+
+class TestScanMatchesDenseOracle:
+    """weighted_soft_t against the dense n x n form in tests/oracles.py.
+
+    a, b and t_soft must agree to 1e-12 and the gradient to 1e-10 of
+    its max norm, each relative to oracle_error_bounds.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(soft_t_cases())
+    @example((np.array([0.0] * 9 + [-1.0]), np.array([0.5, 0.5] + [0.0] * 8),
+              np.array([0.0]), 1e6))
+    @example((np.array([0.0, 1.0, 1.0 + 3e-7, 1.0 + 5e-7]), np.ones(4),
+              np.array([1.0 + 1e-7, 2.0]), 1e6))
+    @example((np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]), np.array([0.5, 0, 0, 1, 0, 0]),
+              np.array([0.0]), 100.0))
+    @example((np.array([0.0, 0.0, 0.0, 1.0, 1.0]), np.array([0.5, 0.5, 0, 0, 0]),
+              np.array([0.0]), 1000.0))
+    def test_matches_dense_oracle(self, case):
+        times, weights, ref, beta = case
+        with np.errstate(all="ignore"):
+            want = oracles.dense_weighted_soft_t(times, weights, ref, beta)
+        dense_finite = np.isfinite(want.weight_gradient).all()
+        try:
+            got = weighted_soft_t(times, weights, ref, beta)
+        except NonFiniteGradient:
+            assert not dense_finite
+            return
+        tol_a, tol_b, tol_t, _ = oracle_error_bounds(want, weights, beta, 1e-12)
+        assert abs(got.d_r_soft - want.d_r_soft) <= tol_a
+        assert abs(got.d_disg_soft - want.d_disg_soft) <= tol_b
+        assert abs(got.t_soft - want.t_soft) <= tol_t
+        # the dense form also turns 0 * exp(overflow) for zero-weight
+        # rows into NaN, where the true gradient is finite
+        if dense_finite:
+            _, _, _, tol_g = oracle_error_bounds(want, weights, beta, 1e-10)
+            assert np.abs(got.weight_gradient - want.weight_gradient).max() <= tol_g
 
 
 class TestVcaPenalty:
@@ -231,3 +348,23 @@ class TestFiniteDifferenceCheck:
             return float(x @ x), 3.0 * x  # deliberately wrong scale
 
         assert finite_difference_check(fn, np.array([1.0, 2.0]), 1e-6) > 1e-2
+
+    def test_nan_gradient_is_infinite_error(self):
+        def fn(x):
+            return float("nan"), np.full_like(x, np.nan)
+
+        assert finite_difference_check(fn, np.array([1.0, 2.0]), 1e-6) == math.inf
+
+    def test_non_finite_difference_is_infinite_error(self):
+        def fn(x):
+            return (math.inf if x[0] > 1.0 else 0.0), np.zeros_like(x)
+
+        assert finite_difference_check(fn, np.array([1.0]), 1e-6) == math.inf
+
+    def test_non_positive_step_rejected(self):
+        def fn(x):
+            return float(x @ x), 2.0 * x
+
+        for step in (0.0, -1e-6):
+            with pytest.raises(ValueError):
+                finite_difference_check(fn, np.array([1.0]), step)

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from vcseval import (
     DriftSpec,
+    NonFiniteGradient,
     NonFiniteLoss,
     TrainConfig,
     combined_loss,
@@ -78,6 +81,21 @@ class TestCombinedLoss:
         with pytest.raises(NonFiniteLoss) as err:
             combined_loss(ToyModel(theta), ds, TrainConfig(gamma=0.0), step=7)
         assert err.value.epoch == 7
+
+    def test_gradient_overflow_surfaces_as_non_finite_loss(self):
+        # every p is exactly 1.0, so w = |p - y| = [1, 0, 1, 1]: the
+        # weighted_soft_t overflow case, reached through the trainer
+        ds = DriftDataset(
+            t=np.array([0.0, 1.0, 200.0, 201.0]),
+            features=np.ones((4, 1)),
+            y=np.array([0, 1, 0, 0]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteLoss) as err:
+                combined_loss(ToyModel(np.array([40.0, 0.0])), ds, TrainConfig(gamma=0.1), step=3)
+        assert err.value.epoch == 3
+        assert isinstance(err.value.__cause__, NonFiniteGradient)
 
     def test_reference_times_follow_substream(self):
         # same (seed, step) twice gives the identical penalty value
