@@ -12,7 +12,6 @@ from .errors import (
     DegenerateDistances,
     DegenerateSplit,
     EmptyInput,
-    EmptySet,
     InsufficientSet,
     LengthMismatch,
     MalformedRecord,
@@ -28,7 +27,6 @@ from .errors import (
 from .event_stream import (
     DisagreementSet,
     EvalStream,
-    PredictionRecord,
     chronological_split,
     disagreement_set,
     parse_records,
@@ -61,7 +59,6 @@ from .soft_vca import (
     weighted_soft_t,
 )
 from .toy_trainer import (
-    EvalSummary,
     LossBreakdown,
     ToyModel,
     TrainConfig,
@@ -71,12 +68,11 @@ from .toy_trainer import (
     train,
 )
 from .vcs import (
+    EvalSummary,
     VcsConfig,
     VcsResult,
     VcsTrial,
-    disg_distance_sum,
-    nn_distance,
-    random_reference_sum,
+    evaluate_stream,
     t_statistic,
     vcs,
 )

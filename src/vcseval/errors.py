@@ -52,10 +52,6 @@ class InsufficientSet(VcsEvalError):
     """A distance needs at least one other entry in the set."""
 
 
-class EmptySet(VcsEvalError):
-    """Reference distances need a non-empty entry set."""
-
-
 class DegenerateDistances(VcsEvalError):
     """d_r + d_disg = 0, the T statistic is undefined."""
 

@@ -4,10 +4,11 @@ A stream is a chronologically ordered sequence of timestamped binary
 predictions. Two text formats are supported:
 
 * JSONL: one object per line with keys ``t`` (number), ``y`` (0 or 1),
-  ``p`` (number in [0,1]) and optional ``id`` (string). Unknown keys are
-  ignored.
+  ``p`` (number in [0,1]) and optional ``id`` (string). Booleans and
+  strings are not numbers. Unknown keys are ignored.
 * CSV: required header exactly ``t,y,p`` (optionally ``t,y,p,id``),
-  comma separated, ``.`` decimal point.
+  comma separated, ``.`` decimal point. Ids are read verbatim and
+  quoted by csv rules, so any text round-trips.
 
 Records with equal timestamps keep input order everywhere. Unsorted
 input is rejected unless the caller explicitly opts into a stable sort.
@@ -18,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+import re
 
 import numpy as np
 
@@ -29,56 +30,54 @@ from .errors import (
     UnsortedInput,
 )
 
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One timestamped test event with ground truth and predicted score."""
-
-    t: float
-    y: int
-    p: float
-    id: str
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 class EvalStream:
-    """Ordered prediction records over the test period [t_start, t_end]."""
+    """Ordered predictions over the test period [t_start, t_end], as columns.
 
-    def __init__(self, records):
-        records = tuple(records)
-        if not records:
+    t, y and p are equal-length arrays. ids is a sequence of strings, or
+    None when each row's id is its index.
+    """
+
+    def __init__(self, t, y, p, ids=None):
+        t = np.asarray(t, dtype=np.float64)
+        y = np.asarray(y, dtype=np.int64)
+        p = np.asarray(p, dtype=np.float64)
+        if t.ndim != 1 or not t.shape == y.shape == p.shape:
+            raise ValueError("t, y and p must be 1-d and of equal length")
+        if ids is not None and len(ids) != t.size:
+            raise ValueError("ids must have one entry per row")
+        if t.size == 0:
             raise EmptyInput("stream must contain at least one record")
-        t = np.array([r.t for r in records], dtype=np.float64)
         if np.any(np.diff(t) < 0):
             raise UnsortedInput("timestamps must be nondecreasing")
-        self.records = records
-        self.t = t
-        self.y = np.array([r.y for r in records], dtype=np.int64)
-        self.p = np.array([r.p for r in records], dtype=np.float64)
-        self.ids = tuple(r.id for r in records)
+        self.t, self.y, self.p = t, y, p
+        self.ids = None if ids is None else tuple(ids)
         self.t_start = float(t[0])
         self.t_end = float(t[-1])
 
     def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
+        return self.t.size
 
 
 class DisagreementSet:
-    """The (id, t) entries where the thresholded prediction differs from y."""
+    """Where the thresholded prediction differs from y.
 
-    def __init__(self, entries):
-        self.entries = tuple(entries)
-        self.ids = tuple(e[0] for e in self.entries)
-        self.times = np.array([e[1] for e in self.entries], dtype=np.float64)
+    positions indexes the rows of the stream; times holds their
+    timestamps.
+    """
+
+    def __init__(self, positions, times):
+        self.positions = np.asarray(positions, dtype=np.int64)
+        self.times = np.asarray(times, dtype=np.float64)
 
     @property
     def size(self):
-        return len(self.entries)
+        return self.times.size
 
     def __len__(self):
-        return len(self.entries)
+        return self.times.size
 
 
 def _validate_fields(t, y, p, line):
@@ -86,7 +85,7 @@ def _validate_fields(t, y, p, line):
         t = float(t)
         y = float(y)
         p = float(p)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise MalformedRecord(line, "t, y, p must be numeric") from None
     if not np.isfinite(t) or t < 0:
         raise MalformedRecord(line, f"t must be finite and >= 0, got {t!r}")
@@ -97,8 +96,8 @@ def _validate_fields(t, y, p, line):
     return t, int(y), p
 
 
-def _parse_jsonl(text):
-    rows = []
+def _jsonl_rows(text):
+    """Yield (line, t, y, p, id or None) per record line, checking its shape."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -114,33 +113,40 @@ def _parse_jsonl(text):
         rec_id = obj.get("id")
         if rec_id is not None and not isinstance(rec_id, str):
             raise MalformedRecord(lineno, "id must be a string")
-        rows.append((lineno, obj["t"], obj["y"], obj["p"], rec_id))
-    return rows
+        fields = (obj["t"], obj["y"], obj["p"])
+        # JSON true/false load as bool, a subclass of int
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in fields):
+            raise MalformedRecord(lineno, "t, y, p must be numeric")
+        yield (lineno, *fields, rec_id)
 
 
-def _parse_csv(text):
+def _csv_rows(text):
+    """Yield (line, t, y, p, id or None) per CSV row; ids are kept verbatim."""
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyInput("no CSV header") from None
-    header = [h.strip() for h in header]
-    if header not in (["t", "y", "p"], ["t", "y", "p", "id"]):
-        raise MalformedRecord(1, f"header must be 't,y,p' or 't,y,p,id', got {','.join(header)!r}")
-    has_id = len(header) == 4
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise MalformedRecord(lineno, f"expected {len(header)} fields, got {len(row)}")
-        rec_id = row[3].strip() if has_id else None
-        rows.append((lineno, row[0], row[1], row[2], rec_id or None))
-    return rows
+        header = next(reader, None)
+        if header is None:
+            raise EmptyInput("no CSV header")
+        header = [h.strip() for h in header]
+        if header not in (["t", "y", "p"], ["t", "y", "p", "id"]):
+            raise MalformedRecord(
+                1, f"header must be 't,y,p' or 't,y,p,id', got {','.join(header)!r}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise MalformedRecord(
+                    reader.line_num, f"expected {len(header)} fields, got {len(row)}")
+            yield reader.line_num, row[0], row[1], row[2], row[3] if len(row) == 4 else None
+    except csv.Error as exc:
+        raise MalformedRecord(reader.line_num, f"invalid CSV: {exc}") from None
 
 
 def parse_records(data, format, sort=False):
     """Parse bytes or text in the given format into an EvalStream.
+
+    Records are validated one by one, so the first bad record is the one
+    reported. A record without an id gets its index among the records.
 
     Parameters
     ----------
@@ -154,37 +160,50 @@ def parse_records(data, format, sort=False):
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     if format == "jsonl":
-        rows = _parse_jsonl(data)
+        rows = _jsonl_rows(data)
     elif format == "csv":
-        rows = _parse_csv(data)
+        rows = _csv_rows(data)
     else:
         raise ValueError(f"unknown format {format!r}")
-    if not rows:
+    t, y, p, ids = [], [], [], []
+    for lineno, t_raw, y_raw, p_raw, rec_id in rows:
+        t_val, y_val, p_val = _validate_fields(t_raw, y_raw, p_raw, lineno)
+        t.append(t_val)
+        y.append(y_val)
+        p.append(p_val)
+        ids.append(rec_id)
+    if not t:
         raise EmptyInput("no records in input")
-    records = []
-    for index, (lineno, t, y, p, rec_id) in enumerate(rows):
-        t, y, p = _validate_fields(t, y, p, lineno)
-        records.append(PredictionRecord(t, y, p, rec_id if rec_id is not None else str(index)))
+    if ids.count(None) == len(ids):
+        ids = None
+    else:
+        ids = [str(index) if i is None else i for index, i in enumerate(ids)]
+    t, y, p = np.array(t), np.array(y, dtype=np.int64), np.array(p)
     if sort:
-        order = np.argsort([r.t for r in records], kind="stable")
-        records = [records[i] for i in order]
-    return EvalStream(records)
+        order = np.argsort(t, kind="stable")
+        t, y, p = t[order], y[order], p[order]
+        ids = [str(i) if ids is None else ids[i] for i in order]
+    return EvalStream(t, y, p, ids)
+
+
+def _csv_field(text):
+    """text, quoted by csv rules if it holds a comma, quote or line break."""
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def serialize_records(stream, format):
     """Render a stream back to JSONL or CSV text (inverse of parse_records)."""
+    ids = map(str, range(len(stream))) if stream.ids is None else stream.ids
+    rows = zip(stream.t.tolist(), stream.y.tolist(), stream.p.tolist(), ids)
     if format == "jsonl":
-        lines = [
-            json.dumps({"t": r.t, "y": r.y, "p": r.p, "id": r.id})
-            for r in stream.records
-        ]
-        return "\n".join(lines) + "\n"
-    if format == "csv":
-        lines = ["t,y,p,id"]
-        for r in stream.records:
-            lines.append(f"{r.t!r},{r.y},{r.p!r},{r.id}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {format!r}")
+        lines = [json.dumps({"t": t, "y": y, "p": p, "id": i}) for t, y, p, i in rows]
+    elif format == "csv":
+        lines = ["t,y,p,id"] + [f"{t!r},{y},{p!r},{_csv_field(i)}" for t, y, p, i in rows]
+    else:
+        raise ValueError(f"unknown format {format!r}")
+    return "\n".join(lines) + "\n"
 
 
 def chronological_split(stream, ratios):
@@ -203,8 +222,11 @@ def chronological_split(stream, ratios):
     i2 = int(np.floor((r_train + r_val) * m))
     if i1 < 1 or i2 - i1 < 1 or m - i2 < 1:
         raise DegenerateSplit(f"split of {m} records by {ratios} leaves an empty part")
-    parts = (stream.records[:i1], stream.records[i1:i2], stream.records[i2:])
-    return tuple(EvalStream(p) for p in parts)
+    ids = [str(i) for i in range(m)] if stream.ids is None else stream.ids
+    return tuple(
+        EvalStream(stream.t[a:b], stream.y[a:b], stream.p[a:b], ids[a:b])
+        for a, b in ((0, i1), (i1, i2), (i2, m))
+    )
 
 
 def threshold_labels(stream, threshold=0.5):
@@ -215,8 +237,6 @@ def threshold_labels(stream, threshold=0.5):
 
 
 def disagreement_set(stream, threshold=0.5):
-    """Entries where the thresholded prediction disagrees with ground truth."""
-    y_hat = threshold_labels(stream, threshold)
-    mask = y_hat != stream.y
-    entries = [(stream.ids[i], float(stream.t[i])) for i in np.flatnonzero(mask)]
-    return DisagreementSet(entries)
+    """Rows where the thresholded prediction disagrees with ground truth."""
+    positions = np.flatnonzero(threshold_labels(stream, threshold) != stream.y)
+    return DisagreementSet(positions, stream.t[positions])

@@ -15,12 +15,13 @@ on pre-drift data concentrates errors late in the stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SpecViolation
-from .event_stream import EvalStream, PredictionRecord
+from .event_stream import EvalStream
 
 PATTERN_KINDS = ("random", "clustered", "regular")
 
@@ -40,8 +41,9 @@ class PatternSpec:
             raise SpecViolation(f"kind must be one of {PATTERN_KINDS}")
         if not 2 <= self.n_errors <= self.n_events:
             raise SpecViolation("need 2 <= n_errors <= n_events")
-        if not self.period[0] < self.period[1]:
-            raise SpecViolation("period must have positive length")
+        t_start, t_end = self.period
+        if not (t_start < t_end and math.isfinite(t_end - t_start)):
+            raise SpecViolation("period must be finite and have positive length")
         if not 0.0 <= self.cluster_center <= 1.0:
             raise SpecViolation("cluster_center must lie in [0, 1]")
         if not 0.0 < self.cluster_width <= 1.0:
@@ -75,8 +77,9 @@ class DriftSpec:
             raise SpecViolation("drift_onset must lie in (0, 1)")
         if self.feature_dim < 1:
             raise SpecViolation("feature_dim must be at least 1")
-        if not self.period[0] < self.period[1]:
-            raise SpecViolation("period must have positive length")
+        t_start, t_end = self.period
+        if not (t_start < t_end and math.isfinite(t_end - t_start)):
+            raise SpecViolation("period must be finite and have positive length")
         if not 0.0 <= self.burst_fraction < 1.0:
             raise SpecViolation("burst_fraction must lie in [0, 1)")
         if not 0.0 <= self.post_class1_rate <= 1.0:
@@ -93,16 +96,6 @@ class DriftDataset:
 
     def __len__(self):
         return self.t.size
-
-
-def _records(times, y, is_error):
-    order = np.argsort(times, kind="stable")
-    records = []
-    for ordinal, j in enumerate(order):
-        label = int(y[j])
-        p = 0.1 if is_error[j] else (0.9 if label == 1 else 0.1)
-        records.append(PredictionRecord(float(times[j]), label, p, str(ordinal)))
-    return records
 
 
 def generate_pattern(spec):
@@ -128,7 +121,11 @@ def generate_pattern(spec):
         is_error = np.concatenate([np.zeros(m - k, dtype=bool), np.ones(k, dtype=bool)])
 
     y = np.where(is_error, 1, rng.integers(0, 2, size=times.size))
-    return EvalStream(_records(times, y, is_error))
+    order = np.argsort(times, kind="stable")
+    y, is_error = y[order], is_error[order]
+    # an error is a positive scored 0.1; other rows are scored on their side of 0.5
+    p = np.where(is_error | (y == 0), 0.1, 0.9)
+    return EvalStream(times[order], y, p)
 
 
 def generate_drift_dataset(spec):

@@ -15,23 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import soft_vca, toy_trainer
-from .errors import (
-    EXIT_FAILURE,
-    EXIT_INPUT,
-    EXIT_OK,
-    EXIT_UNDEFINED,
-    NonFiniteLoss,
-    NoPositives,
-    OneClassOnly,
-    TooFewDisagreements,
-    VcsEvalError,
-)
-from .event_stream import DisagreementSet, disagreement_set, parse_records, serialize_records
-from .instance_metrics import auroc, average_precision
+from .errors import EXIT_FAILURE, EXIT_INPUT, EXIT_OK, EXIT_UNDEFINED, NonFiniteLoss, VcsEvalError
+from .event_stream import parse_records, serialize_records
 from .pattern_gen import DriftSpec, PatternSpec, generate_drift_dataset, generate_pattern
-from .soft_vca import SoftConfig
 from .toy_trainer import TrainConfig, train
-from .vcs import VcsConfig, vcs
+# vcs itself is not called here; perfbench's tests trace it through this binding
+from .vcs import VcsConfig, evaluate_stream, vcs  # noqa: F401
 
 # Benchmark used by train-demo: a late, dense error burst whose labels
 # conflict with the pre-drift geometry, so the clustering penalty has
@@ -51,17 +40,11 @@ DEMO_EPOCHS = 400
 
 def build_eval_report(stream, threshold, vcs_config, density_bins):
     """Assemble the evaluation report dict; never raises on undefined stats."""
-    disg = disagreement_set(stream, threshold)
-    try:
-        ap = average_precision(stream)
-    except NoPositives:
-        ap = None
-    try:
-        auc = auroc(stream)
-    except OneClassOnly:
-        auc = None
-    try:
-        result = vcs(disg, (stream.t_start, stream.t_end), vcs_config)
+    summary = evaluate_stream(stream, threshold, vcs_config)
+    disg, result = summary.disagreements, summary.vcs_result
+    if result is None:
+        vcs_block = {"undefined": summary.vcs_undefined, "reason": summary.vcs_undefined_reason}
+    else:
         vcs_block = {
             "value": result.vcs,
             "t_mean": result.t_mean,
@@ -71,17 +54,19 @@ def build_eval_report(stream, threshold, vcs_config, density_bins):
             "seed": vcs_config.seed,
             "per_trial_t_stat": [t.t_stat for t in result.trials],
         }
-    except TooFewDisagreements as exc:
-        vcs_block = {"undefined": "too_few_disagreements", "reason": str(exc)}
-    counts, edges = np.histogram(
-        disg.times, bins=density_bins, range=(stream.t_start, stream.t_end)
-    )
+    # np.histogram's own edges, passed explicitly: given a range, it rejects
+    # bins narrower than the float spacing of large timestamps
+    lo, hi = stream.t_start, stream.t_end
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    edges = np.linspace(lo, hi, density_bins + 1)
+    counts, _ = np.histogram(disg.times, bins=edges)
     return {
         "n_events": len(stream),
         "n_errors": disg.size,
         "threshold": threshold,
-        "ap": ap,
-        "auroc": auc,
+        "ap": summary.ap,
+        "auroc": summary.auroc,
         "vcs": vcs_block,
         "density": {
             "bins": density_bins,
@@ -125,12 +110,8 @@ def density_csv(report):
 
 
 def cmd_evaluate(args):
-    try:
-        data = Path(args.input).read_text(encoding="utf-8")
-        stream = parse_records(data, args.format, sort=args.sort)
-    except (OSError, VcsEvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    data = Path(args.input).read_text(encoding="utf-8")
+    stream = parse_records(data, args.format, sort=args.sort)
     config = VcsConfig(tau=args.tau, subsample_fraction=args.subsample, seed=args.seed)
     report = build_eval_report(stream, args.threshold, config, args.density_bins)
     text = json.dumps(report, indent=2) + "\n"
@@ -149,21 +130,16 @@ def cmd_evaluate(args):
 
 
 def cmd_synth(args):
-    try:
-        spec = PatternSpec(
-            kind=args.pattern,
-            n_events=args.events,
-            n_errors=args.errors,
-            period=tuple(args.period),
-            cluster_center=args.center,
-            cluster_width=args.width,
-            seed=args.seed,
-        )
-        stream = generate_pattern(spec)
-    except VcsEvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    text = serialize_records(stream, args.format)
+    spec = PatternSpec(
+        kind=args.pattern,
+        n_events=args.events,
+        n_errors=args.errors,
+        period=tuple(args.period),
+        cluster_center=args.center,
+        cluster_width=args.width,
+        seed=args.seed,
+    )
+    text = serialize_records(generate_pattern(spec), args.format)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -176,9 +152,8 @@ def _gradcheck_soft_nn(rng, step, beta):
     times = _tie_free_times(rng, n)
 
     def fn(point):
-        ds = DisagreementSet([(str(i), float(point[i])) for i in range(n)])
-        value = soft_vca.soft_nn_distance(("0", float(point[0])), ds, beta)
-        d_self, d_others = soft_vca.soft_nn_gradient(("0", float(point[0])), ds, beta)
+        value = soft_vca.soft_nn_distance(point, 0, beta)
+        d_self, d_others = soft_vca.soft_nn_gradient(point, 0, beta)
         grad = d_others.copy()
         grad[0] = d_self
         return value, grad
@@ -264,29 +239,27 @@ def _demo_run(seed, gamma, epochs):
     config = TrainConfig(gamma=gamma, epochs=epochs, seed=seed)
     model, history = train(train_part, config)
     summary = toy_trainer.evaluate_model(model, test_part, config.vcs_eval)
-    vcs_value = summary.vcs_result.vcs if summary.vcs_result else float("nan")
-    return summary.ap, vcs_value, summary.n_disagreements, history
+    nan = float("nan")
+    ap = nan if summary.ap is None else summary.ap
+    vcs_value = nan if summary.vcs_result is None else summary.vcs_result.vcs
+    return ap, vcs_value, summary.n_disagreements, history
 
 
 def cmd_train_demo(args):
     rows = []
-    try:
-        for label, gamma in (("baseline", 0.0), ("vca", args.gamma)):
-            aps, vcss, ks = [], [], []
-            for seed in args.seeds:
-                ap, vcs_value, k, history = _demo_run(seed, gamma, args.epochs)
-                aps.append(ap)
-                vcss.append(vcs_value)
-                ks.append(k)
-                if args.out_dir:
-                    out = Path(args.out_dir)
-                    out.mkdir(parents=True, exist_ok=True)
-                    path = out / f"history_{label}_seed{seed}.csv"
-                    path.write_text(toy_trainer.history_csv(history), encoding="utf-8")
-            rows.append((label, aps, vcss, ks))
-    except NonFiniteLoss as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    for label, gamma in (("baseline", 0.0), ("vca", args.gamma)):
+        aps, vcss, ks = [], [], []
+        for seed in args.seeds:
+            ap, vcs_value, k, history = _demo_run(seed, gamma, args.epochs)
+            aps.append(ap)
+            vcss.append(vcs_value)
+            ks.append(k)
+            if args.out_dir:
+                out = Path(args.out_dir)
+                out.mkdir(parents=True, exist_ok=True)
+                path = out / f"history_{label}_seed{seed}.csv"
+                path.write_text(toy_trainer.history_csv(history), encoding="utf-8")
+        rows.append((label, aps, vcss, ks))
     print(f"seeds: {','.join(str(s) for s in args.seeds)}  epochs: {args.epochs}  "
           f"gamma: {args.gamma}")
     print(f"{'arm':10s} {'ap_mean':>9s} {'ap_std':>8s} {'vcs_mean':>9s} "
@@ -318,6 +291,8 @@ NON_NEGATIVE_FLOAT = _checked(
     float, lambda v: math.isfinite(v) and v >= 0, "must be a finite number >= 0")
 POSITIVE_INT = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
 NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "must be an integer >= 0")
+OPEN_UNIT = _checked(float, lambda v: 0 < v < 1, "must be a number in (0, 1)")
+SEED_64 = _checked(int, lambda v: 0 <= v < 2**64, "must be an integer in [0, 2**64)")
 SEED_LIST = _checked(
     lambda text: [int(s) for s in text.split(",")],
     lambda seeds: min(seeds) >= 0,
@@ -335,11 +310,11 @@ def build_parser():
     p = sub.add_parser("evaluate", help="score a prediction log and report VCS/AP/AU-ROC")
     p.add_argument("--input", required=True, help="path to the prediction log")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--tau", type=int, default=5)
-    p.add_argument("--subsample", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--density-bins", type=int, default=100)
+    p.add_argument("--threshold", type=OPEN_UNIT, default=0.5)
+    p.add_argument("--tau", type=POSITIVE_INT, default=5)
+    p.add_argument("--subsample", type=OPEN_UNIT, default=0.5)
+    p.add_argument("--seed", type=SEED_64, default=42)
+    p.add_argument("--density-bins", type=POSITIVE_INT, default=100)
     p.add_argument("--sort", action="store_true", help="stably sort unsorted input")
     p.add_argument("--report", help="write the JSON report to this path")
     p.add_argument("--svg", help="write a density strip SVG to this path")
@@ -353,7 +328,7 @@ def build_parser():
     p.add_argument("--period", type=float, nargs=2, default=(0.0, 1000.0))
     p.add_argument("--center", type=float, default=0.9, help="cluster center fraction")
     p.add_argument("--width", type=float, default=0.02, help="cluster width fraction")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--out", help="output path (stdout when omitted)")
     p.set_defaults(func=cmd_synth)
@@ -377,13 +352,14 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; the only place where errors become exit codes."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NonFiniteLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except (OSError, VcsEvalError) as exc:
+    except (OSError, UnicodeDecodeError, VcsEvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -72,41 +72,46 @@ class SoftTrial:
     weight_gradient: np.ndarray = field(repr=False)
 
 
-def soft_nn_distance(entry, disg_set, beta):
-    """Soft minimum distance -log(sum exp(-beta*|dt|))/beta over other entries.
-
-    May go negative when many near-duplicate neighbors exist: the inner
-    sum then exceeds 1. Lower-bounded by hard_min - log(n-1)/beta.
-    """
-    entry_id, t = entry
-    mask = np.array([i != entry_id for i in disg_set.ids], dtype=bool)
+def _others(times, index):
+    """times as an array, and a mask of every position but index."""
+    t = np.asarray(times, dtype=np.float64)
+    mask = np.ones(t.size, dtype=bool)
+    mask[index] = False
     if not mask.any():
         raise InsufficientSet("soft distance needs at least one other entry")
-    d = np.abs(disg_set.times[mask] - t)
-    exponents = -beta * d
+    return t, mask
+
+
+def soft_nn_distance(times, index, beta):
+    """Soft minimum distance -log(sum exp(-beta*|dt|))/beta from times[index].
+
+    The sum runs over every other position, so an entry at the same
+    timestamp still counts. May go negative when many near-duplicate
+    neighbors exist: the inner sum then exceeds 1. Lower-bounded by
+    hard_min - log(n-1)/beta.
+    """
+    t, mask = _others(times, index)
+    exponents = -beta * np.abs(t[mask] - t[index])
     m = exponents.max()
     return float(-(m + np.log(np.exp(exponents - m).sum())) / beta)
 
 
-def soft_nn_gradient(entry, disg_set, beta):
+def soft_nn_gradient(times, index, beta):
     """Analytic partials of soft_nn_distance.
 
-    Returns (d/dt_entry, array of d/dt_other over all set entries in set
-    order, zero at the entry's own position). The weights are the
-    softmax of -beta*|dt|, so each partial has magnitude at most 1.
+    Returns (d/dt at index, array of d/dt over all positions, zero at
+    index). The weights are the softmax of -beta*|dt|, so each partial
+    has magnitude at most 1.
     """
-    entry_id, t = entry
-    mask = np.array([i != entry_id for i in disg_set.ids], dtype=bool)
-    if not mask.any():
-        raise InsufficientSet("soft gradient needs at least one other entry")
-    delta = t - disg_set.times[mask]
+    t, mask = _others(times, index)
+    delta = t[index] - t[mask]
     exponents = -beta * np.abs(delta)
     m = exponents.max()
     w = np.exp(exponents - m)
     w /= w.sum()
     signs = np.sign(delta)
     d_dt = float((w * signs).sum())
-    grads = np.zeros(len(disg_set.ids))
+    grads = np.zeros(t.size)
     grads[mask] = -w * signs
     return d_dt, grads
 

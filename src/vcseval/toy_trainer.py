@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import instance_metrics
-from .errors import NonFiniteGradient, NonFiniteLoss, TooFewDisagreements
-from .event_stream import EvalStream, PredictionRecord, disagreement_set
+from .errors import NonFiniteGradient, NonFiniteLoss
+from .event_stream import EvalStream
 from .soft_vca import SoftConfig, vca_penalty, weighted_soft_t
-from .vcs import VcsConfig, vcs
+from .vcs import VcsConfig, evaluate_stream
 
 P_CLAMP = 1e-7
 WEIGHT_FLOOR = 1e-6
@@ -61,15 +60,6 @@ class ToyModel:
 
     def predict_proba(self, features):
         return _sigmoid(_augment(features) @ self.weights)
-
-
-@dataclass(frozen=True)
-class EvalSummary:
-    ap: float
-    auroc: float
-    n_disagreements: int
-    vcs_result: object
-    vcs_undefined_reason: str = None
 
 
 def _augment(features):
@@ -155,31 +145,9 @@ def train(dataset, config=TrainConfig()):
 
 
 def evaluate_model(model, test, vcs_config=VcsConfig(), threshold=0.5):
-    """Score a test stream and report AP, AU-ROC, K, and VCS.
-
-    VCS is undefined below 2 disagreements; in that case vcs_result is
-    None and the reason string is set instead of raising.
-    """
+    """Score a test dataset with the model: evaluate_stream on its predictions."""
     p = model.predict_proba(test.features)
-    records = [
-        PredictionRecord(float(test.t[i]), int(test.y[i]), float(p[i]), str(i))
-        for i in range(len(test))
-    ]
-    stream = EvalStream(records)
-    disg = disagreement_set(stream, threshold)
-    try:
-        result = vcs(disg, (stream.t_start, stream.t_end), vcs_config)
-        reason = None
-    except TooFewDisagreements as exc:
-        result = None
-        reason = str(exc)
-    return EvalSummary(
-        ap=instance_metrics.average_precision(stream),
-        auroc=instance_metrics.auroc(stream),
-        n_disagreements=disg.size,
-        vcs_result=result,
-        vcs_undefined_reason=reason,
-    )
+    return evaluate_stream(EvalStream(test.t, test.y, p), threshold, vcs_config)
 
 
 def history_csv(history):

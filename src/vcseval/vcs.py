@@ -6,6 +6,9 @@ near 0 mean disagreements look uniform in time; values near 0.5 mean
 strongly clustered (t_stat near 1) or strongly regular (t_stat near 0)
 patterns.
 
+evaluate_stream is the one evaluation path: the disagreement set, AP,
+AU-ROC and VCS of a stream, each undefined value reported, not raised.
+
 Determinism contract: trial i draws from a fresh substream seeded by
 (seed, i), first the subsample positions (without replacement), then
 the k reference times as normalized u in [0,1) mapped affinely onto the
@@ -20,12 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateDistances,
-    EmptySet,
-    InsufficientSet,
-    TooFewDisagreements,
-)
+from .errors import DegenerateDistances, NoPositives, OneClassOnly, TooFewDisagreements
+from .event_stream import DisagreementSet, disagreement_set
+from .instance_metrics import auroc, average_precision
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,10 @@ class VcsConfig:
 
 @dataclass(frozen=True)
 class VcsTrial:
+    """One repeat. positions indexes the disagreement set's times, as drawn."""
+
     repeat_index: int
-    subsample_ids: tuple
+    positions: np.ndarray = field(repr=False)
     random_times: np.ndarray = field(repr=False)
     d_disg: float
     d_r: float
@@ -71,37 +73,6 @@ class VcsResult:
     def signed_deviation(self):
         """t_mean - 0.5; positive means clustered, negative means regular."""
         return self.t_mean - 0.5
-
-
-def nn_distance(entry, disg_set):
-    """Minimum |t - t'| from entry to any other set member (excluded by id)."""
-    entry_id, t = entry
-    mask = np.array([i != entry_id for i in disg_set.ids], dtype=bool)
-    if not mask.any():
-        raise InsufficientSet("no other entry to measure a distance to")
-    return float(np.min(np.abs(disg_set.times[mask] - t)))
-
-
-def disg_distance_sum(subsample_ids, disg_set):
-    """Sum of self-excluded nearest-neighbor distances over the subsample."""
-    by_id = {i: t for i, t in zip(disg_set.ids, disg_set.times)}
-    return float(sum(nn_distance((i, by_id[i]), disg_set) for i in subsample_ids))
-
-
-def random_reference_sum(k, period, disg_set, rng):
-    """Distances from k uniform reference times to their nearest set entry.
-
-    Reference times are t_start + u * (t_end - t_start) with u ~ U[0,1)
-    drawn from rng. They are not set members, so no exclusion applies.
-    Returns (distance sum, drawn times).
-    """
-    if disg_set.size < 1:
-        raise EmptySet("reference distances need a nonempty disagreement set")
-    t_start, t_end = period
-    u = rng.random(k)
-    times = t_start + u * (t_end - t_start)
-    sorted_times = np.sort(disg_set.times)
-    return float(_dist_to_sorted(times, sorted_times).sum()), times
 
 
 def t_statistic(d_r, d_disg):
@@ -161,7 +132,7 @@ def vcs(disg_set, period, config=VcsConfig()):
         trials.append(
             VcsTrial(
                 repeat_index=i,
-                subsample_ids=tuple(disg_set.ids[j] for j in positions),
+                positions=positions,
                 random_times=random_times,
                 d_disg=d_disg,
                 d_r=d_r,
@@ -178,3 +149,45 @@ def vcs(disg_set, period, config=VcsConfig()):
         config=config,
         k_total=k_total,
     )
+
+
+@dataclass(frozen=True)
+class EvalSummary:
+    """AP, AU-ROC and VCS of one stream, with its disagreement set.
+
+    ap and auroc are None where their preconditions fail. vcs_result is
+    None where VCS is undefined; vcs_undefined then names the case and
+    vcs_undefined_reason gives the error message.
+    """
+
+    disagreements: DisagreementSet
+    ap: float
+    auroc: float
+    vcs_result: VcsResult
+    vcs_undefined: str
+    vcs_undefined_reason: str
+
+    @property
+    def n_disagreements(self):
+        return self.disagreements.size
+
+
+def evaluate_stream(stream, threshold=0.5, vcs_config=VcsConfig()):
+    """Score a stream at the threshold; never raises on an undefined statistic."""
+    disg = disagreement_set(stream, threshold)
+    try:
+        ap = average_precision(stream)
+    except NoPositives:
+        ap = None
+    try:
+        auc = auroc(stream)
+    except OneClassOnly:
+        auc = None
+    result = undefined = reason = None
+    try:
+        result = vcs(disg, (stream.t_start, stream.t_end), vcs_config)
+    except TooFewDisagreements as exc:
+        undefined, reason = "too_few_disagreements", str(exc)
+    except DegenerateDistances as exc:
+        undefined, reason = "degenerate_distances", str(exc)
+    return EvalSummary(disg, ap, auc, result, undefined, reason)

@@ -71,12 +71,12 @@ def test_02_expressiveness_witness(uniform_band):
 
 
 def test_03_vcs_limits():
-    single = v.DisagreementSet([(str(i), 42.0) for i in range(8)])
+    single = v.DisagreementSet(np.arange(8), np.full(8, 42.0))
     result = v.vcs(single, (0.0, 100.0), v.VcsConfig(seed=1))
     exact = result.vcs == 0.5 and all(t.t_stat == 1.0 for t in result.trials)
     raised = False
     try:
-        v.vcs(v.DisagreementSet([("0", 1.0)]), (0.0, 10.0))
+        v.vcs(v.DisagreementSet([0], [1.0]), (0.0, 10.0))
     except v.TooFewDisagreements:
         raised = True
     check(3, "vcs limits", exact and raised,
@@ -93,12 +93,12 @@ def test_04_affine_invariance():
         # below the 1e-12 budget even at the a = 1e-3 compression
         b = float(rng.uniform(-5.0, 5.0))
         base = v.vcs(
-            v.DisagreementSet([(str(i), t) for i, t in enumerate(times)]),
+            v.DisagreementSet(np.arange(n), times),
             (0.0, 100.0), v.VcsConfig(seed=case),
         )
         for a in (1e-3, 1.0, 1e3):
             mapped = v.vcs(
-                v.DisagreementSet([(str(i), a * t + b) for i, t in enumerate(times)]),
+                v.DisagreementSet(np.arange(n), a * times + b),
                 (b, a * 100.0 + b), v.VcsConfig(seed=case),
             )
             for t1, t2 in zip(base.trials, mapped.trials):
@@ -148,10 +148,8 @@ def test_07_soft_min_bounds():
         n = int(rng.integers(3, 15))
         times = rng.random(n) * 50
         beta = float(rng.uniform(0.5, 100))
-        ds = v.DisagreementSet([(str(i), t) for i, t in enumerate(times)])
-        entry = ("0", float(times[0]))
-        soft = v.soft_nn_distance(entry, ds, beta)
-        hard = v.nn_distance(entry, ds)
+        soft = v.soft_nn_distance(times, 0, beta)
+        hard = oracles.brute_nn_distance(0, times)
         if not (soft <= hard + 1e-12 and soft >= hard - math.log(n - 1) / beta - 1e-12):
             ok, detail = False, f"bounds violated at case {case}"
             break
@@ -159,11 +157,9 @@ def test_07_soft_min_bounds():
         for case in range(50):
             n = int(rng.integers(3, 10))
             times = np.cumsum(0.5 + rng.random(n))
-            ds = v.DisagreementSet([(str(i), float(t)) for i, t in enumerate(times)])
-            entry = ("0", float(times[0]))
-            hard = v.nn_distance(entry, ds)
+            hard = oracles.brute_nn_distance(0, times)
             errs = [
-                abs(v.soft_nn_distance(entry, ds, beta) - hard)
+                abs(v.soft_nn_distance(times, 0, beta) - hard)
                 for beta in (1.0, 10.0, 100.0, 1000.0)
             ]
             if not all(b <= a + 1e-15 for a, b in zip(errs, errs[1:])):

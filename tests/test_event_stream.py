@@ -2,13 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcseval import (
     DegenerateSplit,
     EmptyInput,
     EvalStream,
     MalformedRecord,
-    PredictionRecord,
     UnsortedInput,
     chronological_split,
     disagreement_set,
@@ -33,20 +34,27 @@ t,y,p,id
 
 def make_stream(times, ys=None, ps=None):
     n = len(times)
-    ys = ys or [0] * n
-    ps = ps or [0.1] * n
-    return EvalStream(
-        [PredictionRecord(times[i], ys[i], ps[i], str(i)) for i in range(n)]
-    )
+    return EvalStream(times, ys or [0] * n, ps or [0.1] * n)
+
+
+def assert_same_stream(a, b):
+    """Equal columns, and equal ids once a missing id reads as the row index."""
+    assert a.t.tolist() == b.t.tolist()
+    assert a.y.tolist() == b.y.tolist()
+    assert a.p.tolist() == b.p.tolist()
+    assert row_ids(a) == row_ids(b)
+
+
+def row_ids(stream):
+    return [str(i) for i in range(len(stream))] if stream.ids is None else list(stream.ids)
 
 
 class TestParse:
     def test_jsonl_happy_path(self):
         stream = parse_records(JSONL, "jsonl")
         assert len(stream) == 3
-        assert stream.records[0] == PredictionRecord(1.0, 1, 0.9, "0")
-        assert stream.records[1].id == "abc"
-        assert stream.records[2].id == "2"
+        assert (stream.t[0], stream.y[0], stream.p[0]) == (1.0, 1, 0.9)
+        assert stream.ids == ("0", "abc", "2")
         assert stream.t_start == 1.0 and stream.t_end == 2.5
 
     def test_jsonl_accepts_bytes(self):
@@ -55,12 +63,13 @@ class TestParse:
 
     def test_csv_happy_path(self):
         stream = parse_records(CSV, "csv")
-        assert [r.id for r in stream] == ["a", "b", "c"]
+        assert stream.ids == ("a", "b", "c")
         assert stream.p.tolist() == [0.9, 0.2, 0.3]
 
     def test_csv_without_id_column(self):
         stream = parse_records("t,y,p\n1.0,0,0.5\n2.0,1,0.5\n", "csv")
-        assert [r.id for r in stream] == ["0", "1"]
+        assert stream.ids is None
+        assert row_ids(stream) == ["0", "1"]
 
     def test_blank_lines_skipped(self):
         stream = parse_records('{"t": 1, "y": 0, "p": 0.5}\n\n\n', "jsonl")
@@ -74,6 +83,13 @@ class TestParse:
             ('{"t": 1, "y": 0, "p": 1.5}', "p must be in"),
             ('{"t": -1, "y": 0, "p": 0.5}', "t must be finite"),
             ('{"t": "x", "y": 0, "p": 0.5}', "numeric"),
+            ('{"t": "1", "y": 0, "p": 0.5}', "numeric"),
+            ('{"t": 1, "y": true, "p": 0.5}', "numeric"),
+            ('{"t": 1, "y": 1, "p": true}', "numeric"),
+            ('{"t": false, "y": 0, "p": 0.5}', "numeric"),
+            ('{"t": 1, "y": 0, "p": 1e999999}', "p must be in"),
+            pytest.param('{"t": 1, "y": 0, "p": 1' + "0" * 400 + '}', "numeric",
+                         id="int-beyond-float-range"),
             ('{"t": 1, "y": 0, "p": 0.5, "id": 7}', "id must be a string"),
             ("not json", "invalid JSON"),
             ("[1, 2]", "JSON object"),
@@ -94,6 +110,12 @@ class TestParse:
     def test_csv_bad_header(self):
         with pytest.raises(MalformedRecord):
             parse_records("time,y,p\n1,0,0.5\n", "csv")
+
+    def test_invalid_csv_reports_line(self):
+        with pytest.raises(MalformedRecord) as err:
+            parse_records("t,y,p\n1,0,0.5\rx\n", "csv")
+        assert "invalid CSV" in str(err.value)
+        assert err.value.line == 2
 
     def test_csv_wrong_field_count(self):
         with pytest.raises(MalformedRecord) as err:
@@ -124,11 +146,11 @@ class TestParse:
             '{"t": 2, "y": 1, "p": 0.5, "id": "late2"}\n'
         )
         stream = parse_records(data, "jsonl", sort=True)
-        assert [r.id for r in stream] == ["early", "late", "late2"]
+        assert stream.ids == ("early", "late", "late2")
 
     def test_equal_timestamps_keep_input_order(self):
         stream = parse_records(JSONL, "jsonl")
-        assert [r.id for r in stream.records[1:]] == ["abc", "2"]
+        assert stream.ids[1:] == ("abc", "2")
 
 
 class TestSerialize:
@@ -136,14 +158,35 @@ class TestSerialize:
     def test_round_trip_exact(self, fmt):
         rng = np.random.default_rng(5)
         times = np.sort(rng.random(50) * 1e4)
-        records = [
-            PredictionRecord(float(times[i]), int(rng.integers(0, 2)),
-                             float(rng.random()), f"e{i}")
-            for i in range(50)
-        ]
-        stream = EvalStream(records)
+        stream = EvalStream(times, rng.integers(0, 2, 50), rng.random(50),
+                            [f"e{i}" for i in range(50)])
         back = parse_records(serialize_records(stream, fmt), fmt)
-        assert back.records == stream.records
+        assert_same_stream(back, stream)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_awkward_ids_round_trip(self, fmt):
+        ids = ["a,b", "", " pad ", 'say "hi"', "two\nlines", "cr\r", "\u2028"]
+        stream = EvalStream(np.arange(7.0), [0] * 7, [0.5] * 7, ids)
+        back = parse_records(serialize_records(stream, fmt), fmt)
+        assert back.ids == tuple(ids)
+
+    def test_csv_plain_ids_written_bare(self):
+        stream = EvalStream([1.5, 2.0], [1, 0], [0.25, 0.5], ["a", "b-2"])
+        assert serialize_records(stream, "csv") == "t,y,p,id\n1.5,1,0.25,a\n2.0,0,0.5,b-2\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(["jsonl", "csv"]))
+    def test_round_trip_any_ids(self, data, fmt):
+        n = data.draw(st.integers(1, 12))
+        size = dict(min_size=n, max_size=n)
+        t = sorted(data.draw(st.lists(st.floats(0.0, 1e300), **size)))
+        y = data.draw(st.lists(st.integers(0, 1), **size))
+        p = data.draw(st.lists(st.floats(0.0, 1.0), **size))
+        ids = data.draw(st.lists(st.text(), **size))
+        stream = EvalStream(t, y, p, ids)
+        back = parse_records(serialize_records(stream, fmt), fmt)
+        assert_same_stream(back, stream)
+        assert back.ids == tuple(ids)
 
     def test_jsonl_lines_are_objects(self):
         stream = parse_records(CSV, "csv")
@@ -163,7 +206,7 @@ class TestStream:
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
-            EvalStream([])
+            EvalStream([], [], [])
 
     def test_period_is_full_stream(self):
         stream = make_stream([3.0, 7.0, 9.0])
@@ -213,7 +256,7 @@ class TestThreshold:
         stream = make_stream([1, 2, 3, 4], ys=[1, 0, 1, 0], ps=[0.9, 0.8, 0.1, 0.2])
         disg = disagreement_set(stream, 0.5)
         assert disg.size == 2
-        assert disg.ids == ("1", "2")
+        assert disg.positions.tolist() == [1, 2]
         assert disg.times.tolist() == [2.0, 3.0]
 
     def test_disagreement_count_matches_hamming(self):

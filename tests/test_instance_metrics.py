@@ -9,7 +9,6 @@ from vcseval import (
     LengthMismatch,
     NoPositives,
     OneClassOnly,
-    PredictionRecord,
     auroc,
     average_precision,
     hamming_disagreement,
@@ -20,10 +19,7 @@ from . import oracles
 
 
 def stream_from(ys, ps, ts=None):
-    ts = ts or list(range(len(ys)))
-    return EvalStream(
-        [PredictionRecord(float(ts[i]), ys[i], ps[i], str(i)) for i in range(len(ys))]
-    )
+    return EvalStream(ts or list(range(len(ys))), ys, ps)
 
 
 class TestHamming:

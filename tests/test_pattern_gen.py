@@ -45,14 +45,14 @@ class TestPatterns:
     @pytest.mark.parametrize("kind", ["random", "clustered", "regular"])
     def test_deterministic(self, kind):
         spec = PatternSpec(kind, 100, 10, seed=9)
-        assert generate_pattern(spec).records == generate_pattern(spec).records
+        a, b = generate_pattern(spec), generate_pattern(spec)
+        assert (a.t.tolist(), a.y.tolist(), a.p.tolist(), a.ids) == (
+            b.t.tolist(), b.y.tolist(), b.p.tolist(), b.ids)
 
     def test_error_marking_convention(self):
         stream = generate_pattern(PatternSpec("random", 50, 10, seed=5))
-        for r in stream:
-            predicted = 1 if r.p >= 0.5 else 0
-            if predicted != r.y:
-                assert r.y == 1 and r.p == 0.1
+        wrong = (stream.p >= 0.5).astype(int) != stream.y
+        assert np.all(stream.y[wrong] == 1) and np.all(stream.p[wrong] == 0.1)
 
     def test_validation(self):
         with pytest.raises(SpecViolation):
@@ -63,6 +63,9 @@ class TestPatterns:
             PatternSpec("random", 10, 11)
         with pytest.raises(SpecViolation):
             PatternSpec("random", 10, 5, period=(5.0, 5.0))
+        for period in ((0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan), (-1e308, 1e308)):
+            with pytest.raises(SpecViolation):
+                PatternSpec("random", 10, 5, period=period)
         with pytest.raises(SpecViolation):
             PatternSpec("clustered", 10, 5, cluster_width=0.0)
 
@@ -115,6 +118,9 @@ class TestDriftDataset:
             DriftSpec(n_events=10, feature_dim=0)
         with pytest.raises(SpecViolation):
             DriftSpec(n_events=10, burst_fraction=1.0)
+        for period in ((0.0, np.inf), (np.nan, 1.0)):
+            with pytest.raises(SpecViolation):
+                DriftSpec(n_events=10, period=period)
 
 
 def fit_early_eval_late(spec, train_frac=0.7):
@@ -145,7 +151,7 @@ class TestDriftPlanting:
         assert err_times.size >= 20
         from vcseval import DisagreementSet
 
-        disg = DisagreementSet([(str(i), t) for i, t in enumerate(err_times)])
+        disg = DisagreementSet(np.arange(err_times.size), err_times)
         value = vcs(disg, period).vcs
         assert value > band_for_k(err_times.size)
 
@@ -155,6 +161,6 @@ class TestDriftPlanting:
         assert err_times.size >= 20
         from vcseval import DisagreementSet
 
-        disg = DisagreementSet([(str(i), t) for i, t in enumerate(err_times)])
+        disg = DisagreementSet(np.arange(err_times.size), err_times)
         value = vcs(disg, period).vcs
         assert value <= band_for_k(err_times.size)

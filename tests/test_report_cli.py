@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from vcseval import NonFiniteGradient, VcsConfig, parse_records, toy_trainer
 from vcseval.report_cli import (
@@ -77,6 +81,12 @@ class TestEvaluateCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_input_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("t,y,p,id\n1.0,0,0.5,caf\xe9\n".encode("latin-1"))
+        assert main(["evaluate", "--input", str(path), "--format", "csv"]) == 2
+        assert "utf-8" in capsys.readouterr().err
+
     def test_parse_error_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"t": 1, "y": 5, "p": 0.5}\n')
@@ -91,6 +101,44 @@ class TestEvaluateCommand:
         report = json.loads(report_path.read_text())
         assert report["ap"] == 1.0
         assert report["vcs"]["undefined"] == "too_few_disagreements"
+
+    def test_equal_timestamps_exit_three_with_marker(self, tmp_path):
+        path = tmp_path / "equal.jsonl"
+        path.write_text('{"t": 5, "y": 1, "p": 0.1}\n' * 2 + '{"t": 5, "y": 0, "p": 0.1}\n')
+        report_path = tmp_path / "report.json"
+        rc = main(["evaluate", "--input", str(path), "--report", str(report_path)])
+        assert rc == 3
+        report = json.loads(report_path.read_text())
+        assert report["n_errors"] == 2
+        assert report["vcs"] == {"undefined": "degenerate_distances",
+                                 "reason": "both distance sums are zero"}
+
+    def test_bins_finer_than_float_spacing(self, tmp_path):
+        # at t = 1e16 neighbouring floats are 2 apart, so bins of width
+        # 0.5 collapse to zero width instead of failing
+        path = tmp_path / "coarse.jsonl"
+        path.write_text('{"t": 1e16, "y": 1, "p": 0.1}\n{"t": 1e16, "y": 0, "p": 0.1}\n'
+                        '{"t": 1.0000000000000002e16, "y": 1, "p": 0.1}\n')
+        report_path = tmp_path / "report.json"
+        rc = main(["evaluate", "--input", str(path), "--report", str(report_path),
+                   "--density-bins", "4"])
+        assert rc == 0
+        density = json.loads(report_path.read_text())["density"]
+        assert sum(density["error_counts"]) == 2
+        assert density["bin_edges"] == sorted(density["bin_edges"])
+
+    @pytest.mark.parametrize("flags", [
+        ["--threshold", "1.5"], ["--threshold", "0"], ["--threshold", "nan"],
+        ["--tau", "0"], ["--subsample", "1"], ["--subsample", "-0.5"],
+        ["--density-bins", "0"], ["--seed", "-1"], ["--seed", str(2**64)],
+    ])
+    def test_bad_flag_exits_2(self, flags, tmp_path, capsys):
+        path = tmp_path / "log.jsonl"
+        path.write_text(synthetic_jsonl())
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--input", str(path), *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_byte_identical_across_runs(self, tmp_path):
         log = tmp_path / "log.jsonl"
@@ -139,6 +187,19 @@ class TestSynthCommand:
     def test_invalid_spec_exit_two(self, capsys):
         rc = main(["synth", "--pattern", "random", "--events", "5", "--errors", "9"])
         assert rc == 2
+
+    @pytest.mark.parametrize("period", [["0", "inf"], ["nan", "1"], ["inf", "inf"]])
+    def test_non_finite_period_exit_two(self, period, capsys):
+        rc = main(["synth", "--pattern", "random", "--events", "5", "--errors", "3",
+                   "--period", *period])
+        assert rc == 2
+        assert "period must be finite" in capsys.readouterr().err
+
+    def test_bad_flag_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--pattern", "random", "--events", "5", "--errors", "3",
+                  "--seed", "-1"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_pipeline_preserves_counts(self, tmp_path, fmt, capsys):
@@ -260,3 +321,116 @@ class TestTrainDemoCommand:
         rc = main(["train-demo", "--epochs", "2", "--seeds", "0"])
         assert rc == 1
         assert "not finite" in capsys.readouterr().err
+
+
+# Fuzzed command lines: each flag value and input line is mostly valid,
+# sometimes not. Counts that size allocations (--events, --errors,
+# --density-bins, --tau) stay small: a count like 1e8 only exhausts memory.
+BAD_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.integers(-2, 2**65).map(str),
+    st.sampled_from(["", "x", "nan", "-inf", "1e999", "1.5"]),
+)
+BAD_COUNT = st.integers(-2, 60).map(str) | st.sampled_from(["", "x", "1.5"])
+
+
+def mostly(valid, bad):
+    """valid three draws in four, bad in the fourth."""
+    return st.sampled_from([valid, valid, valid, bad]).flatmap(lambda strategy: strategy)
+
+
+COUNT = mostly(st.integers(1, 40).map(str), BAD_COUNT)
+FRACTION = mostly(st.floats(0.01, 0.99).map(repr), BAD_NUMBER)
+SEED = mostly(st.integers(0, 2**64 + 2).map(str), BAD_NUMBER)
+TIME = st.one_of(st.floats(0, 1e3), st.floats(0, 1e308), st.sampled_from([0.0, 5.0, 1e16]))
+JSON_VALUE = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=3),
+)
+
+
+@st.composite
+def records(draw):
+    """(t, y, p, id or None) rows, sorted by t unless the draw says not."""
+    rows = [(draw(TIME), draw(st.integers(0, 1)), draw(st.floats(0, 1)),
+             draw(st.none() | st.text(max_size=4)))
+            for _ in range(draw(st.integers(0, 12)))]
+    return rows if draw(st.booleans()) else sorted(rows, key=lambda r: r[0])
+
+
+def corrupt(draw, lines, junk):
+    """lines, one of them replaced by junk in one draw of four."""
+    if lines and draw(mostly(st.just(False), st.just(True))):
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(junk)
+    return "\n".join(lines)
+
+
+@st.composite
+def jsonl_text(draw):
+    lines = [json.dumps({"t": t, "y": y, "p": p, **({} if i is None else {"id": i})})
+             for t, y, p, i in draw(records())]
+    junk = st.dictionaries(st.sampled_from("typi"), JSON_VALUE).map(json.dumps)
+    return corrupt(draw, lines, junk | st.text(max_size=6))
+
+
+@st.composite
+def csv_text(draw):
+    has_id = draw(st.booleans())
+    header = draw(mostly(st.just("t,y,p,id" if has_id else "t,y,p"),
+                         st.sampled_from(["t,p", "", "t,y,p,id,x"])))
+    lines = [",".join([repr(t), str(y), repr(p)] + ([i or ""] if has_id else []))
+             for t, y, p, i in draw(records())]
+    junk = st.lists(BAD_NUMBER | st.text(max_size=3), min_size=2, max_size=5).map(",".join)
+    return header + "\n" + corrupt(draw, lines, junk)
+
+
+def flag_args(draw, flags):
+    argv = []
+    for flag, values in flags.items():
+        if draw(st.booleans()):
+            argv += [flag, *(draw(values) for _ in range(2 if flag == "--period" else 1))]
+    return argv
+
+
+@st.composite
+def evaluate_argv(draw, workdir):
+    fmt = draw(st.sampled_from(["jsonl", "csv"]))
+    text = draw(jsonl_text() if fmt == "jsonl" else csv_text())
+    (workdir / "input").write_text(text, encoding="utf-8")
+    argv = ["evaluate", "--input", str(workdir / "input"), "--format", fmt,
+            "--report", str(workdir / "report.json"), "--svg", str(workdir / "d.svg")]
+    argv += flag_args(draw, {"--threshold": FRACTION, "--tau": COUNT,
+                             "--subsample": FRACTION, "--seed": SEED,
+                             "--density-bins": COUNT})
+    return argv + (["--sort"] if draw(st.booleans()) else [])
+
+
+@st.composite
+def synth_argv(draw, workdir):
+    argv = ["synth", "--pattern", draw(st.sampled_from(["random", "clustered", "regular"])),
+            "--events", draw(COUNT), "--errors", draw(COUNT), "--out", str(workdir / "out"),
+            "--format", draw(st.sampled_from(["jsonl", "csv"]))]
+    return argv + flag_args(draw, {"--period": mostly(TIME.map(repr), BAD_NUMBER),
+                                   "--center": FRACTION, "--width": FRACTION,
+                                   "--seed": SEED})
+
+
+class TestFuzzedMain:
+    """main() returns 0, 2 or 3 on any evaluate or synth input and flags.
+
+    The only exception it may raise is argparse's SystemExit(2).
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exit_codes(self, data, tmp_path_factory):
+        workdir = tmp_path_factory.mktemp("fuzz", numbered=True)
+        argv = data.draw(evaluate_argv(workdir) | synth_argv(workdir))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2
+                rc = "usage"
+        event(f"{argv[0]} exit {rc}")
+        assert rc in (0, 2, 3, "usage")

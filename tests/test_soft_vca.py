@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from vcseval import (
     AllZeroWeights,
-    DisagreementSet,
     InsufficientSet,
     NonFiniteGradient,
     VcsEvalError,
     SoftConfig,
     finite_difference_check,
-    nn_distance,
     soft_nn_distance,
     soft_nn_gradient,
     soft_t,
@@ -25,33 +23,36 @@ from vcseval import (
 from . import oracles
 
 
-def make_set(times):
-    return DisagreementSet([(str(i), t) for i, t in enumerate(times)])
-
-
 class TestSoftNnDistance:
     def test_single_neighbor_collapses_to_exact_distance(self):
-        assert soft_nn_distance(("0", 1.0), make_set([1.0, 3.0]), 1.0) == 2.0
+        assert soft_nn_distance([1.0, 3.0], 0, 1.0) == 2.0
 
     def test_two_equidistant_neighbors(self):
-        got = soft_nn_distance(("1", 1.0), make_set([0.0, 1.0, 2.0]), 1.0)
+        got = soft_nn_distance([0.0, 1.0, 2.0], 1, 1.0)
         assert got == pytest.approx(1.0 - math.log(2.0), abs=1e-12)
 
     def test_sharp_beta_approaches_hard_min(self):
-        got = soft_nn_distance(("0", 0.0), make_set([0.0, 1.0, 100.0]), 50.0)
+        got = soft_nn_distance([0.0, 1.0, 100.0], 0, 50.0)
         assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_insufficient(self):
         with pytest.raises(InsufficientSet):
-            soft_nn_distance(("0", 1.0), make_set([1.0]), 1.0)
+            soft_nn_distance([1.0], 0, 1.0)
+        with pytest.raises(InsufficientSet):
+            soft_nn_gradient([1.0], 0, 1.0)
+
+    def test_duplicate_timestamp_is_another_entry(self):
+        # exclusion is by position: the twin at t=5 is at distance 0
+        assert soft_nn_distance([5.0, 5.0], 0, 3.0) == 0.0
+        reordered = soft_nn_distance([5.0, 9.0, 5.0], 0, 3.0)
+        assert soft_nn_distance([5.0, 5.0, 9.0], 0, 3.0) == reordered
 
     def test_matches_direct_series(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
             times = rng.random(int(rng.integers(3, 12))) * 10
             beta = float(rng.uniform(0.5, 20))
-            s = make_set(list(times))
-            got = soft_nn_distance(("0", float(times[0])), s, beta)
+            got = soft_nn_distance(times, 0, beta)
             want = oracles.softmin_direct([abs(times[0] - t) for t in times[1:]], beta)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -61,22 +62,18 @@ class TestSoftNnDistance:
             n = int(rng.integers(2, 15))
             times = rng.random(n) * 50
             beta = float(rng.uniform(0.5, 50))
-            s = make_set(list(times))
-            entry = ("0", float(times[0]))
-            soft = soft_nn_distance(entry, s, beta)
-            hard = nn_distance(entry, s)
+            soft = soft_nn_distance(times, 0, beta)
+            hard = oracles.brute_nn_distance(0, times)
             assert soft <= hard + 1e-12
             assert soft >= hard - math.log(n - 1) / beta - 1e-12
 
     def test_monotone_convergence_in_beta(self):
         # gaps kept small enough that the log-sum correction stays far
         # above float64 resolution at every beta in the ladder
-        times = [0.0, 0.07, 0.19, 0.42, 0.49]
-        s = make_set(times)
-        entry = ("0", 0.0)
-        hard = nn_distance(entry, s)
+        times = np.array([0.0, 0.07, 0.19, 0.42, 0.49])
+        hard = oracles.brute_nn_distance(0, times)
         errors = [
-            abs(soft_nn_distance(entry, s, beta) - hard)
+            abs(soft_nn_distance(times, 0, beta) - hard)
             for beta in (1.0, 4.0, 16.0, 64.0)
         ]
         assert all(b < a for a, b in zip(errors, errors[1:]))
@@ -85,12 +82,12 @@ class TestSoftNnDistance:
 
 class TestSoftNnGradient:
     def test_single_neighbor_signs(self):
-        d_self, others = soft_nn_gradient(("1", 5.0), make_set([2.0, 5.0]), 1.0)
+        d_self, others = soft_nn_gradient([2.0, 5.0], 1, 1.0)
         assert d_self == 1.0
         assert others.tolist() == [-1.0, 0.0]
 
     def test_symmetric_neighbors_cancel(self):
-        d_self, _ = soft_nn_gradient(("1", 1.0), make_set([0.0, 1.0, 2.0]), 2.0)
+        d_self, _ = soft_nn_gradient([0.0, 1.0, 2.0], 1, 2.0)
         assert d_self == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_finite_differences(self):
@@ -100,9 +97,8 @@ class TestSoftNnGradient:
             times = np.cumsum(0.3 + rng.random(n))  # spacing keeps points tie-free
 
             def fn(point):
-                s = DisagreementSet([(str(i), float(point[i])) for i in range(n)])
-                value = soft_nn_distance(("0", float(point[0])), s, 5.0)
-                d_self, others = soft_nn_gradient(("0", float(point[0])), s, 5.0)
+                value = soft_nn_distance(point, 0, 5.0)
+                d_self, others = soft_nn_gradient(point, 0, 5.0)
                 grad = others.copy()
                 grad[0] = d_self
                 return value, grad

@@ -4,12 +4,15 @@ import pytest
 from vcseval import (
     DegenerateDistances,
     DisagreementSet,
-    InsufficientSet,
+    EvalStream,
+    PatternSpec,
     TooFewDisagreements,
     VcsConfig,
-    disg_distance_sum,
-    nn_distance,
-    random_reference_sum,
+    auroc,
+    average_precision,
+    disagreement_set,
+    evaluate_stream,
+    generate_pattern,
     t_statistic,
     vcs,
 )
@@ -17,83 +20,111 @@ from vcseval import (
 from . import oracles
 
 
-def make_set(times, ids=None):
-    ids = ids or [str(i) for i in range(len(times))]
-    return DisagreementSet(list(zip(ids, times)))
+def make_set(times):
+    times = np.asarray(times, dtype=np.float64)
+    return DisagreementSet(np.arange(times.size), times)
+
+
+def single_draw_trials(times, tau=40, seed=0):
+    """vcs trials with k = 1: each d_disg is one entry's nearest-neighbour distance."""
+    result = vcs(make_set(times), (0.0, 100.0),
+                 VcsConfig(tau=tau, subsample_fraction=0.01, seed=seed))
+    assert all(trial.positions.size == 1 for trial in result.trials)
+    return [(int(trial.positions[0]), trial.d_disg) for trial in result.trials]
 
 
 class TestNnDistance:
+    """Per-entry nearest-neighbour distances, read from vcs trials with k = 1."""
+
     def test_simple_min(self):
-        s = make_set([0.0, 1.0, 3.0])
-        assert nn_distance(("2", 3.0), s) == 2.0
-        assert nn_distance(("1", 1.0), s) == 1.0
+        want = {0: 1.0, 1: 1.0, 2: 2.0}
+        drawn = single_draw_trials([0.0, 1.0, 3.0])
+        assert {pos for pos, _ in drawn} == set(want)
+        assert all(d == want[pos] for pos, d in drawn)
 
     def test_duplicate_timestamp_gives_zero(self):
-        s = make_set([2.0, 2.0])
-        assert nn_distance(("0", 2.0), s) == 0.0
+        assert all(d == 0.0 for _, d in single_draw_trials([2.0, 2.0]))
 
-    def test_exclusion_is_by_id_not_time(self):
-        # the other entry shares the timestamp but is a different event
-        s = make_set([5.0, 5.0, 9.0])
-        assert nn_distance(("0", 5.0), s) == 0.0
+    def test_exclusion_is_by_position_not_time(self):
+        # entries 0 and 1 share a timestamp but are different events
+        want = {0: 0.0, 1: 0.0, 2: 4.0}
+        drawn = single_draw_trials([5.0, 5.0, 9.0])
+        assert {pos for pos, _ in drawn} == set(want)
+        assert all(d == want[pos] for pos, d in drawn)
 
     def test_insufficient(self):
-        with pytest.raises(InsufficientSet):
-            nn_distance(("0", 1.0), make_set([1.0]))
+        # one entry has no other entry to measure a distance to
+        with pytest.raises(TooFewDisagreements):
+            vcs(make_set([1.0]), (0.0, 10.0))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
         times = rng.random(20) * 100
-        s = make_set(list(times))
-        for i in range(20):
-            got = nn_distance((str(i), float(times[i])), s)
-            assert got == oracles.brute_nn_distance(i, times.copy())
+        drawn = single_draw_trials(times, tau=200)
+        assert len({pos for pos, _ in drawn}) == 20
+        for pos, d in drawn:
+            assert d == oracles.brute_nn_distance(pos, times.copy())
 
 
 class TestDisgSum:
+    """Each trial's d_disg is the brute-force sum over trial.positions."""
+
+    def trials(self, times, frac):
+        return vcs(make_set(times), (0.0, 100.0),
+                   VcsConfig(tau=20, subsample_fraction=frac)).trials
+
     def test_hand_example(self):
-        s = make_set([0.0, 1.0, 3.0])
-        assert disg_distance_sum(["0", "1", "2"], s) == 4.0
+        # k = 2 of 3: the sum is 4 minus the distance of the entry left out
+        left_out = {0: 3.0, 1: 3.0, 2: 2.0}
+        for trial in self.trials([0.0, 1.0, 3.0], 0.99):
+            (missing,) = set(range(3)) - set(trial.positions.tolist())
+            assert trial.d_disg == left_out[missing]
 
     def test_all_same_timestamp(self):
-        s = make_set([7.0, 7.0, 7.0])
-        assert disg_distance_sum(["0", "1", "2"], s) == 0.0
+        assert all(t.d_disg == 0.0 for t in self.trials([7.0, 7.0, 7.0], 0.99))
 
     def test_singleton_subsample(self):
-        s = make_set([0.0, 1.0, 3.0])
-        assert disg_distance_sum(["2"], s) == 2.0
+        for trial in self.trials([0.0, 1.0, 3.0], 0.01):
+            assert trial.d_disg == {0: 1.0, 1: 1.0, 2: 2.0}[int(trial.positions[0])]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(9)
         times = rng.random(30) * 50
-        s = make_set(list(times))
-        positions = rng.choice(30, size=15, replace=False)
-        got = disg_distance_sum([str(i) for i in positions], s)
-        assert got == pytest.approx(oracles.brute_disg_sum(positions, times), abs=1e-12)
+        for trial in self.trials(times, 0.5):
+            assert trial.positions.size == 15
+            want = oracles.brute_disg_sum(trial.positions, times)
+            assert trial.d_disg == pytest.approx(want, abs=1e-12)
 
 
 class TestRandomReference:
+    """Each trial's random_times and d_r follow the documented contract."""
+
     def test_degenerate_period(self):
-        s = make_set([3.0])
-        total, times = random_reference_sum(4, (5.0, 5.0), s, np.random.default_rng(0))
-        assert np.all(times == 5.0)
-        assert total == pytest.approx(4 * 2.0, abs=1e-12)
+        result = vcs(make_set([3.0, 3.0]), (5.0, 5.0), VcsConfig(tau=3))
+        for trial in result.trials:
+            assert np.all(trial.random_times == 5.0)
+            assert trial.d_r == pytest.approx(trial.random_times.size * 2.0, abs=1e-12)
 
     def test_documented_u_sequence(self):
-        # contract: u = rng.random(k), times = t_start + u * span
-        s = make_set([500.0])
-        total, times = random_reference_sum(3, (0.0, 1000.0), s, np.random.default_rng(11))
-        u = np.random.default_rng(11).random(3)
-        expect_times = u * 1000.0
-        assert np.array_equal(times, expect_times)
-        assert total == pytest.approx(np.abs(expect_times - 500.0).sum(), abs=1e-9)
+        # contract: after the subsample draw, u = rng.random(k) and
+        # times = t_start + u * span
+        times = np.array([100.0, 500.0, 900.0, 950.0])
+        result = vcs(make_set(times), (0.0, 1000.0), VcsConfig(tau=3, seed=11))
+        for i, trial in enumerate(result.trials):
+            rng = np.random.default_rng((11, i))
+            assert np.array_equal(trial.positions, rng.choice(4, size=2, replace=False))
+            expect_times = rng.random(2) * 1000.0
+            assert np.array_equal(trial.random_times, expect_times)
+            want = np.abs(expect_times[:, None] - times[None, :]).min(axis=1).sum()
+            assert trial.d_r == pytest.approx(want, abs=1e-9)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(21)
         times = np.sort(rng.random(40) * 200)
-        s = make_set(list(times))
-        total, drawn = random_reference_sum(25, (0.0, 200.0), s, rng)
-        assert total == pytest.approx(oracles.brute_ref_sum(drawn, times), abs=1e-10)
+        result = vcs(make_set(times), (0.0, 200.0), VcsConfig(tau=10, seed=21))
+        for trial in result.trials:
+            want = oracles.brute_ref_sum(trial.random_times, times)
+            assert trial.d_r == pytest.approx(want, abs=1e-10)
 
 
 class TestTStatistic:
@@ -173,12 +204,11 @@ class TestVcs:
         assert [t.t_stat for t in short.trials] == [t.t_stat for t in long.trials[:3]]
 
     def test_id_permutation_invariance(self):
+        # the stream positions a set carries do not enter the statistic
         rng = np.random.default_rng(4)
-        times = list(np.sort(rng.random(25) * 10))
+        times = np.sort(rng.random(25) * 10)
         plain = vcs(make_set(times), (0.0, 10.0))
-        relabeled = vcs(
-            make_set(times, ids=[f"x{i}" for i in range(25)]), (0.0, 10.0)
-        )
+        relabeled = vcs(DisagreementSet(rng.permutation(25) + 100, times), (0.0, 10.0))
         assert plain.vcs == relabeled.vcs
 
     def test_range_bounds(self):
@@ -214,4 +244,37 @@ class TestVcs:
         assert result.config == cfg
         assert result.k_total == 12
         assert len(result.trials) == 4
-        assert all(len(t.subsample_ids) == 6 for t in result.trials)
+        assert all(t.positions.size == 6 for t in result.trials)
+
+
+class TestEvaluateStream:
+    def test_matches_direct_calls(self):
+        stream = generate_pattern(PatternSpec("clustered", 300, 40, seed=1))
+        config = VcsConfig(seed=3)
+        summary = evaluate_stream(stream, 0.5, config)
+        disg = disagreement_set(stream, 0.5)
+        direct = vcs(disg, (stream.t_start, stream.t_end), config)
+        assert summary.disagreements.positions.tolist() == disg.positions.tolist()
+        assert summary.n_disagreements == 40
+        assert summary.ap == average_precision(stream)
+        assert summary.auroc == auroc(stream)
+        assert [t.t_stat for t in summary.vcs_result.trials] == [t.t_stat for t in direct.trials]
+        assert summary.vcs_undefined is None and summary.vcs_undefined_reason is None
+
+    def test_too_few_disagreements_marked(self):
+        summary = evaluate_stream(EvalStream([1.0, 2.0], [1, 0], [0.1, 0.1]))
+        assert summary.vcs_result is None
+        assert summary.vcs_undefined == "too_few_disagreements"
+        assert "at least 2" in summary.vcs_undefined_reason
+
+    def test_equal_timestamps_marked_degenerate(self):
+        summary = evaluate_stream(EvalStream([5.0] * 3, [1, 1, 0], [0.1, 0.1, 0.1]))
+        assert summary.n_disagreements == 2
+        assert summary.vcs_result is None
+        assert summary.vcs_undefined == "degenerate_distances"
+        assert summary.vcs_undefined_reason == "both distance sums are zero"
+
+    def test_undefined_instance_metrics_are_none(self):
+        summary = evaluate_stream(EvalStream([1.0, 2.0, 3.0], [0, 0, 0], [0.9, 0.1, 0.9]))
+        assert summary.ap is None and summary.auroc is None
+        assert summary.n_disagreements == 2 and summary.vcs_result is not None
