@@ -49,8 +49,8 @@ from .pattern_gen import (
     generate_pattern,
 )
 from .soft_vca import (
-    SoftConfig,
     SoftTrial,
+    effective_beta,
     finite_difference_check,
     soft_nn_distance,
     soft_nn_gradient,

@@ -76,9 +76,6 @@ class DisagreementSet:
     def size(self):
         return self.times.size
 
-    def __len__(self):
-        return self.times.size
-
 
 def _validate_fields(t, y, p, line):
     try:

@@ -5,7 +5,7 @@ thresholded prediction disagrees) among M events; error timestamps
 follow one of three shapes:
 
 * random: errors are a uniform subset of the event times
-* clustered: errors fall in a narrow window of the period
+* clustered: errors fall in a narrow window of the period, clipped to it
 * regular: errors sit at exact midpoints of K equal buckets
 
 The drift dataset feeds the toy trainer: linearly separable Gaussian
@@ -44,6 +44,9 @@ class PatternSpec:
         t_start, t_end = self.period
         if not (t_start < t_end and math.isfinite(t_end - t_start)):
             raise SpecViolation("period must be finite and have positive length")
+        overflow = not math.isfinite((self.n_errors - 0.5) * (t_end - t_start))
+        if self.kind == "regular" and overflow:
+            raise SpecViolation("regular pattern: (n_errors - 0.5) * period length overflows")
         if not 0.0 <= self.cluster_center <= 1.0:
             raise SpecViolation("cluster_center must lie in [0, 1]")
         if not 0.0 < self.cluster_width <= 1.0:
@@ -112,8 +115,9 @@ def generate_pattern(spec):
     else:
         base = t_start + rng.random(m - k) * span
         if spec.kind == "clustered":
-            lo = t_start + (spec.cluster_center - spec.cluster_width / 2) * span
-            hi = t_start + (spec.cluster_center + spec.cluster_width / 2) * span
+            # the window is clipped to the period, so every time lies inside it
+            lo = max(t_start, t_start + (spec.cluster_center - spec.cluster_width / 2) * span)
+            hi = min(t_end, t_start + (spec.cluster_center + spec.cluster_width / 2) * span)
             err_times = lo + rng.random(k) * (hi - lo)
         else:
             err_times = t_start + (np.arange(k) + 0.5) * span / k

@@ -238,11 +238,11 @@ def _demo_run(seed, gamma, epochs):
     train_part, test_part = _interleaved_split(generate_drift_dataset(spec))
     config = TrainConfig(gamma=gamma, epochs=epochs, seed=seed)
     model, history = train(train_part, config)
-    summary = toy_trainer.evaluate_model(model, test_part, config.vcs_eval)
+    summary = toy_trainer.evaluate_model(model, test_part)
     nan = float("nan")
     ap = nan if summary.ap is None else summary.ap
     vcs_value = nan if summary.vcs_result is None else summary.vcs_result.vcs
-    return ap, vcs_value, summary.n_disagreements, history
+    return ap, vcs_value, summary.disagreements.size, history
 
 
 def cmd_train_demo(args):

@@ -28,40 +28,25 @@ import numpy as np
 from .errors import AllZeroWeights, InsufficientSet, NonFiniteGradient
 
 
-@dataclass(frozen=True)
-class SoftConfig:
-    """Sharpness beta, penalty weight gamma, and adaptive-beta settings."""
+TARGET_SHARPNESS = 5.0
+FALLBACK_BETA = 1.0
 
-    beta: float = 1.0
-    gamma: float = 0.1
-    scale_adaptive_beta: bool = True
-    target_sharpness: float = 5.0
 
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
-        if not self.target_sharpness > 0:
-            raise ValueError("target_sharpness must be positive")
+def effective_beta(timestamps):
+    """TARGET_SHARPNESS / (median positive inter-event gap), else FALLBACK_BETA.
 
-    def effective_beta(self, timestamps):
-        """s / (median positive inter-event gap), else the configured beta.
-
-        Ties sharpness to the time scale of the reference timestamps so
-        the soft-min bound log(n-1)/beta stays small regardless of units.
-        """
-        if not self.scale_adaptive_beta:
-            return self.beta
-        ts = np.sort(np.asarray(timestamps, dtype=np.float64))
-        gaps = np.diff(ts)
-        gaps = np.sort(gaps[gaps > 0])
-        if gaps.size == 0:
-            return self.beta
-        # np.median's value, without its per-call overhead
-        mid = gaps.size // 2
-        median = gaps[mid] if gaps.size % 2 else (gaps[mid - 1] + gaps[mid]) / 2
-        return float(self.target_sharpness / median)
+    Ties sharpness to the time scale of the reference timestamps so
+    the soft-min bound log(n-1)/beta stays small regardless of units.
+    """
+    ts = np.sort(np.asarray(timestamps, dtype=np.float64))
+    gaps = np.diff(ts)
+    gaps = np.sort(gaps[gaps > 0])
+    if gaps.size == 0:
+        return FALLBACK_BETA
+    # np.median's value, without its per-call overhead
+    mid = gaps.size // 2
+    median = gaps[mid] if gaps.size % 2 else (gaps[mid - 1] + gaps[mid]) / 2
+    return float(TARGET_SHARPNESS / median)
 
 
 @dataclass(frozen=True)

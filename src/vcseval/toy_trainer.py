@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import NonFiniteGradient, NonFiniteLoss
 from .event_stream import EvalStream
-from .soft_vca import SoftConfig, vca_penalty, weighted_soft_t
-from .vcs import VcsConfig, evaluate_stream
+from .soft_vca import effective_beta, vca_penalty, weighted_soft_t
+from .vcs import evaluate_stream
 
 P_CLAMP = 1e-7
 WEIGHT_FLOOR = 1e-6
@@ -30,8 +30,6 @@ class TrainConfig:
     learning_rate: float = 0.05
     epochs: int = 200
     seed: int = 0
-    soft: SoftConfig = field(default_factory=SoftConfig)
-    vcs_eval: VcsConfig = field(default_factory=VcsConfig)
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -107,7 +105,7 @@ def combined_loss(model, batch, config, step):
         if np.count_nonzero(w > WEIGHT_FLOOR) < 2:
             skipped = True
         else:
-            beta = config.soft.effective_beta(batch.t)
+            beta = effective_beta(batch.t)
             rng = np.random.default_rng((config.seed, step))
             n_ref = max(2, n // 2)
             t_lo, t_hi = float(batch.t.min()), float(batch.t.max())
@@ -144,10 +142,10 @@ def train(dataset, config=TrainConfig()):
     return ToyModel(weights), history
 
 
-def evaluate_model(model, test, vcs_config=VcsConfig(), threshold=0.5):
+def evaluate_model(model, test):
     """Score a test dataset with the model: evaluate_stream on its predictions."""
     p = model.predict_proba(test.features)
-    return evaluate_stream(EvalStream(test.t, test.y, p), threshold, vcs_config)
+    return evaluate_stream(EvalStream(test.t, test.y, p))
 
 
 def history_csv(history):

@@ -29,24 +29,31 @@ def brute_ref_sum(ref_times, times):
     return float(d.min(axis=1).sum())
 
 
+def contract_draws(seed, i, big_k, k, period):
+    """Trial i's (positions, random_times) per the documented contract.
+
+    default_rng((seed, i)) draws first the k subsample positions out of
+    big_k without replacement, then k normalized u in [0, 1), mapped
+    onto the period as t_start + u * span.
+    """
+    rng = np.random.default_rng((seed, i))
+    positions = rng.choice(big_k, size=k, replace=False)
+    t_start, t_end = period
+    return positions, t_start + rng.random(k) * (t_end - t_start)
+
+
 def brute_vcs(times, period, tau=5, frac=0.5, seed=42):
     """VCS per the documented contract with brute-force distances.
 
-    Trial i draws from default_rng((seed, i)): first the subsample
-    positions without replacement, then k normalized reference times.
     Returns (vcs, t_mean, per-trial t list).
     """
     times = np.asarray(times, dtype=np.float64)
     big_k = times.size
     k = min(max(1, int(math.floor(frac * big_k))), big_k - 1)
-    t_start, t_end = period
     t_stats = []
     for i in range(tau):
-        rng = np.random.default_rng((seed, i))
-        positions = rng.choice(big_k, size=k, replace=False)
+        positions, ref = contract_draws(seed, i, big_k, k, period)
         d_disg = brute_disg_sum(positions, times)
-        u = rng.random(k)
-        ref = t_start + u * (t_end - t_start)
         d_r = brute_ref_sum(ref, times)
         t_stats.append(d_r / (d_r + d_disg))
     t_mean = float(np.mean(t_stats))
@@ -66,14 +73,10 @@ def fast_vcs(times, period, tau=5, frac=0.5, seed=42):
     nn = np.minimum(
         np.concatenate(([np.inf], gaps)), np.concatenate((gaps, [np.inf]))
     )
-    t_start, t_end = period
     t_stats = []
     for i in range(tau):
-        rng = np.random.default_rng((seed, i))
-        positions = rng.choice(big_k, size=k, replace=False)
+        positions, ref = contract_draws(seed, i, big_k, k, period)
         d_disg = float(nn[positions].sum())
-        u = rng.random(k)
-        ref = t_start + u * (t_end - t_start)
         idx = np.searchsorted(times, ref)
         lo = np.clip(idx - 1, 0, big_k - 1)
         hi = np.clip(idx, 0, big_k - 1)

@@ -113,6 +113,20 @@ class TestEvaluateCommand:
         assert report["vcs"] == {"undefined": "degenerate_distances",
                                  "reason": "both distance sums are zero"}
 
+    def test_overflowing_distances_exit_three_with_marker(self, tmp_path):
+        # distance sums between 0 and 1.79e308 pass the float range
+        path = tmp_path / "huge.jsonl"
+        path.write_text('{"t": 0, "y": 1, "p": 0.1}\n{"t": 0, "y": 0, "p": 0.1}\n'
+                        + '{"t": 1.79e308, "y": 1, "p": 0.1}\n' * 3)
+        report_path = tmp_path / "report.json"
+        rc = main(["evaluate", "--input", str(path), "--report", str(report_path),
+                   "--subsample", "0.9"])
+        assert rc == 3
+        report = json.loads(report_path.read_text())
+        assert report["n_errors"] == 4
+        assert report["vcs"] == {"undefined": "degenerate_distances",
+                                 "reason": "distance sums overflow float64"}
+
     def test_bins_finer_than_float_spacing(self, tmp_path):
         # at t = 1e16 neighbouring floats are 2 apart, so bins of width
         # 0.5 collapse to zero width instead of failing
@@ -200,6 +214,24 @@ class TestSynthCommand:
             main(["synth", "--pattern", "random", "--events", "5", "--errors", "3",
                   "--seed", "-1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("period, center", [
+        (["0", "1000"], "0"), (["0", "1.7e308"], "1"),
+    ])
+    def test_window_clipped_to_period(self, period, center, capsys):
+        rc = main(["synth", "--pattern", "clustered", "--events", "5", "--errors", "3",
+                   "--period", *period, "--center", center, "--width", "1"])
+        assert rc == 0
+        # parsing rejects negative and non-finite timestamps
+        stream = parse_records(capsys.readouterr().out, "jsonl")
+        lo, hi = map(float, period)
+        assert lo <= stream.t_start and stream.t_end <= hi
+
+    def test_regular_span_overflow_exit_two(self, capsys):
+        rc = main(["synth", "--pattern", "regular", "--events", "3", "--errors", "3",
+                   "--period", "0", "1.7e308"])
+        assert rc == 2
+        assert "overflows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_pipeline_preserves_counts(self, tmp_path, fmt, capsys):

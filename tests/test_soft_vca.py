@@ -11,7 +11,7 @@ from vcseval import (
     InsufficientSet,
     NonFiniteGradient,
     VcsEvalError,
-    SoftConfig,
+    effective_beta,
     finite_difference_check,
     soft_nn_distance,
     soft_nn_gradient,
@@ -19,6 +19,7 @@ from vcseval import (
     vca_penalty,
     weighted_soft_t,
 )
+from vcseval.soft_vca import FALLBACK_BETA
 
 from . import oracles
 
@@ -186,7 +187,7 @@ class TestWeightedSoftT:
         times = rng.random(n) * 1000.0
         w = rng.random(n)
         ref = rng.random(n // 2) * 1000.0
-        beta = SoftConfig().effective_beta(times)
+        beta = effective_beta(times)
         trial = weighted_soft_t(times, w, ref, beta)
         assert np.isfinite([trial.t_soft, trial.d_r_soft, trial.d_disg_soft]).all()
         assert trial.weight_gradient.shape == (n,)
@@ -309,27 +310,13 @@ class TestVcaPenalty:
             vca_penalty(0.5, -0.1)
 
 
-class TestSoftConfig:
+class TestEffectiveBeta:
     def test_adaptive_beta_from_median_gap(self):
-        cfg = SoftConfig(target_sharpness=5.0)
         # gaps 1, 2, 4 -> median 2 -> beta 2.5
-        assert cfg.effective_beta([0.0, 1.0, 3.0, 7.0]) == pytest.approx(2.5)
+        assert effective_beta([0.0, 1.0, 3.0, 7.0]) == pytest.approx(2.5)
 
     def test_fallback_when_all_gaps_zero(self):
-        cfg = SoftConfig(beta=3.0)
-        assert cfg.effective_beta([5.0, 5.0, 5.0]) == 3.0
-
-    def test_adaptive_off_uses_user_beta(self):
-        cfg = SoftConfig(beta=7.0, scale_adaptive_beta=False)
-        assert cfg.effective_beta([0.0, 1.0, 2.0]) == 7.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SoftConfig(beta=0.0)
-        with pytest.raises(ValueError):
-            SoftConfig(gamma=-0.5)
-        with pytest.raises(ValueError):
-            SoftConfig(target_sharpness=0.0)
+        assert effective_beta([5.0, 5.0, 5.0]) == FALLBACK_BETA
 
 
 class TestFiniteDifferenceCheck:

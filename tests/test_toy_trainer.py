@@ -15,7 +15,6 @@ from vcseval import (
     train,
 )
 from vcseval.pattern_gen import DriftDataset
-from vcseval.soft_vca import SoftConfig
 from vcseval.toy_trainer import ToyModel, _augment, _sigmoid
 
 from . import oracles
@@ -149,7 +148,7 @@ class TestEvaluateModel:
         theta = np.concatenate([4.0 * direction, [0.0]])
         summary = evaluate_model(ToyModel(theta), ds)
         assert summary.ap > 0.95
-        assert summary.n_disagreements < 0.08 * len(ds)
+        assert summary.disagreements.size < 0.08 * len(ds)
 
     def test_too_few_disagreements_reported_not_raised(self):
         ds = small_dataset(seed=9, n=60, class_separation=40.0, drift_shift=0.0)
@@ -191,8 +190,3 @@ class TestConfigValidation:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(gamma=-1.0)
-
-    def test_nested_configs_default(self):
-        config = TrainConfig()
-        assert isinstance(config.soft, SoftConfig)
-        assert config.vcs_eval.tau == 5

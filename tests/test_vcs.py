@@ -25,12 +25,21 @@ def make_set(times):
     return DisagreementSet(np.arange(times.size), times)
 
 
+def trials_with_draws(times, period, config):
+    """(positions, random_times, trial) per vcs trial, the draws from the contract."""
+    times = np.asarray(times, dtype=np.float64)
+    k = config.subsample_size(times.size)
+    result = vcs(make_set(times), period, config)
+    return [(*oracles.contract_draws(config.seed, i, times.size, k, period), trial)
+            for i, trial in enumerate(result.trials)]
+
+
 def single_draw_trials(times, tau=40, seed=0):
     """vcs trials with k = 1: each d_disg is one entry's nearest-neighbour distance."""
-    result = vcs(make_set(times), (0.0, 100.0),
-                 VcsConfig(tau=tau, subsample_fraction=0.01, seed=seed))
-    assert all(trial.positions.size == 1 for trial in result.trials)
-    return [(int(trial.positions[0]), trial.d_disg) for trial in result.trials]
+    config = VcsConfig(tau=tau, subsample_fraction=0.01, seed=seed)
+    drawn = trials_with_draws(times, (0.0, 100.0), config)
+    assert all(positions.size == 1 for positions, _, _ in drawn)
+    return [(int(positions[0]), trial.d_disg) for positions, _, trial in drawn]
 
 
 class TestNnDistance:
@@ -67,63 +76,63 @@ class TestNnDistance:
 
 
 class TestDisgSum:
-    """Each trial's d_disg is the brute-force sum over trial.positions."""
+    """Each trial's d_disg is the brute-force sum over its contract positions."""
 
     def trials(self, times, frac):
-        return vcs(make_set(times), (0.0, 100.0),
-                   VcsConfig(tau=20, subsample_fraction=frac)).trials
+        return trials_with_draws(times, (0.0, 100.0),
+                                 VcsConfig(tau=20, subsample_fraction=frac))
 
     def test_hand_example(self):
         # k = 2 of 3: the sum is 4 minus the distance of the entry left out
         left_out = {0: 3.0, 1: 3.0, 2: 2.0}
-        for trial in self.trials([0.0, 1.0, 3.0], 0.99):
-            (missing,) = set(range(3)) - set(trial.positions.tolist())
+        for positions, _, trial in self.trials([0.0, 1.0, 3.0], 0.99):
+            (missing,) = set(range(3)) - set(positions.tolist())
             assert trial.d_disg == left_out[missing]
 
     def test_all_same_timestamp(self):
-        assert all(t.d_disg == 0.0 for t in self.trials([7.0, 7.0, 7.0], 0.99))
+        assert all(t.d_disg == 0.0 for _, _, t in self.trials([7.0, 7.0, 7.0], 0.99))
 
     def test_singleton_subsample(self):
-        for trial in self.trials([0.0, 1.0, 3.0], 0.01):
-            assert trial.d_disg == {0: 1.0, 1: 1.0, 2: 2.0}[int(trial.positions[0])]
+        for positions, _, trial in self.trials([0.0, 1.0, 3.0], 0.01):
+            assert trial.d_disg == {0: 1.0, 1: 1.0, 2: 2.0}[int(positions[0])]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(9)
         times = rng.random(30) * 50
-        for trial in self.trials(times, 0.5):
-            assert trial.positions.size == 15
-            want = oracles.brute_disg_sum(trial.positions, times)
+        for positions, _, trial in self.trials(times, 0.5):
+            assert positions.size == 15
+            want = oracles.brute_disg_sum(positions, times)
             assert trial.d_disg == pytest.approx(want, abs=1e-12)
 
 
 class TestRandomReference:
-    """Each trial's random_times and d_r follow the documented contract."""
+    """Each trial's d_r is the brute-force sum over its contract reference times."""
 
     def test_degenerate_period(self):
-        result = vcs(make_set([3.0, 3.0]), (5.0, 5.0), VcsConfig(tau=3))
-        for trial in result.trials:
-            assert np.all(trial.random_times == 5.0)
-            assert trial.d_r == pytest.approx(trial.random_times.size * 2.0, abs=1e-12)
+        for _, ref, trial in trials_with_draws([3.0, 3.0], (5.0, 5.0), VcsConfig(tau=3)):
+            assert np.all(ref == 5.0)
+            assert trial.d_r == pytest.approx(ref.size * 2.0, abs=1e-12)
 
     def test_documented_u_sequence(self):
         # contract: after the subsample draw, u = rng.random(k) and
         # times = t_start + u * span
         times = np.array([100.0, 500.0, 900.0, 950.0])
-        result = vcs(make_set(times), (0.0, 1000.0), VcsConfig(tau=3, seed=11))
-        for i, trial in enumerate(result.trials):
+        drawn = trials_with_draws(times, (0.0, 1000.0), VcsConfig(tau=3, seed=11))
+        for i, (positions, ref, trial) in enumerate(drawn):
             rng = np.random.default_rng((11, i))
-            assert np.array_equal(trial.positions, rng.choice(4, size=2, replace=False))
+            assert np.array_equal(positions, rng.choice(4, size=2, replace=False))
             expect_times = rng.random(2) * 1000.0
-            assert np.array_equal(trial.random_times, expect_times)
+            assert np.array_equal(ref, expect_times)
+            assert trial.d_disg == oracles.brute_disg_sum(positions, times)
             want = np.abs(expect_times[:, None] - times[None, :]).min(axis=1).sum()
             assert trial.d_r == pytest.approx(want, abs=1e-9)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(21)
         times = np.sort(rng.random(40) * 200)
-        result = vcs(make_set(times), (0.0, 200.0), VcsConfig(tau=10, seed=21))
-        for trial in result.trials:
-            want = oracles.brute_ref_sum(trial.random_times, times)
+        for _, ref, trial in trials_with_draws(times, (0.0, 200.0),
+                                               VcsConfig(tau=10, seed=21)):
+            want = oracles.brute_ref_sum(ref, times)
             assert trial.d_r == pytest.approx(want, abs=1e-10)
 
 
@@ -137,6 +146,8 @@ class TestTStatistic:
     def test_degenerate(self):
         with pytest.raises(DegenerateDistances):
             t_statistic(0.0, 0.0)
+        with pytest.raises(DegenerateDistances, match="overflow"):
+            t_statistic(1e308, 1e308)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -238,13 +249,17 @@ class TestVcs:
         assert result.signed_deviation == pytest.approx(0.5, abs=1e-15)
 
     def test_result_echoes_config_and_k(self):
-        s = make_set(list(np.linspace(0, 10, 12)))
+        times = np.linspace(0, 10, 12)
         cfg = VcsConfig(tau=4, seed=2)
-        result = vcs(s, (0.0, 10.0), cfg)
+        result = vcs(make_set(times), (0.0, 10.0), cfg)
         assert result.config == cfg
         assert result.k_total == 12
         assert len(result.trials) == 4
-        assert all(t.positions.size == 6 for t in result.trials)
+        for positions, ref, trial in trials_with_draws(times, (0.0, 10.0), cfg):
+            assert positions.size == ref.size == 6
+            assert trial.d_disg == pytest.approx(
+                oracles.brute_disg_sum(positions, times), abs=1e-12)
+            assert trial.d_r == pytest.approx(oracles.brute_ref_sum(ref, times), abs=1e-12)
 
 
 class TestEvaluateStream:
@@ -255,7 +270,7 @@ class TestEvaluateStream:
         disg = disagreement_set(stream, 0.5)
         direct = vcs(disg, (stream.t_start, stream.t_end), config)
         assert summary.disagreements.positions.tolist() == disg.positions.tolist()
-        assert summary.n_disagreements == 40
+        assert summary.disagreements.size == 40
         assert summary.ap == average_precision(stream)
         assert summary.auroc == auroc(stream)
         assert [t.t_stat for t in summary.vcs_result.trials] == [t.t_stat for t in direct.trials]
@@ -269,7 +284,7 @@ class TestEvaluateStream:
 
     def test_equal_timestamps_marked_degenerate(self):
         summary = evaluate_stream(EvalStream([5.0] * 3, [1, 1, 0], [0.1, 0.1, 0.1]))
-        assert summary.n_disagreements == 2
+        assert summary.disagreements.size == 2
         assert summary.vcs_result is None
         assert summary.vcs_undefined == "degenerate_distances"
         assert summary.vcs_undefined_reason == "both distance sums are zero"
@@ -277,4 +292,4 @@ class TestEvaluateStream:
     def test_undefined_instance_metrics_are_none(self):
         summary = evaluate_stream(EvalStream([1.0, 2.0, 3.0], [0, 0, 0], [0.9, 0.1, 0.9]))
         assert summary.ap is None and summary.auroc is None
-        assert summary.n_disagreements == 2 and summary.vcs_result is not None
+        assert summary.disagreements.size == 2 and summary.vcs_result is not None
