@@ -25,7 +25,6 @@ from .errors import (
     VcsEvalError,
 )
 from .event_stream import (
-    DisagreementSet,
     EvalStream,
     chronological_split,
     disagreement_set,

@@ -61,22 +61,6 @@ class EvalStream:
         return self.t.size
 
 
-class DisagreementSet:
-    """Where the thresholded prediction differs from y.
-
-    positions indexes the rows of the stream; times holds their
-    timestamps.
-    """
-
-    def __init__(self, positions, times):
-        self.positions = np.asarray(positions, dtype=np.int64)
-        self.times = np.asarray(times, dtype=np.float64)
-
-    @property
-    def size(self):
-        return self.times.size
-
-
 def _validate_fields(t, y, p, line):
     try:
         t = float(t)
@@ -234,6 +218,5 @@ def threshold_labels(stream, threshold=0.5):
 
 
 def disagreement_set(stream, threshold=0.5):
-    """Rows where the thresholded prediction disagrees with ground truth."""
-    positions = np.flatnonzero(threshold_labels(stream, threshold) != stream.y)
-    return DisagreementSet(positions, stream.t[positions])
+    """Row positions where the thresholded prediction disagrees with y."""
+    return np.flatnonzero(threshold_labels(stream, threshold) != stream.y)

@@ -89,15 +89,11 @@ def auroc(stream):
     if n_pos == 0 or n_neg == 0:
         raise OneClassOnly("AU-ROC needs both a positive and a negative label")
     order = np.argsort(p, kind="stable")
-    ranks = np.empty(y.size, dtype=np.float64)
-    ranks[order] = np.arange(1, y.size + 1)
-    # Average ranks within tie groups so equal scores share credit.
-    sorted_p = p[order]
-    boundaries = np.flatnonzero(np.diff(sorted_p) != 0) + 1
+    # Each tie group [start, stop) of sorted scores shares its mean rank.
+    boundaries = np.flatnonzero(np.diff(p[order]) != 0) + 1
     starts = np.concatenate(([0], boundaries))
     stops = np.concatenate((boundaries, [y.size]))
-    for a, b in zip(starts, stops):
-        if b - a > 1:
-            ranks[order[a:b]] = 0.5 * (a + 1 + b)
+    ranks = np.empty(y.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + stops), stops - starts)
     u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))

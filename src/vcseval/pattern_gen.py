@@ -44,6 +44,8 @@ class PatternSpec:
         t_start, t_end = self.period
         if not (t_start < t_end and math.isfinite(t_end - t_start)):
             raise SpecViolation("period must be finite and have positive length")
+        if t_start < 0:
+            raise SpecViolation("period must start at t >= 0, as parsed timestamps do")
         overflow = not math.isfinite((self.n_errors - 0.5) * (t_end - t_start))
         if self.kind == "regular" and overflow:
             raise SpecViolation("regular pattern: (n_errors - 0.5) * period length overflows")

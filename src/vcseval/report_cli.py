@@ -60,7 +60,7 @@ def build_eval_report(stream, threshold, vcs_config, density_bins):
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     edges = np.linspace(lo, hi, density_bins + 1)
-    counts, _ = np.histogram(disg.times, bins=edges)
+    counts, _ = np.histogram(stream.t[disg], bins=edges)
     return {
         "n_events": len(stream),
         "n_errors": disg.size,

@@ -10,12 +10,13 @@ evaluate_stream is the one evaluation path: the disagreement set, AP,
 AU-ROC and VCS of a stream, each undefined value reported, not raised.
 
 Determinism contract: trial i draws from a fresh substream seeded by
-(seed, i), first the subsample positions (without replacement), then
-the k reference times as normalized u in [0,1) mapped affinely onto the
-period. Results are therefore reproducible bit-for-bit and independent
-of trial execution order, and rescaling time rescales every distance by
-the same factor, leaving each t_stat unchanged. Trials keep only their
-distance sums; trial i's draws are regenerated from (seed, i).
+(seed, i), first k subsample positions into times, as passed, without
+replacement, then k reference times as normalized u in [0,1) mapped
+affinely onto the period. Results are therefore reproducible
+bit-for-bit and independent of trial execution order, and rescaling
+time rescales every distance by the same factor, leaving each t_stat
+unchanged. Trials keep only their distance sums; trial i's draws are
+regenerated from (seed, i).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDistances, NoPositives, OneClassOnly, TooFewDisagreements
-from .event_stream import DisagreementSet, disagreement_set
+from .event_stream import disagreement_set
 from .instance_metrics import auroc, average_precision
 
 
@@ -106,9 +107,10 @@ def _dist_to_sorted(points, sorted_times):
     return np.minimum(np.abs(points - sorted_times[lo]), np.abs(points - sorted_times[hi]))
 
 
-def vcs(disg_set, period, config=VcsConfig()):
-    """Run tau independent trials and aggregate VCS = |0.5 - mean(t_stat)|."""
-    k_total = disg_set.size
+def vcs(times, period, config=VcsConfig()):
+    """VCS = |0.5 - mean(t_stat)| over tau trials on the disagreement timestamps."""
+    times = np.asarray(times, dtype=np.float64)
+    k_total = times.size
     if k_total < 2:
         raise TooFewDisagreements(
             f"VCS needs at least 2 disagreements, got {k_total}"
@@ -116,7 +118,6 @@ def vcs(disg_set, period, config=VcsConfig()):
     k = config.subsample_size(k_total)
     t_start, t_end = period
     span = t_end - t_start
-    times = disg_set.times
     sorted_times = np.sort(times)
 
     trials = []
@@ -145,14 +146,14 @@ def vcs(disg_set, period, config=VcsConfig()):
 
 @dataclass(frozen=True)
 class EvalSummary:
-    """AP, AU-ROC and VCS of one stream, with its disagreement set.
+    """AP, AU-ROC and VCS of one stream, with its disagreement positions.
 
     ap and auroc are None where their preconditions fail. vcs_result is
     None where VCS is undefined; vcs_undefined then names the case and
     vcs_undefined_reason gives the error message.
     """
 
-    disagreements: DisagreementSet
+    disagreements: np.ndarray
     ap: float
     auroc: float
     vcs_result: VcsResult
@@ -173,7 +174,7 @@ def evaluate_stream(stream, threshold=0.5, vcs_config=VcsConfig()):
         auc = None
     result = undefined = reason = None
     try:
-        result = vcs(disg, (stream.t_start, stream.t_end), vcs_config)
+        result = vcs(stream.t[disg], (stream.t_start, stream.t_end), vcs_config)
     except TooFewDisagreements as exc:
         undefined, reason = "too_few_disagreements", str(exc)
     except DegenerateDistances as exc:

@@ -63,8 +63,10 @@ def brute_vcs(times, period, tau=5, frac=0.5, seed=42):
 def fast_vcs(times, period, tau=5, frac=0.5, seed=42):
     """Sorted-gap VCS used for the large Monte Carlo band.
 
-    Same RNG contract as brute_vcs; validated against it in the unit
-    tests before being trusted at scale.
+    Draws as brute_vcs does, but its subsample positions index the
+    sorted times, so it matches brute_vcs only on sorted input; the unit
+    tests check that agreement. The band's times are i.i.d. uniform, so
+    the sort leaves the distribution of its samples unchanged.
     """
     times = np.sort(np.asarray(times, dtype=np.float64))
     big_k = times.size

@@ -56,8 +56,8 @@ def test_02_expressiveness_witness(uniform_band):
         values = {}
         metrics = {}
         for kind, stream in streams.items():
-            disg = v.disagreement_set(stream)
-            values[kind] = v.vcs(disg, (stream.t_start, stream.t_end)).vcs
+            times = stream.t[v.disagreement_set(stream)]
+            values[kind] = v.vcs(times, (stream.t_start, stream.t_end)).vcs
             metrics[kind] = tuple(
                 v.instance_metric(v.InstanceMetricSpec(2.5, agg),
                                   stream.y, v.threshold_labels(stream))
@@ -71,12 +71,11 @@ def test_02_expressiveness_witness(uniform_band):
 
 
 def test_03_vcs_limits():
-    single = v.DisagreementSet(np.arange(8), np.full(8, 42.0))
-    result = v.vcs(single, (0.0, 100.0), v.VcsConfig(seed=1))
+    result = v.vcs(np.full(8, 42.0), (0.0, 100.0), v.VcsConfig(seed=1))
     exact = result.vcs == 0.5 and all(t.t_stat == 1.0 for t in result.trials)
     raised = False
     try:
-        v.vcs(v.DisagreementSet([0], [1.0]), (0.0, 10.0))
+        v.vcs([1.0], (0.0, 10.0))
     except v.TooFewDisagreements:
         raised = True
     check(3, "vcs limits", exact and raised,
@@ -92,15 +91,9 @@ def test_04_affine_invariance():
         # offset scale chosen so float64 rounding of a*t + b stays well
         # below the 1e-12 budget even at the a = 1e-3 compression
         b = float(rng.uniform(-5.0, 5.0))
-        base = v.vcs(
-            v.DisagreementSet(np.arange(n), times),
-            (0.0, 100.0), v.VcsConfig(seed=case),
-        )
+        base = v.vcs(times, (0.0, 100.0), v.VcsConfig(seed=case))
         for a in (1e-3, 1.0, 1e3):
-            mapped = v.vcs(
-                v.DisagreementSet(np.arange(n), a * times + b),
-                (b, a * 100.0 + b), v.VcsConfig(seed=case),
-            )
+            mapped = v.vcs(a * times + b, (b, a * 100.0 + b), v.VcsConfig(seed=case))
             for t1, t2 in zip(base.trials, mapped.trials):
                 worst = max(worst, abs(t1.t_stat - t2.t_stat))
     check(4, "affine-time invariance", worst <= 1e-12,
@@ -114,8 +107,8 @@ def test_05_pattern_separation(uniform_band):
         vals = []
         for seed in range(10):
             stream = v.generate_pattern(v.PatternSpec(kind, 2000, 200, seed=seed))
-            disg = v.disagreement_set(stream)
-            vals.append(v.vcs(disg, (stream.t_start, stream.t_end)).vcs)
+            times = stream.t[v.disagreement_set(stream)]
+            vals.append(v.vcs(times, (stream.t_start, stream.t_end)).vcs)
         means[kind] = float(np.mean(vals))
     ok = (means["clustered"] > band and means["regular"] > band
           and means["random"] <= band)
@@ -126,12 +119,12 @@ def test_05_pattern_separation(uniform_band):
 
 def test_06_tau_variance_trend():
     stream = v.generate_pattern(v.PatternSpec("random", 2000, 200, seed=0))
-    disg = v.disagreement_set(stream)
+    times = stream.t[v.disagreement_set(stream)]
     period = (stream.t_start, stream.t_end)
     spreads = {}
     for tau in (1, 25):
         t_means = [
-            v.vcs(disg, period, v.VcsConfig(tau=tau, seed=s)).t_mean
+            v.vcs(times, period, v.VcsConfig(tau=tau, seed=s)).t_mean
             for s in range(200)
         ]
         spreads[tau] = float(np.var(t_means))

@@ -255,9 +255,9 @@ class TestThreshold:
     def test_disagreements(self):
         stream = make_stream([1, 2, 3, 4], ys=[1, 0, 1, 0], ps=[0.9, 0.8, 0.1, 0.2])
         disg = disagreement_set(stream, 0.5)
-        assert disg.size == 2
-        assert disg.positions.tolist() == [1, 2]
-        assert disg.times.tolist() == [2.0, 3.0]
+        assert disg.dtype == np.int64
+        assert disg.tolist() == [1, 2]
+        assert stream.t[disg].tolist() == [2.0, 3.0]
 
     def test_disagreement_count_matches_hamming(self):
         from vcseval import hamming_disagreement

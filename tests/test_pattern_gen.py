@@ -20,18 +20,20 @@ from . import oracles
 class TestPatterns:
     def test_regular_placement(self):
         spec = PatternSpec("regular", n_events=8, n_errors=4, period=(0.0, 8.0), seed=1)
-        disg = disagreement_set(generate_pattern(spec))
-        assert sorted(disg.times.tolist()) == [1.0, 3.0, 5.0, 7.0]
+        stream = generate_pattern(spec)
+        assert sorted(stream.t[disagreement_set(stream)].tolist()) == [1.0, 3.0, 5.0, 7.0]
 
     def test_regular_gaps_equal(self):
         spec = PatternSpec("regular", 500, 50, period=(0.0, 1000.0), seed=2)
-        times = np.sort(disagreement_set(generate_pattern(spec)).times)
+        stream = generate_pattern(spec)
+        times = np.sort(stream.t[disagreement_set(stream)])
         gaps = np.diff(times)
         assert np.allclose(gaps, 1000.0 / 50, atol=1e-9)
 
     def test_clustered_containment(self):
         spec = PatternSpec("clustered", 1000, 100, period=(0.0, 1000.0), seed=3)
-        times = disagreement_set(generate_pattern(spec)).times
+        stream = generate_pattern(spec)
+        times = stream.t[disagreement_set(stream)]
         assert times.min() >= 890.0 and times.max() <= 910.0
 
     @pytest.mark.parametrize("kind", ["random", "clustered", "regular"])
@@ -66,6 +68,9 @@ class TestPatterns:
         for period in ((0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan), (-1e308, 1e308)):
             with pytest.raises(SpecViolation):
                 PatternSpec("random", 10, 5, period=period)
+        # parsing rejects negative timestamps, so a period may not start below 0
+        with pytest.raises(SpecViolation, match="t >= 0"):
+            PatternSpec("random", 500, 100, period=(-50.0, 50.0))
         with pytest.raises(SpecViolation):
             PatternSpec("clustered", 10, 5, cluster_width=0.0)
 
@@ -75,8 +80,8 @@ class TestPatterns:
         for kind in ("random", "clustered", "regular"):
             spec = PatternSpec(kind, 2000, 200, seed=0)
             stream = generate_pattern(spec)
-            disg = disagreement_set(stream)
-            values[kind] = vcs(disg, (stream.t_start, stream.t_end), cfg).vcs
+            times = stream.t[disagreement_set(stream)]
+            values[kind] = vcs(times, (stream.t_start, stream.t_end), cfg).vcs
         assert values["random"] <= uniform_band["p999"]
         assert values["clustered"] > uniform_band["p999"]
         assert values["regular"] > uniform_band["p999"]
@@ -149,18 +154,10 @@ class TestDriftPlanting:
         spec = DriftSpec(n_events=12000, seed=0)
         err_times, period = fit_early_eval_late(spec)
         assert err_times.size >= 20
-        from vcseval import DisagreementSet
-
-        disg = DisagreementSet(np.arange(err_times.size), err_times)
-        value = vcs(disg, period).vcs
-        assert value > band_for_k(err_times.size)
+        assert vcs(err_times, period).vcs > band_for_k(err_times.size)
 
     def test_zero_shift_errors_look_uniform(self):
         spec = DriftSpec(n_events=12000, seed=0, drift_shift=0.0)
         err_times, period = fit_early_eval_late(spec)
         assert err_times.size >= 20
-        from vcseval import DisagreementSet
-
-        disg = DisagreementSet(np.arange(err_times.size), err_times)
-        value = vcs(disg, period).vcs
-        assert value <= band_for_k(err_times.size)
+        assert vcs(err_times, period).vcs <= band_for_k(err_times.size)

@@ -195,7 +195,7 @@ class TestSynthCommand:
         stream = parse_records(capsys.readouterr().out, "jsonl")
         from vcseval import disagreement_set
 
-        times = sorted(disagreement_set(stream).times.tolist())
+        times = sorted(stream.t[disagreement_set(stream)].tolist())
         assert times == [1.0, 3.0, 5.0, 7.0]
 
     def test_invalid_spec_exit_two(self, capsys):
@@ -214,6 +214,15 @@ class TestSynthCommand:
             main(["synth", "--pattern", "random", "--events", "5", "--errors", "3",
                   "--seed", "-1"])
         assert exc.value.code == 2
+
+    def test_negative_period_start_exit_two(self, tmp_path, capsys):
+        # evaluate rejects t < 0, so synth must not write such a file
+        out = tmp_path / "neg.jsonl"
+        rc = main(["synth", "--pattern", "random", "--events", "500", "--errors", "100",
+                   "--period", "-50", "50", "--out", str(out)])
+        assert rc == 2
+        assert "t >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("period, center", [
         (["0", "1000"], "0"), (["0", "1.7e308"], "1"),

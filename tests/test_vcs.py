@@ -3,7 +3,6 @@ import pytest
 
 from vcseval import (
     DegenerateDistances,
-    DisagreementSet,
     EvalStream,
     PatternSpec,
     TooFewDisagreements,
@@ -20,16 +19,11 @@ from vcseval import (
 from . import oracles
 
 
-def make_set(times):
-    times = np.asarray(times, dtype=np.float64)
-    return DisagreementSet(np.arange(times.size), times)
-
-
 def trials_with_draws(times, period, config):
     """(positions, random_times, trial) per vcs trial, the draws from the contract."""
     times = np.asarray(times, dtype=np.float64)
     k = config.subsample_size(times.size)
-    result = vcs(make_set(times), period, config)
+    result = vcs(times, period, config)
     return [(*oracles.contract_draws(config.seed, i, times.size, k, period), trial)
             for i, trial in enumerate(result.trials)]
 
@@ -64,7 +58,7 @@ class TestNnDistance:
     def test_insufficient(self):
         # one entry has no other entry to measure a distance to
         with pytest.raises(TooFewDisagreements):
-            vcs(make_set([1.0]), (0.0, 10.0))
+            vcs([1.0], (0.0, 10.0))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
@@ -178,19 +172,18 @@ class TestVcsConfig:
 
 class TestVcs:
     def test_single_timestamp_cluster_limit(self):
-        s = make_set([42.0] * 10)
-        result = vcs(s, (0.0, 100.0), VcsConfig(seed=5))
+        result = vcs([42.0] * 10, (0.0, 100.0), VcsConfig(seed=5))
         assert result.vcs == 0.5
         assert all(t.t_stat == 1.0 for t in result.trials)
 
     def test_too_few(self):
         for times in ([], [1.0]):
             with pytest.raises(TooFewDisagreements):
-                vcs(make_set(times), (0.0, 10.0))
+                vcs(times, (0.0, 10.0))
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
-        s = make_set(list(np.sort(rng.random(30) * 10)))
+        s = np.sort(rng.random(30) * 10)
         a = vcs(s, (0.0, 10.0), VcsConfig(seed=7))
         b = vcs(s, (0.0, 10.0), VcsConfig(seed=7))
         assert a.t_mean == b.t_mean and a.vcs == b.vcs
@@ -200,8 +193,7 @@ class TestVcs:
         rng = np.random.default_rng(2)
         for round_idx in range(10):
             times = np.sort(rng.random(int(rng.integers(5, 40))) * 100)
-            s = make_set(list(times))
-            got = vcs(s, (0.0, 100.0), VcsConfig(seed=round_idx))
+            got = vcs(times, (0.0, 100.0), VcsConfig(seed=round_idx))
             want_vcs, want_mean, want_ts = oracles.brute_vcs(
                 times, (0.0, 100.0), seed=round_idx
             )
@@ -209,49 +201,36 @@ class TestVcs:
             assert [t.t_stat for t in got.trials] == pytest.approx(want_ts, abs=1e-12)
 
     def test_trials_use_independent_substreams(self):
-        s = make_set(list(np.linspace(0, 10, 20)))
+        s = np.linspace(0, 10, 20)
         short = vcs(s, (0.0, 10.0), VcsConfig(tau=3, seed=9))
         long = vcs(s, (0.0, 10.0), VcsConfig(tau=5, seed=9))
         assert [t.t_stat for t in short.trials] == [t.t_stat for t in long.trials[:3]]
-
-    def test_id_permutation_invariance(self):
-        # the stream positions a set carries do not enter the statistic
-        rng = np.random.default_rng(4)
-        times = np.sort(rng.random(25) * 10)
-        plain = vcs(make_set(times), (0.0, 10.0))
-        relabeled = vcs(DisagreementSet(rng.permutation(25) + 100, times), (0.0, 10.0))
-        assert plain.vcs == relabeled.vcs
 
     def test_range_bounds(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             times = rng.random(int(rng.integers(2, 50))) * 100
-            result = vcs(make_set(list(np.sort(times))), (0.0, 100.0))
+            result = vcs(np.sort(times), (0.0, 100.0))
             assert 0.0 <= result.vcs <= 0.5
             assert all(0.0 <= t.t_stat <= 1.0 for t in result.trials)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(8)
         times = np.sort(rng.random(30) * 100)
-        base = vcs(make_set(list(times)), (0.0, 100.0), VcsConfig(seed=3))
+        base = vcs(times, (0.0, 100.0), VcsConfig(seed=3))
         for a, b in ((1e-3, 5.0), (1e3, -7.0), (2.0, 0.0)):
-            mapped = vcs(
-                make_set(list(a * times + b)),
-                (a * 0.0 + b, a * 100.0 + b),
-                VcsConfig(seed=3),
-            )
+            mapped = vcs(a * times + b, (a * 0.0 + b, a * 100.0 + b), VcsConfig(seed=3))
             for t1, t2 in zip(base.trials, mapped.trials):
                 assert t2.t_stat == pytest.approx(t1.t_stat, abs=1e-12)
 
     def test_signed_deviation(self):
-        s = make_set([42.0] * 5)
-        result = vcs(s, (0.0, 100.0))
+        result = vcs([42.0] * 5, (0.0, 100.0))
         assert result.signed_deviation == pytest.approx(0.5, abs=1e-15)
 
     def test_result_echoes_config_and_k(self):
         times = np.linspace(0, 10, 12)
         cfg = VcsConfig(tau=4, seed=2)
-        result = vcs(make_set(times), (0.0, 10.0), cfg)
+        result = vcs(times, (0.0, 10.0), cfg)
         assert result.config == cfg
         assert result.k_total == 12
         assert len(result.trials) == 4
@@ -262,14 +241,26 @@ class TestVcs:
             assert trial.d_r == pytest.approx(oracles.brute_ref_sum(ref, times), abs=1e-12)
 
 
+class TestFastOracle:
+    def test_matches_brute_oracle_on_sorted_times(self):
+        # the band sampler's sorted-gap route against the brute-force one
+        rng = np.random.default_rng(13)
+        for case in range(200):
+            times = np.sort(rng.random(int(rng.integers(2, 60))) * 100)
+            fast = oracles.fast_vcs(times, (0.0, 100.0), seed=case)
+            brute = oracles.brute_vcs(times, (0.0, 100.0), seed=case)
+            assert fast[:2] == pytest.approx(brute[:2], abs=1e-12)
+            assert fast[2] == pytest.approx(brute[2], abs=1e-12)
+
+
 class TestEvaluateStream:
     def test_matches_direct_calls(self):
         stream = generate_pattern(PatternSpec("clustered", 300, 40, seed=1))
         config = VcsConfig(seed=3)
         summary = evaluate_stream(stream, 0.5, config)
         disg = disagreement_set(stream, 0.5)
-        direct = vcs(disg, (stream.t_start, stream.t_end), config)
-        assert summary.disagreements.positions.tolist() == disg.positions.tolist()
+        direct = vcs(stream.t[disg], (stream.t_start, stream.t_end), config)
+        assert summary.disagreements.tolist() == disg.tolist()
         assert summary.disagreements.size == 40
         assert summary.ap == average_precision(stream)
         assert summary.auroc == auroc(stream)
