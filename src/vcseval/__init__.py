@@ -10,9 +10,9 @@ for synthetic experiments.
 from .errors import (
     AllZeroWeights,
     DegenerateDistances,
-    DegenerateSplit,
     EmptyInput,
     InsufficientSet,
+    InvalidValue,
     LengthMismatch,
     MalformedRecord,
     NonFiniteGradient,
@@ -26,7 +26,6 @@ from .errors import (
 )
 from .event_stream import (
     EvalStream,
-    chronological_split,
     disagreement_set,
     parse_records,
     serialize_records,

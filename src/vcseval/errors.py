@@ -32,8 +32,12 @@ class UnsortedInput(VcsEvalError):
     """Timestamps decrease and sorting was not requested."""
 
 
-class DegenerateSplit(VcsEvalError):
-    """A chronological split would leave some part empty."""
+class InvalidValue(VcsEvalError):
+    """A stream value is out of its range; carries the 0-based row."""
+
+    def __init__(self, row, message):
+        self.row = row
+        super().__init__(f"row {row}: {message}")
 
 
 class LengthMismatch(VcsEvalError):

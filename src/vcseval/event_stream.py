@@ -1,4 +1,4 @@
-"""Canonical event stream: parsing, validation, splitting, thresholding.
+"""Canonical event stream: parsing, validation, thresholding.
 
 A stream is a chronologically ordered sequence of timestamped binary
 predictions. Two text formats are supported:
@@ -19,30 +19,41 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 
 import numpy as np
 
 from .errors import (
-    DegenerateSplit,
     EmptyInput,
+    InvalidValue,
     MalformedRecord,
     UnsortedInput,
 )
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+_CSV_HEADERS = (["t", "y", "p"], ["t", "y", "p", "id"])
+# Characters other than "\n" at which str.splitlines ends a line
+_ASCII_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+_LINE_BREAKS = _ASCII_LINE_BREAKS + "\x85\u2028\u2029"
+# Bulk reads build their columns from about this many characters at a
+# time, so that no list holds every line or every parsed number
+_CHUNK_CHARS = 1 << 16
 
 
 class EvalStream:
     """Ordered predictions over the test period [t_start, t_end], as columns.
 
     t, y and p are equal-length arrays. ids is a sequence of strings, or
-    None when each row's id is its index.
+    None when each row's id is its index. Every t must be finite and
+    >= 0, every y 0 or 1 and every p in [0, 1]; the first row that breaks
+    this raises InvalidValue.
     """
 
     def __init__(self, t, y, p, ids=None):
         t = np.asarray(t, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
+        # y is checked as float, so that 0.5 or 2 is rejected, not cast to 0 or 2
+        y = np.asarray(y, dtype=np.float64)
         p = np.asarray(p, dtype=np.float64)
         if t.ndim != 1 or not t.shape == y.shape == p.shape:
             raise ValueError("t, y and p must be 1-d and of equal length")
@@ -50,15 +61,30 @@ class EvalStream:
             raise ValueError("ids must have one entry per row")
         if t.size == 0:
             raise EmptyInput("stream must contain at least one record")
+        bad = ~(np.isfinite(t) & (t >= 0)) | ((y != 0) & (y != 1)) | ~((p >= 0) & (p <= 1))
+        if bad.any():
+            row = int(bad.argmax())
+            raise InvalidValue(row, _value_problem(float(t[row]), float(y[row]), float(p[row])))
         if np.any(np.diff(t) < 0):
             raise UnsortedInput("timestamps must be nondecreasing")
-        self.t, self.y, self.p = t, y, p
+        self.t, self.y, self.p = t, y.astype(np.int64), p
         self.ids = None if ids is None else tuple(ids)
         self.t_start = float(t[0])
         self.t_end = float(t[-1])
 
     def __len__(self):
         return self.t.size
+
+
+def _value_problem(t, y, p):
+    """What is wrong with one row's values, as floats, or None."""
+    if not math.isfinite(t) or t < 0:
+        return f"t must be finite and >= 0, got {t!r}"
+    if y not in (0.0, 1.0):
+        return f"y must be 0 or 1, got {y!r}"
+    if not math.isfinite(p) or not 0.0 <= p <= 1.0:
+        return f"p must be in [0,1], got {p!r}"
+    return None
 
 
 def _validate_fields(t, y, p, line):
@@ -68,12 +94,9 @@ def _validate_fields(t, y, p, line):
         p = float(p)
     except (TypeError, ValueError, OverflowError):
         raise MalformedRecord(line, "t, y, p must be numeric") from None
-    if not np.isfinite(t) or t < 0:
-        raise MalformedRecord(line, f"t must be finite and >= 0, got {t!r}")
-    if y not in (0.0, 1.0):
-        raise MalformedRecord(line, f"y must be 0 or 1, got {y!r}")
-    if not np.isfinite(p) or not 0.0 <= p <= 1.0:
-        raise MalformedRecord(line, f"p must be in [0,1], got {p!r}")
+    problem = _value_problem(t, y, p)
+    if problem:
+        raise MalformedRecord(line, problem)
     return t, int(y), p
 
 
@@ -109,7 +132,7 @@ def _csv_rows(text):
         if header is None:
             raise EmptyInput("no CSV header")
         header = [h.strip() for h in header]
-        if header not in (["t", "y", "p"], ["t", "y", "p", "id"]):
+        if header not in _CSV_HEADERS:
             raise MalformedRecord(
                 1, f"header must be 't,y,p' or 't,y,p,id', got {','.join(header)!r}")
         for row in reader:
@@ -123,11 +146,123 @@ def _csv_rows(text):
         raise MalformedRecord(reader.line_num, f"invalid CSV: {exc}") from None
 
 
+class _NotBulk(Exception):
+    """The text is valid for the row path only, or not valid at all."""
+
+
+# What a bulk reader raises on text it does not take: a JSON decode miss
+# (ValueError), a value that is not an object (TypeError), a missing key,
+# a number float() rejects or cannot hold.
+_NOT_BULK = (_NotBulk, KeyError, TypeError, ValueError, OverflowError)
+
+
+def _jsonl_chunks(text):
+    """Yield (t, y, p, ids) lists for about _CHUNK_CHARS of text at a time.
+
+    Takes only text in which each line is exactly the one JSON value that
+    json.loads(line) would see: every value starts at the start of a line
+    and ends at a line feed or at the end of the text, no value spans a
+    line feed, and no other character splits lines in str.splitlines.
+    """
+    breaks = _ASCII_LINE_BREAKS if text.isascii() else _LINE_BREAKS
+    if any(c in text for c in breaks):
+        raise _NotBulk
+    scan = json.JSONDecoder().scan_once
+    size = len(text)
+    idx = lines = 0
+    while idx < size:
+        objs = []
+        stop = min(size, idx + _CHUNK_CHARS)
+        while idx < stop:
+            try:
+                obj, end = scan(text, idx)
+            except StopIteration:
+                raise _NotBulk from None
+            if end < size and text[end] != "\n":
+                raise _NotBulk
+            objs.append(obj)
+            idx = end + 1
+        lines += len(objs)
+        t = [o["t"] for o in objs]
+        y = [o["y"] for o in objs]
+        p = [o["p"] for o in objs]
+        ids = [o.get("id") for o in objs]
+        # json loads numbers as exact int or float; bool is its own type
+        if not set(map(type, t + y + p)) <= {int, float}:
+            raise _NotBulk
+        if not set(map(type, ids)) <= {str, type(None)}:
+            raise _NotBulk
+        yield t, y, p, ids
+    if text.count("\n") != lines - (not text.endswith("\n")):
+        raise _NotBulk  # some value spans lines
+
+
+def _csv_chunks(text):
+    """Yield (t, y, p, ids) lists for about _CHUNK_CHARS of text at a time.
+
+    Takes only text without quotes, carriage returns or NUL and with no
+    line longer than csv's field size limit, where csv.reader's fields
+    are the text between commas.
+    """
+    if any(c in text for c in '"\r\0'):
+        raise _NotBulk
+    pos = text.find("\n") + 1 or len(text)
+    header = [h.strip() for h in text[:pos].rstrip("\n").split(",")]
+    if header not in _CSV_HEADERS:
+        raise _NotBulk
+    limit = csv.field_size_limit()
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK_CHARS)
+        end = len(text) if end < 0 else end
+        lines = text[pos:end].split("\n")
+        pos = end + 1
+        if max(map(len, lines)) > limit:
+            raise _NotBulk
+        rows = [line.split(",") for line in lines if line]
+        if not rows:
+            continue
+        if set(map(len, rows)) != {len(header)}:
+            raise _NotBulk
+        columns = list(zip(*rows))
+        yield (*columns[:3], columns[3] if len(header) == 4 else [None] * len(rows))
+
+
+def _bulk_columns(chunks):
+    """(t, y, p, ids) from the chunks, as float64 arrays and a list; None if empty."""
+    t, y, p, ids = [], [], [], []
+    for *values, chunk_ids in chunks:
+        for column, chunk in zip((t, y, p), values):
+            column.append(np.fromiter(map(float, chunk), np.float64, len(chunk)))
+        ids.extend(chunk_ids)
+    if not ids:
+        return None
+    return np.concatenate(t), np.concatenate(y), np.concatenate(p), ids
+
+
+def _stream(t, y, p, ids, sort):
+    """EvalStream of parsed columns; ids holds None where a record had none."""
+    if ids.count(None) == len(ids):
+        ids = None
+    else:
+        ids = [str(index) if i is None else i for index, i in enumerate(ids)]
+    if sort:
+        order = np.argsort(t, kind="stable")
+        t, y, p = t[order], y[order], p[order]
+        ids = [str(i) if ids is None else ids[i] for i in order]
+    return EvalStream(t, y, p, ids)
+
+
 def parse_records(data, format, sort=False):
     """Parse bytes or text in the given format into an EvalStream.
 
-    Records are validated one by one, so the first bad record is the one
-    reported. A record without an id gets its index among the records.
+    Plain input is read in bulk, and EvalStream checks its values column
+    by column. Plain JSONL has one JSON object on every line, with no
+    blank line, no space around the object and no line break other than
+    a line feed; plain CSV has no quotes, carriage returns or NUL. Any
+    other input, and any input whose bulk read fails or whose values
+    EvalStream rejects, is read record by record, so the first bad record
+    is the one reported, with its line number and the same message
+    either way. A record without an id gets its index among the records.
 
     Parameters
     ----------
@@ -141,13 +276,22 @@ def parse_records(data, format, sort=False):
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     if format == "jsonl":
-        rows = _jsonl_rows(data)
+        chunks, rows = _jsonl_chunks, _jsonl_rows
     elif format == "csv":
-        rows = _csv_rows(data)
+        chunks, rows = _csv_chunks, _csv_rows
     else:
         raise ValueError(f"unknown format {format!r}")
+    try:
+        columns = _bulk_columns(chunks(data))
+    except _NOT_BULK:
+        columns = None
+    if columns is not None:
+        try:
+            return _stream(*columns, sort)
+        except InvalidValue:
+            pass  # the row path names the bad record's line
     t, y, p, ids = [], [], [], []
-    for lineno, t_raw, y_raw, p_raw, rec_id in rows:
+    for lineno, t_raw, y_raw, p_raw, rec_id in rows(data):
         t_val, y_val, p_val = _validate_fields(t_raw, y_raw, p_raw, lineno)
         t.append(t_val)
         y.append(y_val)
@@ -155,16 +299,7 @@ def parse_records(data, format, sort=False):
         ids.append(rec_id)
     if not t:
         raise EmptyInput("no records in input")
-    if ids.count(None) == len(ids):
-        ids = None
-    else:
-        ids = [str(index) if i is None else i for index, i in enumerate(ids)]
-    t, y, p = np.array(t), np.array(y, dtype=np.int64), np.array(p)
-    if sort:
-        order = np.argsort(t, kind="stable")
-        t, y, p = t[order], y[order], p[order]
-        ids = [str(i) if ids is None else ids[i] for i in order]
-    return EvalStream(t, y, p, ids)
+    return _stream(np.array(t), np.array(y, dtype=np.int64), np.array(p), ids, sort)
 
 
 def _csv_field(text):
@@ -179,35 +314,14 @@ def serialize_records(stream, format):
     ids = map(str, range(len(stream))) if stream.ids is None else stream.ids
     rows = zip(stream.t.tolist(), stream.y.tolist(), stream.p.tolist(), ids)
     if format == "jsonl":
-        lines = [json.dumps({"t": t, "y": y, "p": p, "id": i}) for t, y, p, i in rows]
+        # t and p are finite, so repr writes them as json.dumps would
+        lines = [f'{{"t": {t!r}, "y": {y}, "p": {p!r}, "id": {json.dumps(i)}}}'
+                 for t, y, p, i in rows]
     elif format == "csv":
         lines = ["t,y,p,id"] + [f"{t!r},{y},{p!r},{_csv_field(i)}" for t, y, p, i in rows]
     else:
         raise ValueError(f"unknown format {format!r}")
     return "\n".join(lines) + "\n"
-
-
-def chronological_split(stream, ratios):
-    """Split a stream into (train, val, test) by time order.
-
-    Boundaries sit at floor(r_train*M) and floor((r_train+r_val)*M) so
-    split sizes are reproducible exactly across implementations.
-    """
-    r_train, r_val, r_test = ratios
-    if min(r_train, r_val, r_test) <= 0:
-        raise ValueError("split ratios must be positive")
-    if abs(r_train + r_val + r_test - 1.0) > 1e-9:
-        raise ValueError("split ratios must sum to 1")
-    m = len(stream)
-    i1 = int(np.floor(r_train * m))
-    i2 = int(np.floor((r_train + r_val) * m))
-    if i1 < 1 or i2 - i1 < 1 or m - i2 < 1:
-        raise DegenerateSplit(f"split of {m} records by {ratios} leaves an empty part")
-    ids = [str(i) for i in range(m)] if stream.ids is None else stream.ids
-    return tuple(
-        EvalStream(stream.t[a:b], stream.y[a:b], stream.p[a:b], ids[a:b])
-        for a, b in ((0, i1), (i1, i2), (i2, m))
-    )
 
 
 def threshold_labels(stream, threshold=0.5):

@@ -1,17 +1,20 @@
+import csv
+import itertools
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from vcseval import event_stream
 from vcseval import (
-    DegenerateSplit,
     EmptyInput,
     EvalStream,
+    InvalidValue,
     MalformedRecord,
     UnsortedInput,
-    chronological_split,
+    VcsEvalError,
     disagreement_set,
     parse_records,
     serialize_records,
@@ -212,33 +215,266 @@ class TestStream:
         stream = make_stream([3.0, 7.0, 9.0])
         assert (stream.t_start, stream.t_end) == (3.0, 9.0)
 
+    @pytest.mark.parametrize(
+        "column,values,message",
+        [
+            ("t", [0.0, np.nan, 1.0, 2.0], "row 1: t must be finite and >= 0, got nan"),
+            ("t", [0.0, 1.0, 2.0, np.inf], "row 3: t must be finite and >= 0, got inf"),
+            ("y", [1, 0, 2, 0], "row 2: y must be 0 or 1, got 2.0"),
+            ("y", [1, 0.5, 1, 0], "row 1: y must be 0 or 1, got 0.5"),
+            ("p", [0.1, 0.1, 0.1, -3.0], "row 3: p must be in [0,1], got -3.0"),
+            ("p", [1.5, 0.1, 0.1, 0.9], "row 0: p must be in [0,1], got 1.5"),
+        ],
+        ids=["nan-t", "inf-t", "y-2", "y-half", "p-negative", "p-above-one"],
+    )
+    def test_bad_value_rejected(self, column, values, message):
+        columns = {"t": [0.0, 1.0, 2.0, 3.0], "y": [1, 1, 1, 0], "p": [0.1, 0.1, 0.1, 0.9]}
+        columns[column] = values
+        with pytest.raises(InvalidValue) as err:
+            EvalStream(columns["t"], columns["y"], columns["p"])
+        assert isinstance(err.value, VcsEvalError)
+        assert str(err.value) == message
+        assert err.value.row == int(message.split(":")[0].split()[1])
 
-class TestSplit:
-    def test_sizes_by_floor(self):
-        stream = make_stream(list(range(10)))
-        parts = chronological_split(stream, (0.7, 0.15, 0.15))
-        assert [len(p) for p in parts] == [7, 1, 2]
+    def test_first_bad_row_is_named(self):
+        with pytest.raises(InvalidValue) as err:
+            EvalStream([0.0, 1.0, np.nan], [0, 3, 0], [0.5, 0.5, 0.5])
+        assert err.value.row == 1
 
-    def test_sizes_100(self):
-        stream = make_stream(list(range(100)))
-        parts = chronological_split(stream, (0.7, 0.15, 0.15))
-        assert [len(p) for p in parts] == [70, 15, 15]
+    def test_y_kept_as_int(self):
+        stream = EvalStream([0.0, 1.0], [0.0, True], [0.5, 0.5])
+        assert stream.y.dtype == np.int64
+        assert stream.y.tolist() == [0, 1]
 
-    def test_chronological_order_preserved(self):
-        stream = make_stream(list(range(10)))
-        train, val, test = chronological_split(stream, (0.7, 0.15, 0.15))
-        assert train.t_end <= val.t_start <= test.t_start
 
-    def test_degenerate(self):
-        with pytest.raises(DegenerateSplit):
-            chronological_split(make_stream([1.0, 2.0, 3.0]), (0.1, 0.1, 0.8))
+def row_path(text, fmt, sort=False):
+    """parse_records as the record-by-record reader alone computes it.
 
-    def test_bad_ratios(self):
-        stream = make_stream(list(range(10)))
-        with pytest.raises(ValueError):
-            chronological_split(stream, (0.5, 0.5, 0.5))
-        with pytest.raises(ValueError):
-            chronological_split(stream, (1.0, -0.5, 0.5))
+    Returns (t, y, p, ids) as lists, ids None when no record has one.
+    """
+    rows = event_stream._jsonl_rows if fmt == "jsonl" else event_stream._csv_rows
+    records = []
+    for line, t, y, p, rec_id in rows(text):
+        records.append((*event_stream._validate_fields(t, y, p, line), rec_id))
+    if not records:
+        raise EmptyInput("no records in input")
+    if all(r[3] is None for r in records):
+        records = [(*r[:3], None) for r in records]
+        has_ids = False
+    else:
+        records = [(*r[:3], str(i) if r[3] is None else r[3]) for i, r in enumerate(records)]
+        has_ids = True
+    if sort:
+        order = sorted(range(len(records)), key=lambda i: records[i][0])
+        records = [(*records[i][:3], records[i][3] if has_ids else str(i)) for i in order]
+        has_ids = True
+    elif any(b[0] < a[0] for a, b in zip(records, records[1:])):
+        raise UnsortedInput("timestamps must be nondecreasing")
+    t, y, p, ids = (list(c) for c in zip(*records))
+    return t, y, p, ids if has_ids else None
+
+
+def outcome(parse):
+    """What a parse returns, with exact float bits, or the error it raises."""
+    try:
+        t, y, p, ids = parse()
+    except (VcsEvalError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (np.asarray(t, np.float64).tobytes(), np.asarray(y, np.int64).tolist(),
+            np.asarray(p, np.float64).tobytes(), None if ids is None else list(ids))
+
+
+def parsed(text, fmt, sort=False):
+    def parse():
+        stream = parse_records(text, fmt, sort)
+        return stream.t, stream.y, stream.p, stream.ids
+    return outcome(parse)
+
+
+def assert_same_as_row_path(text, fmt, sort=False):
+    got = parsed(text, fmt, sort)
+    assert got == outcome(lambda: row_path(text, fmt, sort))
+    return got
+
+
+def read_in_bulk(text, fmt):
+    """True when the bulk reader takes the text as it is."""
+    chunks = event_stream._jsonl_chunks if fmt == "jsonl" else event_stream._csv_chunks
+    try:
+        return event_stream._bulk_columns(chunks(text)) is not None
+    except event_stream._NOT_BULK:
+        return False
+
+
+ODD_NUMBER = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=3),
+    st.sampled_from([1.0, 2**53 + 1, 2**64, 10**309, -0.0]),
+)
+ODD_FIELD = st.one_of(
+    st.sampled_from(["1_0", " 1", "1 ", "nan", "inf", "-0", "1e999", "0x1", "", "1.0"]),
+    st.text(max_size=4),
+)
+TEXT_ID = st.text(st.characters(codec="utf-8"), max_size=5)
+
+
+def drawer(draw):
+    """draw for one text: the valid strategy, but the odd one at one call at most."""
+    odd_at = draw(st.none() | st.integers(0, 50))
+    calls = itertools.count()
+    return lambda valid, odd: draw(odd if next(calls) == odd_at else valid)
+
+
+@st.composite
+def jsonl_texts(draw):
+    pick = drawer(draw)
+    newline = pick(st.just("\n"), st.sampled_from(["\r\n", "\u2028", "\x0b", "\n\n"]))
+    lines = []
+    for t in sorted(draw(st.lists(st.floats(0, 100, width=32), max_size=10))):
+        obj = {"t": pick(st.just(t), ODD_NUMBER), "y": pick(st.integers(0, 1), ODD_NUMBER),
+               "p": pick(st.floats(0, 1), ODD_NUMBER)}
+        if draw(st.booleans()):
+            obj["id"] = pick(TEXT_ID, ODD_NUMBER)
+        if pick(st.just(False), st.just(True)):
+            del obj[draw(st.sampled_from(sorted(obj)))]
+        line = json.dumps(obj, ensure_ascii=draw(st.booleans()),
+                          separators=draw(st.sampled_from([None, (",", ":")])))
+        lines.append(pick(st.just(line), st.sampled_from(
+            [" " + line, line + " ", "", line + line, line + " " + line,
+             line.replace(",", ",\n", 1), line[:-1], "[]", "{}"])))
+    return newline.join(lines) + draw(st.sampled_from(["", "\n", newline]))
+
+
+@st.composite
+def csv_texts(draw):
+    pick = drawer(draw)
+    newline = pick(st.just("\n"), st.sampled_from(["\r\n", "\n\n", "\r"]))
+    has_id = draw(st.booleans())
+    lines = [pick(st.just("t,y,p,id" if has_id else "t,y,p"),
+                  st.sampled_from([" t , y , p", "t,y", "", "t,y,p,id,x"]))]
+    for t in sorted(draw(st.lists(st.floats(0, 100, width=32), max_size=10))):
+        fields = [pick(st.just(repr(t)), ODD_FIELD),
+                  pick(st.sampled_from(["0", "1"]), ODD_FIELD),
+                  pick(st.floats(0, 1).map(repr), ODD_FIELD)]
+        if has_id:
+            fields.append(pick(st.text("abc-_ ", max_size=4), TEXT_ID))
+        fields = pick(st.just(fields), st.sampled_from(
+            [fields[:-1], fields + ["x"], ['"' + f + '"' for f in fields]]))
+        lines.append(",".join(fields))
+    return newline.join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestBulkMatchesRowPath:
+    """parse_records equals the record-by-record reader, value for value.
+
+    Equal means the same columns, bit for bit, and the same ids, or the
+    same error type with the same message.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data(), st.sampled_from(["jsonl", "csv"]), st.booleans())
+    def test_fuzzed_text(self, data, fmt, sort):
+        text = data.draw(jsonl_texts() if fmt == "jsonl" else csv_texts())
+        got = assert_same_as_row_path(text, fmt, sort)
+        event(f"{fmt} bulk={read_in_bulk(text, fmt)} ok={isinstance(got[0], bytes)}")
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_plain_text_never_reaches_the_row_path(self, fmt, monkeypatch):
+        rng = np.random.default_rng(3)
+        stream = EvalStream(np.sort(rng.random(3000) * 1e3), rng.integers(0, 2, 3000),
+                            rng.random(3000), [f"e{i}" for i in range(3000)])
+        text = serialize_records(stream, fmt)
+        monkeypatch.setattr(event_stream, f"_{fmt}_rows", None)
+        assert_same_stream(parse_records(text, fmt), stream)
+
+    @pytest.mark.parametrize(
+        "text,bulk,want",
+        [
+            pytest.param('{"t":0,"y":0,"p":0.5,"x":[{"a":1}\n{"b":2}]}\n', False,
+                         "line 1: invalid JSON", id="object-spanning-lines"),
+            pytest.param('{"t": 0, "y": 0,\n "p": 0.5}\n', False, "line 1: invalid JSON",
+                         id="object-spanning-lines-at-a-space"),
+            pytest.param('{"t":0,"y":0,"p":0.5}{"t":1,"y":0,"p":0.5}\n{"t":2,"y":0,"p":0.5}\n',
+                         False, "line 1: invalid JSON: Extra data", id="two-objects-on-a-line"),
+            # two values on line 1, one spanning lines 2 and 3: as many values as lines
+            pytest.param('{"t": 0, "y": 0, "p": 0.5} {"t": 1, "y": 0,\n"p": 0.5}\n', False,
+                         "line 1: invalid JSON: Extra data", id="two-objects-then-spanning"),
+            pytest.param('{"t": 1, "y": 0, "p": 0.5}\r\n{"t": 2, "y": 1, "p": 0.5}\r\n', False,
+                         None, id="crlf-line-endings"),
+            pytest.param('{"t": 1, "y": 0, "p": 0.5, "id": "a\u2028b"}\n', False,
+                         "line 1: invalid JSON", id="raw-u2028-in-id"),
+            pytest.param(' {"t": 1, "y": 0, "p": 0.5}\n{"t": 2, "y": 1, "p": 0.5} \n', False,
+                         None, id="leading-and-trailing-spaces"),
+            pytest.param('{"t": 1, "y": 0, "p": 0.5}\n\n  \n{"t": 2, "y": 1, "p": 0.5}\n\n',
+                         False, None, id="blank-lines"),
+            pytest.param('{"t": 1, "y": 0, "p": 0.5}\n{"t": NaN, "y": 0, "p": 0.5}\n', True,
+                         "line 2: t must be finite and >= 0, got nan", id="nan-literal"),
+            pytest.param('{"t": 1, "y": 0, "p": Infinity}\n', True,
+                         "line 1: p must be in [0,1], got inf", id="infinity-literal"),
+            pytest.param('{"t": 1, "y": 1.0, "p": 0.5}\n', True, None, id="y-one-point-zero"),
+            pytest.param('{"t": 9007199254740993, "y": 0, "p": 0.5}\n', True, None,
+                         id="int-near-2**53"),
+            pytest.param('{"t": 18446744073709551617, "y": 1, "p": 0.5}\n', True, None,
+                         id="int-near-2**64"),
+            pytest.param('{"t": 1%s, "y": 0, "p": 0.5}\n' % ("0" * 309), False,
+                         "line 1: t, y, p must be numeric", id="int-near-10**309"),
+            pytest.param('{"t": 1, "y": 1, "p": 0.5}\n{"t": 0, "y": 0, "p": 0.5}\n', True,
+                         "timestamps must be nondecreasing", id="unsorted"),
+        ],
+    )
+    def test_jsonl_case(self, text, bulk, want):
+        self.check_case(text, "jsonl", bulk, want)
+
+    @staticmethod
+    def check_case(text, fmt, bulk, want):
+        """Equal to the row path, with the expected error, read in bulk or not."""
+        got = assert_same_as_row_path(text, fmt)
+        if want is None:
+            assert isinstance(got[0], bytes)
+        else:
+            assert want in got[1]
+        assert read_in_bulk(text, fmt) == bulk
+
+    def test_exact_ints(self):
+        text = ('{"t": 9007199254740993, "y": 0, "p": 0.5}\n'
+                '{"t": 18446744073709551617, "y": 1, "p": 1}\n')
+        stream = parse_records(text, "jsonl")
+        assert stream.t.tolist() == [float(2**53 + 1), float(2**64 + 1)]
+
+    @pytest.mark.parametrize(
+        "text,bulk,want",
+        [
+            pytest.param("t,y,p\n1_0,0,0.5\n", True, None, id="underscore-number"),
+            pytest.param('t,y,p,id\n1,0,0.5,"a,b"\n2,1,0.5,"say ""hi"""\n', False, None,
+                         id="quoted-ids"),
+            pytest.param("t,y,p,id\n1,0,0.5,a\x00b\n", False, None, id="nul-in-id"),
+            pytest.param("t,y,p\r\n1,0,0.5\r\n2,1,0.5\r\n", False, None, id="crlf-line-endings"),
+            pytest.param("t,y,p,id\n 1 ,1.0,0.5, x \n\n2,0,1e0,\n", True, None,
+                         id="spaces-blank-line-float-y"),
+            pytest.param("t,y,p\n1,0,0.5\n2,1\n", False, "line 3: expected 3 fields, got 2",
+                         id="short-row"),
+            pytest.param("t,y,p\n1,0,nan\n", True, "line 2: p must be in [0,1], got nan",
+                         id="nan-field"),
+            pytest.param("t,y,p,id\n1,0,0.5,%s\n" % ("x" * (csv.field_size_limit() + 1)), False,
+                         "line 2: invalid CSV: field larger than field limit",
+                         id="id-beyond-field-limit"),
+        ],
+    )
+    def test_csv_case(self, text, bulk, want):
+        self.check_case(text, "csv", bulk, want)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_sort(self, fmt):
+        stream = EvalStream([1.0, 2.0, 2.0, 3.0], [0, 1, 0, 1], [0.25, 0.5, 0.75, 1.0],
+                            ["a", "b", "c", "d"])
+        lines = serialize_records(stream, fmt).splitlines()
+        header, body = (lines[:1], lines[1:]) if fmt == "csv" else ([], lines)
+        text = "\n".join(header + body[::-1]) + "\n"
+        assert read_in_bulk(text, fmt)
+        got = assert_same_as_row_path(text, fmt, sort=True)
+        # stable: c stays before b, as in the reversed text
+        want = EvalStream([1.0, 2.0, 2.0, 3.0], [0, 0, 1, 1], [0.25, 0.75, 0.5, 1.0],
+                          ["a", "c", "b", "d"])
+        assert got == outcome(lambda: (want.t, want.y, want.p, want.ids))
 
 
 class TestThreshold:

@@ -1,0 +1,63 @@
+"""synth's log and evaluate's report, SVG and density CSV, byte for byte.
+
+The digests were recorded from the row-by-row parser and the per-row
+JSON writer, before parsing and writing in bulk, so a change to either
+or to the statistics that moves any output bit fails here. Each fixture
+is evaluated as synth wrote it, and again with its records in reverse
+order under --sort.
+"""
+
+import hashlib
+
+import pytest
+
+from vcseval.report_cli import main
+
+FIXTURES = {
+    "jsonl": (["--pattern", "random", "--events", "3000", "--errors", "150",
+               "--seed", "7"], []),
+    "csv": (["--pattern", "clustered", "--events", "2000", "--errors", "600",
+             "--seed", "11"], ["--tau", "20"]),
+}
+
+DIGESTS = {
+    "jsonl": {
+        "log": "f9f2a15aa28ee55d2064d99ecd4cabef534080b5d9ead3a1387c0a36a51acefd",
+        "report.json": "aef8dbd7eae7cbc75ad4fd82549bf97e7d758cbe2dd80886b8f0b77c433a6c7e",
+        "density.svg": "1d99805822e2e75119828980f4c45ce4887f0324c5391c7fe7455957e8491576",
+        "bins.csv": "a925acd1fd55b0ea79eb7d5740f68dcc54f9199431a9a1b8d568f49628f95346",
+    },
+    "csv": {
+        "log": "1e3a2f53edca6e20b2e6951dbb2d0f0dcc957966da6a13d6d7be5a48b730dc54",
+        "report.json": "c205ef520ebc9b492c783d4a414360dff71aca8a24e753fb4b29e208c0a0d43c",
+        "density.svg": "fa99c837e3b854854d5c99958001ed375e4be434a1c5c0497d6f7498873d55e9",
+        "bins.csv": "3098fdeae794b3b464ef3ca7606dac2e8a82a6d0236bd4123904282f10aedff8",
+    },
+}
+
+
+def reversed_records(text, fmt):
+    lines = text.splitlines()
+    header = lines[:1] if fmt == "csv" else []
+    body = lines[len(header):]
+    return "\n".join(header + body[::-1]) + "\n"
+
+
+@pytest.mark.parametrize("sort", [False, True], ids=["as-written", "reversed-sort"])
+@pytest.mark.parametrize("fmt", sorted(FIXTURES))
+def test_outputs_match_recorded_digests(fmt, sort, tmp_path):
+    synth_args, eval_args = FIXTURES[fmt]
+    log = tmp_path / f"log.{fmt}"
+    assert main(["synth", *synth_args, "--format", fmt, "--out", str(log)]) == 0
+    got = {"log": hashlib.sha256(log.read_bytes()).hexdigest()}
+    argv = ["evaluate", "--input", str(log), "--format", fmt, *eval_args]
+    if sort:
+        log.write_text(reversed_records(log.read_text(), fmt))
+        argv.append("--sort")
+    outputs = {name: tmp_path / name for name in ("report.json", "density.svg", "bins.csv")}
+    argv += ["--report", str(outputs["report.json"]), "--svg", str(outputs["density.svg"]),
+             "--density-csv", str(outputs["bins.csv"])]
+    assert main(argv) == 0
+    got.update((name, hashlib.sha256(path.read_bytes()).hexdigest())
+               for name, path in outputs.items())
+    assert got == DIGESTS[fmt]

@@ -92,6 +92,32 @@ class TestEvaluateCommand:
         path.write_text('{"t": 1, "y": 5, "p": 0.5}\n')
         assert main(["evaluate", "--input", str(path)]) == 2
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            (("NaN", 0, 0.5), "t must be finite and >= 0, got nan"),
+            (("Infinity", 0, 0.5), "t must be finite and >= 0, got inf"),
+            ((3, 2, 0.5), "y must be 0 or 1, got 2.0"),
+            ((3, 0.5, 0.5), "y must be 0 or 1, got 0.5"),
+            ((3, 0, -3), "p must be in [0,1], got -3.0"),
+            ((3, 1, 1.5), "p must be in [0,1], got 1.5"),
+        ],
+        ids=["nan-t", "inf-t", "y-2", "y-half", "p-negative", "p-above-one"],
+    )
+    def test_bad_value_exit_two(self, row, message, fmt, tmp_path, capsys):
+        # plain text, so the value reaches the stream's checks in bulk first
+        rows = [(1, 0, 0.5), (2, 1, 0.5), row]
+        if fmt == "jsonl":
+            text = "".join(f'{{"t": {t}, "y": {y}, "p": {p}}}\n' for t, y, p in rows)
+        else:
+            text = "t,y,p\n" + "".join(f"{t},{y},{p}\n" for t, y, p in rows)
+        path = tmp_path / f"bad.{fmt}"
+        path.write_text(text)
+        assert main(["evaluate", "--input", str(path), "--format", fmt]) == 2
+        line = 3 if fmt == "jsonl" else 4
+        assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+
     def test_perfect_log_exit_three_with_marker(self, tmp_path):
         path = tmp_path / "perfect.jsonl"
         path.write_text(PERFECT)

@@ -253,6 +253,34 @@ class TestFastOracle:
             assert fast[2] == pytest.approx(brute[2], abs=1e-12)
 
 
+class TestSortSkip:
+    """vcs skips its sorts on nondecreasing times, bit for bit the same."""
+
+    def tied_times(self, rng):
+        return rng.integers(0, 20, int(rng.integers(2, 60))).astype(np.float64)
+
+    def test_sorted_times_with_ties_match_fast_oracle(self):
+        rng = np.random.default_rng(21)
+        for case in range(100):
+            times = np.sort(self.tied_times(rng))
+            got = vcs(times, (0.0, 20.0), VcsConfig(seed=case))
+            assert [t.t_stat for t in got.trials] == oracles.fast_vcs(times, (0.0, 20.0),
+                                                                       seed=case)[2]
+
+    def test_unsorted_times_with_ties_match_exact_sums(self):
+        # each distance is one rounded subtraction either way, and both sides
+        # sum the same array in draw order, so the sums agree exactly
+        rng = np.random.default_rng(22)
+        for case in range(100):
+            times = self.tied_times(rng)
+            cfg = VcsConfig(seed=case)
+            for positions, ref, trial in trials_with_draws(times, (0.0, 20.0), cfg):
+                d_disg = np.array([oracles.brute_nn_distance(i, times) for i in positions])
+                assert trial.d_disg == float(d_disg.sum())
+                assert trial.d_r == oracles.brute_ref_sum(ref, times)
+                assert trial.t_stat == t_statistic(trial.d_r, trial.d_disg)
+
+
 class TestEvaluateStream:
     def test_matches_direct_calls(self):
         stream = generate_pattern(PatternSpec("clustered", 300, 40, seed=1))
