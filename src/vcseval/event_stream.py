@@ -109,6 +109,8 @@ def _jsonl_rows(text):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedRecord(lineno, f"invalid JSON: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:  # an int past 4300 digits, deep nesting
+            raise MalformedRecord(lineno, f"invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise MalformedRecord(lineno, "each line must be a JSON object")
         missing = [k for k in ("t", "y", "p") if k not in obj]
@@ -151,9 +153,10 @@ class _NotBulk(Exception):
 
 
 # What a bulk reader raises on text it does not take: a JSON decode miss
-# (ValueError), a value that is not an object (TypeError), a missing key,
-# a number float() rejects or cannot hold.
-_NOT_BULK = (_NotBulk, KeyError, TypeError, ValueError, OverflowError)
+# or an int past 4300 digits (ValueError), nesting too deep to decode, a
+# value that is not an object (TypeError), a missing key, a number
+# float() rejects or cannot hold.
+_NOT_BULK = (_NotBulk, KeyError, TypeError, ValueError, OverflowError, RecursionError)
 
 
 def _jsonl_chunks(text):

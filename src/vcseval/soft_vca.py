@@ -13,9 +13,9 @@ kernel exp(-beta*|t_i - t_j|) factorises into prefix and suffix sums,
 the recursion used for exponential-kernel Hawkes likelihoods (Ozaki
 1979). The sums are taken in the log domain with np.logaddexp, and
 every decay is a sum of beta times gaps between neighbouring sorted
-times, so large beta and large time offsets are safe. The per-entry
-helpers shift each log-sum-exp by its max exponent. sign(0) is taken
-as 0, a valid subgradient at duplicate timestamps.
+times, so large beta and large time offsets are safe. soft_nn_distance
+reads one entry of the same scan. sign(0) is taken as 0, a valid
+subgradient at duplicate timestamps.
 """
 
 from __future__ import annotations
@@ -55,50 +55,6 @@ class SoftTrial:
     d_disg_soft: float
     t_soft: float
     weight_gradient: np.ndarray = field(repr=False)
-
-
-def _others(times, index):
-    """times as an array, and a mask of every position but index."""
-    t = np.asarray(times, dtype=np.float64)
-    mask = np.ones(t.size, dtype=bool)
-    mask[index] = False
-    if not mask.any():
-        raise InsufficientSet("soft distance needs at least one other entry")
-    return t, mask
-
-
-def soft_nn_distance(times, index, beta):
-    """Soft minimum distance -log(sum exp(-beta*|dt|))/beta from times[index].
-
-    The sum runs over every other position, so an entry at the same
-    timestamp still counts. May go negative when many near-duplicate
-    neighbors exist: the inner sum then exceeds 1. Lower-bounded by
-    hard_min - log(n-1)/beta.
-    """
-    t, mask = _others(times, index)
-    exponents = -beta * np.abs(t[mask] - t[index])
-    m = exponents.max()
-    return float(-(m + np.log(np.exp(exponents - m).sum())) / beta)
-
-
-def soft_nn_gradient(times, index, beta):
-    """Analytic partials of soft_nn_distance.
-
-    Returns (d/dt at index, array of d/dt over all positions, zero at
-    index). The weights are the softmax of -beta*|dt|, so each partial
-    has magnitude at most 1.
-    """
-    t, mask = _others(times, index)
-    delta = t[index] - t[mask]
-    exponents = -beta * np.abs(delta)
-    m = exponents.max()
-    w = np.exp(exponents - m)
-    w /= w.sum()
-    signs = np.sign(delta)
-    d_dt = float((w * signs).sum())
-    grads = np.zeros(t.size)
-    grads[mask] = -w * signs
-    return d_dt, grads
 
 
 def _exclusive_logsum(gaps, ell):
@@ -147,6 +103,43 @@ def _self_excluded_logsum(gaps, ell):
     both[:, c:] = ell[::-1]
     acc = _exclusive_logsum(both_gaps, both)
     return np.logaddexp(acc[:, :c], acc[::-1, c:])
+
+
+def soft_nn_distance(times, index, beta):
+    """Soft minimum distance -log(sum exp(-beta*|dt|))/beta from times[index].
+
+    The sum runs over every other position, so an entry at the same
+    timestamp still counts. May go negative when many near-duplicate
+    neighbors exist: the inner sum then exceeds 1. Lower-bounded by
+    hard_min - log(n-1)/beta. The log-sum is entry index of
+    _self_excluded_logsum with unit weights.
+    """
+    t = np.asarray(times, dtype=np.float64)
+    if t.size < 2:
+        raise InsufficientSet("soft distance needs at least one other entry")
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
+    order = np.argsort(t, kind="stable")
+    ts = t[order]
+    log_s = np.empty(t.size)
+    log_s[order] = _self_excluded_logsum((ts[1:] - ts[:-1]) * beta, np.zeros((t.size, 1)))[:, 0]
+    return float(-log_s[index] / beta)
+
+
+def soft_nn_gradient(times, index, beta):
+    """Analytic partials of soft_nn_distance.
+
+    Returns (d/dt at index, array of d/dt over all positions, zero at
+    index). The weights are the softmax of -beta*|dt|, exp(-beta*|dt| -
+    log S) with log S = -beta * soft_nn_distance, so each partial has
+    magnitude at most 1.
+    """
+    d = soft_nn_distance(times, index, beta)
+    t = np.asarray(times, dtype=np.float64)
+    dist = np.abs(t - t[index])
+    dist[index] = np.inf
+    grads = np.exp(-beta * (dist - d)) * np.sign(t - t[index])
+    return float(-grads.sum()), grads
 
 
 def weighted_soft_t(timestamps, weights, random_times, beta):

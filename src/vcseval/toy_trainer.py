@@ -21,19 +21,17 @@ from .soft_vca import effective_beta, vca_penalty, weighted_soft_t
 from .vcs import evaluate_stream
 
 P_CLAMP = 1e-7
+LEARNING_RATE = 0.05
 WEIGHT_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     gamma: float = 0.1
-    learning_rate: float = 0.05
     epochs: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.gamma < 0:
@@ -138,7 +136,7 @@ def train(dataset, config=TrainConfig()):
     for epoch in range(config.epochs):
         breakdown = combined_loss(ToyModel(weights), dataset, config, step=epoch)
         history.append(breakdown)
-        weights = weights - config.learning_rate * breakdown.gradient
+        weights = weights - LEARNING_RATE * breakdown.gradient
     return ToyModel(weights), history
 
 

@@ -107,6 +107,41 @@ def softmin_direct(distances, beta):
     return m - math.log(total) / beta
 
 
+def _others(times, index):
+    """times as an array, and a mask of every position but index."""
+    t = np.asarray(times, dtype=np.float64)
+    mask = np.ones(t.size, dtype=bool)
+    mask[index] = False
+    return t, mask
+
+
+def mask_soft_nn_distance(times, index, beta):
+    """Soft minimum distance from times[index], one masked log-sum-exp.
+
+    The per-entry form of the statistic, O(n) per entry. Inputs are
+    assumed valid: at least two entries, beta positive and finite.
+    """
+    t, mask = _others(times, index)
+    exponents = -beta * np.abs(t[mask] - t[index])
+    m = exponents.max()
+    return float(-(m + np.log(np.exp(exponents - m).sum())) / beta)
+
+
+def mask_soft_nn_gradient(times, index, beta):
+    """(d/dt at index, d/dt over all positions) of mask_soft_nn_distance."""
+    t, mask = _others(times, index)
+    delta = t[index] - t[mask]
+    exponents = -beta * np.abs(delta)
+    m = exponents.max()
+    w = np.exp(exponents - m)
+    w /= w.sum()
+    signs = np.sign(delta)
+    d_dt = float((w * signs).sum())
+    grads = np.zeros(t.size)
+    grads[mask] = -w * signs
+    return d_dt, grads
+
+
 def soft_t_direct(timestamps, weights, ref_times, beta):
     """Weighted soft T recomputed with scalar loops and math.fsum."""
     n = len(timestamps)

@@ -136,27 +136,31 @@ def test_06_tau_variance_trend():
 def test_07_soft_min_bounds():
     rng = np.random.default_rng(300)
     ok = True
-    detail = "1000 sets within 1e-12; beta sweep monotone"
+    detail = "1000 sets, every entry within 1e-12; beta sweep monotone"
     for case in range(1000):
         n = int(rng.integers(3, 15))
         times = rng.random(n) * 50
         beta = float(rng.uniform(0.5, 100))
-        soft = v.soft_nn_distance(times, 0, beta)
-        hard = oracles.brute_nn_distance(0, times)
-        if not (soft <= hard + 1e-12 and soft >= hard - math.log(n - 1) / beta - 1e-12):
-            ok, detail = False, f"bounds violated at case {case}"
+        soft = [v.soft_nn_distance(times, i, beta) for i in range(n)]
+        hard = [oracles.brute_nn_distance(i, times) for i in range(n)]
+        bad = [i for i in range(n)
+               if not hard[i] - math.log(n - 1) / beta - 1e-12 <= soft[i] <= hard[i] + 1e-12]
+        if bad:
+            ok, detail = False, f"bounds violated at case {case}, entry {bad[0]}"
             break
     if ok:
         for case in range(50):
             n = int(rng.integers(3, 10))
             times = np.cumsum(0.5 + rng.random(n))
-            hard = oracles.brute_nn_distance(0, times)
             errs = [
-                abs(v.soft_nn_distance(times, 0, beta) - hard)
-                for beta in (1.0, 10.0, 100.0, 1000.0)
+                [abs(v.soft_nn_distance(times, i, beta) - oracles.brute_nn_distance(i, times))
+                 for beta in (1.0, 10.0, 100.0, 1000.0)]
+                for i in range(n)
             ]
-            if not all(b <= a + 1e-15 for a, b in zip(errs, errs[1:])):
-                ok, detail = False, f"beta sweep not monotone at case {case}"
+            bad = [i for i in range(n)
+                   if not all(b <= a + 1e-15 for a, b in zip(errs[i], errs[i][1:]))]
+            if bad:
+                ok, detail = False, f"beta sweep not monotone at case {case}, entry {bad[0]}"
                 break
     check(7, "soft-min bounds", ok, detail)
 

@@ -419,6 +419,12 @@ class TestBulkMatchesRowPath:
                          "line 1: t, y, p must be numeric", id="int-near-10**309"),
             pytest.param('{"t": 1, "y": 1, "p": 0.5}\n{"t": 0, "y": 0, "p": 0.5}\n', True,
                          "timestamps must be nondecreasing", id="unsorted"),
+            pytest.param('{"t": 1%s, "y": 0, "p": 0.5}\n' % ("0" * 5000), False,
+                         "line 1: invalid JSON: Exceeds the limit (4300 digits)",
+                         id="int-past-4300-digits"),
+            pytest.param('{"t": 1, "y": 0, "p": 0.5, "x": %s}\n' % ("[" * 100_000 + "]" * 100_000),
+                         False, "line 1: invalid JSON: maximum recursion depth exceeded",
+                         id="array-nested-100k-deep"),
         ],
     )
     def test_jsonl_case(self, text, bulk, want):

@@ -1,10 +1,14 @@
-"""synth's log and evaluate's report, SVG and density CSV, byte for byte.
+"""CLI outputs, byte for byte, against recorded sha256 digests.
 
-The digests were recorded from the row-by-row parser and the per-row
-JSON writer, before parsing and writing in bulk, so a change to either
-or to the statistics that moves any output bit fails here. Each fixture
-is evaluated as synth wrote it, and again with its records in reverse
-order under --sort.
+synth's log and evaluate's report, SVG and density CSV: the digests were
+recorded from the row-by-row parser and the per-row JSON writer, before
+parsing and writing in bulk, so a change to either or to the statistics
+that moves any output bit fails here. Each fixture is evaluated as synth
+wrote it, and again with its records in reverse order under --sort.
+
+train-demo's stdout and history CSVs were recorded while soft_nn_distance
+still had its own per-entry log-sum-exp, and gradcheck's stdout after it
+became one entry of the weighted_soft_t scan.
 """
 
 import hashlib
@@ -36,6 +40,10 @@ DIGESTS = {
 }
 
 
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
 def reversed_records(text, fmt):
     lines = text.splitlines()
     header = lines[:1] if fmt == "csv" else []
@@ -49,7 +57,7 @@ def test_outputs_match_recorded_digests(fmt, sort, tmp_path):
     synth_args, eval_args = FIXTURES[fmt]
     log = tmp_path / f"log.{fmt}"
     assert main(["synth", *synth_args, "--format", fmt, "--out", str(log)]) == 0
-    got = {"log": hashlib.sha256(log.read_bytes()).hexdigest()}
+    got = {"log": sha256(log.read_bytes())}
     argv = ["evaluate", "--input", str(log), "--format", fmt, *eval_args]
     if sort:
         log.write_text(reversed_records(log.read_text(), fmt))
@@ -58,6 +66,24 @@ def test_outputs_match_recorded_digests(fmt, sort, tmp_path):
     argv += ["--report", str(outputs["report.json"]), "--svg", str(outputs["density.svg"]),
              "--density-csv", str(outputs["bins.csv"])]
     assert main(argv) == 0
-    got.update((name, hashlib.sha256(path.read_bytes()).hexdigest())
-               for name, path in outputs.items())
+    got.update((name, sha256(path.read_bytes())) for name, path in outputs.items())
     assert got == DIGESTS[fmt]
+
+
+def test_train_demo_matches_recorded_digests(tmp_path, capsys):
+    assert main(["train-demo", "--seeds", "0", "--epochs", "20", "--out-dir", str(tmp_path)]) == 0
+    got = {"stdout": sha256(capsys.readouterr().out.encode())}
+    got.update((path.name, sha256(path.read_bytes())) for path in tmp_path.iterdir())
+    assert got == {
+        "stdout": "2da4dd5970af61add838a0ea742ef4ead9922adc5813f0bedb7bd5f012fa9b42",
+        "history_baseline_seed0.csv":
+            "e01f1005236cf878eb346f7f4fd1500867dc966af6f7929c6ad23195fb627098",
+        "history_vca_seed0.csv":
+            "dbace5aa725128783c1756650acf67861626886987454bd631e09b7a46e7e26f",
+    }
+
+
+def test_gradcheck_matches_recorded_digest(capsys):
+    assert main(["gradcheck", "--trials", "20", "--seed", "0"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == (
+        "565c421713ec1dc852198a0080659368ce147a533f7cd9ed23bfc5f5aa989c1f")

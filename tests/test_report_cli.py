@@ -118,6 +118,18 @@ class TestEvaluateCommand:
         line = 3 if fmt == "jsonl" else 4
         assert capsys.readouterr().err == f"error: line {line}: {message}\n"
 
+    @pytest.mark.parametrize("line", [
+        '{"t": 1%s, "y": 0, "p": 0.5}\n' % ("0" * 5000),
+        '{"t": 1, "y": 0, "p": 0.5, "x": %s}\n' % ("[" * 100_000 + "]" * 100_000),
+    ], ids=["int-past-4300-digits", "array-nested-100k-deep"])
+    def test_undecodable_json_exit_two(self, line, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line)
+        assert main(["evaluate", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: invalid JSON: ")
+        assert "Traceback" not in err
+
     def test_perfect_log_exit_three_with_marker(self, tmp_path):
         path = tmp_path / "perfect.jsonl"
         path.write_text(PERFECT)

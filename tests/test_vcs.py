@@ -254,7 +254,7 @@ class TestFastOracle:
 
 
 class TestSortSkip:
-    """vcs skips its sorts on nondecreasing times, bit for bit the same."""
+    """vcs sorts every input; sorted or not, tied times match the oracles bit for bit."""
 
     def tied_times(self, rng):
         return rng.integers(0, 20, int(rng.integers(2, 60))).astype(np.float64)
