@@ -39,14 +39,20 @@ def effective_beta(timestamps):
     the soft-min bound log(n-1)/beta stays small regardless of units.
     """
     ts = np.sort(np.asarray(timestamps, dtype=np.float64))
-    gaps = np.diff(ts)
-    gaps = np.sort(gaps[gaps > 0])
-    if gaps.size == 0:
-        return FALLBACK_BETA
-    # np.median's value, without its per-call overhead
-    mid = gaps.size // 2
-    median = gaps[mid] if gaps.size % 2 else (gaps[mid - 1] + gaps[mid]) / 2
-    return float(TARGET_SHARPNESS / median)
+    if not np.isfinite(ts).all():
+        raise ValueError("timestamps must be finite")
+    with np.errstate(over="ignore"):
+        gaps = np.diff(ts)
+        gaps = np.sort(gaps[gaps > 0])
+        if gaps.size == 0:
+            return FALLBACK_BETA
+        # np.median's value, without its per-call overhead
+        mid = gaps.size // 2
+        median = gaps[mid] if gaps.size % 2 else (gaps[mid - 1] + gaps[mid]) / 2
+        beta = float(TARGET_SHARPNESS / median)
+    if not 0 < beta < math.inf:
+        raise ValueError("timestamps give a beta outside the float64 range")
+    return beta
 
 
 @dataclass(frozen=True)
@@ -112,34 +118,47 @@ def soft_nn_distance(times, index, beta):
     timestamp still counts. May go negative when many near-duplicate
     neighbors exist: the inner sum then exceeds 1. Lower-bounded by
     hard_min - log(n-1)/beta. The log-sum is entry index of
-    _self_excluded_logsum with unit weights.
+    _self_excluded_logsum with unit weights. Raises ValueError when a
+    time is not finite, or when beta is so large or so small against
+    the gaps that the soft minimum is not finite.
     """
     t = np.asarray(times, dtype=np.float64)
     if t.size < 2:
         raise InsufficientSet("soft distance needs at least one other entry")
+    if not np.isfinite(t).all():
+        raise ValueError("times must be finite")
     if not 0 < beta < math.inf:
         raise ValueError("beta must be positive and finite")
     order = np.argsort(t, kind="stable")
     ts = t[order]
     log_s = np.empty(t.size)
-    log_s[order] = _self_excluded_logsum((ts[1:] - ts[:-1]) * beta, np.zeros((t.size, 1)))[:, 0]
-    return float(-log_s[index] / beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_s[order] = _self_excluded_logsum((ts[1:] - ts[:-1]) * beta, np.zeros((t.size, 1)))[:, 0]
+        d = -log_s[index] / beta
+    if not math.isfinite(d):
+        raise ValueError("soft minimum is not finite at this beta")
+    return float(d)
 
 
 def soft_nn_gradient(times, index, beta):
-    """Analytic partials of soft_nn_distance.
+    """Analytic gradient of soft_nn_distance over every position.
 
-    Returns (d/dt at index, array of d/dt over all positions, zero at
-    index). The weights are the softmax of -beta*|dt|, exp(-beta*|dt| -
-    log S) with log S = -beta * soft_nn_distance, so each partial has
-    magnitude at most 1.
+    Entry j != index is -w_j * sign(t_j - t_index), with w the softmax
+    of -beta*|dt|, exp(-beta*|dt| - log S) and log S = -beta *
+    soft_nn_distance, so its magnitude is at most 1. Entry index is
+    minus the sum of the others. Raises ValueError as soft_nn_distance
+    does, and NonFiniteGradient when an entry overflows float64.
     """
     d = soft_nn_distance(times, index, beta)
     t = np.asarray(times, dtype=np.float64)
     dist = np.abs(t - t[index])
     dist[index] = np.inf
-    grads = np.exp(-beta * (dist - d)) * np.sign(t - t[index])
-    return float(-grads.sum()), grads
+    with np.errstate(over="ignore", invalid="ignore"):
+        grads = np.exp(-beta * (dist - d)) * np.sign(t - t[index])
+        grads[index] = -grads.sum()
+    if not np.isfinite(grads).all():
+        raise NonFiniteGradient("soft nearest-neighbour gradient is not finite")
+    return grads
 
 
 def weighted_soft_t(timestamps, weights, random_times, beta):
@@ -163,8 +182,12 @@ def weighted_soft_t(timestamps, weights, random_times, beta):
     r = np.asarray(random_times, dtype=np.float64)
     if t.shape != w.shape or t.ndim != 1:
         raise ValueError("timestamps and weights must be 1-d and equal length")
-    if w.size and (w.min() < 0 or w.max() > 1):
+    if not ((w >= 0) & (w <= 1)).all():
         raise ValueError("weights must lie in [0, 1]")
+    if not np.isfinite(t).all():
+        raise ValueError("timestamps must be finite")
+    if not np.isfinite(r).all():
+        raise ValueError("random_times must be finite")
     w_total = w.sum()
     if w_total <= 0:
         raise AllZeroWeights("weighted soft T needs positive total weight")
@@ -239,26 +262,24 @@ def vca_penalty(t_soft, gamma):
     return gamma * gap * gap, -2.0 * gamma * gap
 
 
-def finite_difference_check(fn, point, step=1e-6):
-    """Max relative error between fn's analytic gradient and central differences.
+def finite_difference_check(value, gradient, point, step=1e-6):
+    """Max relative error between an analytic gradient and central differences.
 
-    fn maps a 1-d point to (value, gradient). The relative error per
-    coordinate is |fd - analytic| / max(1, |fd|, |analytic|), so near-zero
-    gradients are compared absolutely. A coordinate whose difference
-    quotient or analytic entry is not finite has error inf.
+    value maps a 1-d point to a float; gradient is the analytic gradient
+    at point. The relative error per coordinate is |fd - analytic| /
+    max(1, |fd|, |analytic|), so near-zero gradients are compared
+    absolutely. A coordinate whose difference quotient or analytic entry
+    is not finite has error inf.
     """
     if not step > 0:
         raise ValueError("step must be positive")
     x = np.asarray(point, dtype=np.float64)
-    _, grad = fn(x)
-    grad = np.asarray(grad, dtype=np.float64)
+    grad = np.asarray(gradient, dtype=np.float64)
     worst = 0.0
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = step
-        hi, _ = fn(x + e)
-        lo, _ = fn(x - e)
-        fd = (hi - lo) / (2.0 * step)
+        fd = (value(x + e) - value(x - e)) / (2.0 * step)
         if np.isfinite(fd) and np.isfinite(grad[i]):
             err = abs(fd - grad[i]) / max(1.0, abs(fd), abs(grad[i]))
         else:

@@ -87,11 +87,13 @@ def t_statistic(d_r, d_disg):
     return d_r / total
 
 
-def _nn_gaps(times):
-    """Self-excluded nearest-neighbor distance for every entry, by position."""
-    order = np.argsort(times, kind="stable")
-    gaps = np.diff(times[order])
-    out = np.empty_like(times)
+def _nn_gaps(sorted_times, order):
+    """Self-excluded nearest-neighbor distance for every entry, by position.
+
+    sorted_times is times[order], with order the stable argsort of times.
+    """
+    gaps = np.diff(sorted_times)
+    out = np.empty_like(sorted_times)
     out[order] = np.minimum(np.concatenate(([np.inf], gaps)), np.concatenate((gaps, [np.inf])))
     return out
 
@@ -113,17 +115,23 @@ def vcs(times, period, config=VcsConfig()):
             f"VCS needs at least 2 disagreements, got {k_total}"
         )
     k = config.subsample_size(k_total)
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     t_start, t_end = period
+    if not (math.isfinite(t_start) and math.isfinite(t_end)):
+        raise ValueError("period must be finite")
     span = t_end - t_start
-    # evaluate_stream passes sorted times; sorting them again costs about
-    # 1% of a call at K = 1e6 and less below, so every input takes one path
-    sorted_times = np.sort(times)
+    # one stable argsort serves the nearest-neighbour gaps and the
+    # reference distances; sorted input, as evaluate_stream passes it,
+    # takes the same path
+    order = np.argsort(times, kind="stable")
+    sorted_times = times[order]
 
     trials = []
     t_sum = 0.0
     # a sum past the float range becomes inf, which t_statistic rejects
     with np.errstate(over="ignore"):
-        gaps = _nn_gaps(times)
+        gaps = _nn_gaps(sorted_times, order)
         for i in range(config.tau):
             rng = np.random.default_rng((config.seed, i))
             d_disg = float(gaps[rng.choice(k_total, size=k, replace=False)].sum())

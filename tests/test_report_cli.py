@@ -354,6 +354,18 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--trials", "3", "--step", "1.0"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_overflowing_beta_fails_without_warnings(self, capsys):
+        # beta times a gap overflows float64, so the soft families score
+        # error inf instead of warning or exiting 2
+        assert main(["gradcheck", "--beta", "1e308", "--trials", "2"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "soft_nn_distance", "weighted_soft_t", "vca_penalty_composed",
+            "combined_loss", "gradcheck:",
+        ]
+        assert lines[-1] == "gradcheck: FAIL"
+        assert captured.err == ""
 
     @pytest.mark.parametrize("flags", [
         ["--beta", "0"], ["--beta", "-1"], ["--beta", "nan"],

@@ -19,7 +19,7 @@ from vcseval import (
     vca_penalty,
     weighted_soft_t,
 )
-from vcseval.soft_vca import FALLBACK_BETA
+from vcseval.soft_vca import FALLBACK_BETA, TARGET_SHARPNESS
 
 from . import oracles
 
@@ -89,28 +89,20 @@ class TestSoftNnDistance:
 
 class TestSoftNnGradient:
     def test_single_neighbor_signs(self):
-        d_self, others = soft_nn_gradient([2.0, 5.0], 1, 1.0)
-        assert d_self == 1.0
-        assert others.tolist() == [-1.0, 0.0]
+        assert soft_nn_gradient([2.0, 5.0], 1, 1.0).tolist() == [-1.0, 1.0]
 
     def test_symmetric_neighbors_cancel(self):
-        d_self, _ = soft_nn_gradient([0.0, 1.0, 2.0], 1, 2.0)
-        assert d_self == pytest.approx(0.0, abs=1e-15)
+        assert soft_nn_gradient([0.0, 1.0, 2.0], 1, 2.0)[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             n = int(rng.integers(3, 10))
             times = np.cumsum(0.3 + rng.random(n))  # spacing keeps points tie-free
-
-            def fn(point):
-                value = soft_nn_distance(point, 0, 5.0)
-                d_self, others = soft_nn_gradient(point, 0, 5.0)
-                grad = others.copy()
-                grad[0] = d_self
-                return value, grad
-
-            assert finite_difference_check(fn, times, 1e-6) <= 1e-5
+            err = finite_difference_check(
+                lambda point: soft_nn_distance(point, 0, 5.0),
+                soft_nn_gradient(times, 0, 5.0), times, 1e-6)
+            assert err <= 1e-5
 
 
 class TestScanMatchesMaskOracle:
@@ -129,10 +121,9 @@ class TestScanMatchesMaskOracle:
             for i in range(n):
                 got = soft_nn_distance(times, i, beta)
                 assert abs(got - oracles.mask_soft_nn_distance(times, i, beta)) <= 1e-12
-                d_self, others = soft_nn_gradient(times, i, beta)
-                want_self, want_others = oracles.mask_soft_nn_gradient(times, i, beta)
-                assert abs(d_self - want_self) <= 1e-10
-                assert np.abs(others - want_others).max() <= 1e-10
+                want_self, want = oracles.mask_soft_nn_gradient(times, i, beta)
+                want[i] = want_self
+                assert np.abs(soft_nn_gradient(times, i, beta) - want).max() <= 1e-10
 
 
 class TestWeightedSoftT:
@@ -172,12 +163,10 @@ class TestWeightedSoftT:
             ref = rng.random(4) * float(times[-1])
             beta = float(rng.uniform(1, 8))
             w0 = 0.1 + 0.8 * rng.random(n)
-
-            def fn(w):
-                trial = weighted_soft_t(times, w, ref, beta)
-                return trial.t_soft, trial.weight_gradient
-
-            assert finite_difference_check(fn, w0, 1e-6) <= 1e-5
+            err = finite_difference_check(
+                lambda w: weighted_soft_t(times, w, ref, beta).t_soft,
+                weighted_soft_t(times, w0, ref, beta).weight_gradient, w0, 1e-6)
+            assert err <= 1e-5
 
     def test_errors(self):
         times = np.array([1.0, 2.0, 3.0])
@@ -346,36 +335,115 @@ class TestEffectiveBeta:
     def test_fallback_when_all_gaps_zero(self):
         assert effective_beta([5.0, 5.0, 5.0]) == FALLBACK_BETA
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0, 2.5, 7.0]) | st.floats(-1e6, 1e6),
+                    min_size=1, max_size=30))
+    @example([0.0, 1.0, 3.0, 7.0])  # three positive gaps
+    @example([0.0, 1.0, 3.0, 7.0, 8.0])  # four positive gaps
+    @example([0.0, 0.0, 2.0, 2.0, 5.0, 5.0, 6.0])  # ties give zero gaps
+    def test_matches_numpy_median(self, times):
+        gaps = np.diff(np.sort(times))
+        positive = gaps[gaps > 0]
+        with np.errstate(over="ignore"):
+            want = TARGET_SHARPNESS / np.median(positive) if positive.size else FALLBACK_BETA
+        if want == math.inf:
+            with pytest.raises(ValueError, match="beta outside the float64 range"):
+                effective_beta(times)
+        else:
+            assert effective_beta(times) == want
+
+    def test_gaps_past_float_range_rejected(self):
+        for times in ([0.0, 5e-324], [-1e308, 1e308]):
+            with pytest.raises(ValueError, match="beta outside the float64 range"):
+                effective_beta(times)
+
 
 class TestFiniteDifferenceCheck:
-    def test_quadratic_is_nearly_exact(self):
-        def fn(x):
-            return float(x @ x), 2.0 * x
+    @staticmethod
+    def square(x):
+        return float(x @ x)
 
-        assert finite_difference_check(fn, np.array([1.0, -2.0, 0.5]), 1e-6) <= 1e-9
+    def test_quadratic_is_nearly_exact(self):
+        x = np.array([1.0, -2.0, 0.5])
+        assert finite_difference_check(self.square, 2.0 * x, x, 1e-6) <= 1e-9
 
     def test_detects_wrong_gradient(self):
-        def fn(x):
-            return float(x @ x), 3.0 * x  # deliberately wrong scale
-
-        assert finite_difference_check(fn, np.array([1.0, 2.0]), 1e-6) > 1e-2
+        x = np.array([1.0, 2.0])
+        # deliberately wrong scale
+        assert finite_difference_check(self.square, 3.0 * x, x, 1e-6) > 1e-2
 
     def test_nan_gradient_is_infinite_error(self):
-        def fn(x):
-            return float("nan"), np.full_like(x, np.nan)
-
-        assert finite_difference_check(fn, np.array([1.0, 2.0]), 1e-6) == math.inf
+        err = finite_difference_check(lambda x: math.nan, [math.nan, math.nan], [1.0, 2.0], 1e-6)
+        assert err == math.inf
 
     def test_non_finite_difference_is_infinite_error(self):
-        def fn(x):
-            return (math.inf if x[0] > 1.0 else 0.0), np.zeros_like(x)
+        def value(x):
+            return math.inf if x[0] > 1.0 else 0.0
 
-        assert finite_difference_check(fn, np.array([1.0]), 1e-6) == math.inf
+        assert finite_difference_check(value, [0.0], [1.0], 1e-6) == math.inf
 
     def test_non_positive_step_rejected(self):
-        def fn(x):
-            return float(x @ x), 2.0 * x
-
         for step in (0.0, -1e-6):
             with pytest.raises(ValueError):
-                finite_difference_check(fn, np.array([1.0]), step)
+                finite_difference_check(self.square, [2.0], [1.0], step)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+class TestNonFiniteInput:
+    """Each soft entry point names a NaN or infinite argument in a ValueError."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_effective_beta(self, bad):
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            effective_beta([0.0, bad, 1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_soft_nn(self, bad):
+        for fn in (soft_nn_distance, soft_nn_gradient):
+            with pytest.raises(ValueError, match="times must be finite"):
+                fn([0.0, bad, 2.0], 0, 1.0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_weighted_soft_t(self, bad):
+        times, w, ref = [0.0, 1.0, 2.0], [0.5, 0.5, 0.5], [0.5]
+        with pytest.raises(ValueError, match="weights must lie in"):
+            weighted_soft_t(times, [0.5, bad, 0.5], ref, 1.0)
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            weighted_soft_t([0.0, bad, 2.0], w, ref, 1.0)
+        with pytest.raises(ValueError, match="random_times must be finite"):
+            weighted_soft_t(times, w, [0.5, bad], 1.0)
+
+
+def _weighted_outputs(times, ref, beta):
+    trial = weighted_soft_t(times, np.full(times.size, 0.5), ref, beta)
+    return [trial.t_soft, trial.d_r_soft, trial.d_disg_soft, *trial.weight_gradient]
+
+
+class TestExtremeBeta:
+    """Beta near the float64 limit, where beta times a gap overflows.
+
+    Every result is finite, or ValueError or NonFiniteGradient is
+    raised; numpy emits no warning.
+    """
+
+    @pytest.mark.parametrize("beta", [1e300, 1e308, 1.7e308])
+    def test_finite_or_raises(self, beta):
+        rng = np.random.default_rng(10)
+        calls = (
+            lambda t, ref: [soft_nn_distance(t, 0, beta)],
+            lambda t, ref: soft_nn_gradient(t, 0, beta),
+            lambda t, ref: _weighted_outputs(t, ref, beta),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(100):
+                times = rng.random(int(rng.integers(2, 13))) * 10
+                ref = rng.random(3) * 10
+                for call in calls:
+                    try:
+                        out = call(times, ref)
+                    except (ValueError, NonFiniteGradient):
+                        continue
+                    assert np.isfinite(out).all()

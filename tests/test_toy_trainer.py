@@ -66,13 +66,14 @@ class TestCombinedLoss:
         ds = small_dataset(seed=2, n=50)
         config = TrainConfig(gamma=0.1, seed=3)
 
-        def fn(theta):
-            breakdown = combined_loss(ToyModel(theta), ds, config, step=0)
-            return breakdown.total, breakdown.gradient
+        def loss(theta):
+            return combined_loss(ToyModel(theta), ds, config, step=0)
 
         for _ in range(5):
             theta0 = 0.5 * rng.standard_normal(5)
-            assert finite_difference_check(fn, theta0, 1e-6) <= 1e-4
+            err = finite_difference_check(
+                lambda theta: loss(theta).total, loss(theta0).gradient, theta0, 1e-6)
+            assert err <= 1e-4
 
     def test_non_finite_raises_with_step(self):
         ds = small_dataset()

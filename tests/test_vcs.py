@@ -181,6 +181,14 @@ class TestVcs:
             with pytest.raises(TooFewDisagreements):
                 vcs(times, (0.0, 10.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_named(self, bad):
+        with pytest.raises(ValueError, match="times must be finite"):
+            vcs([1.0, bad, 3.0], (0.0, 10.0))
+        for period in ((bad, 10.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="period must be finite"):
+                vcs([1.0, 2.0, 3.0], period)
+
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         s = np.sort(rng.random(30) * 10)
