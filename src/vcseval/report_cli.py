@@ -152,7 +152,7 @@ def _gradcheck_soft_nn(rng, step, beta):
     n = int(rng.integers(4, 13))
     times = _tie_free_times(rng, n)
     return soft_vca.finite_difference_check(
-        lambda point: soft_vca.soft_nn_distance(point, 0, beta),
+        lambda points: [soft_vca.soft_nn_distance(point, 0, beta) for point in points],
         soft_vca.soft_nn_gradient(times, 0, beta), times, step)
 
 
@@ -169,8 +169,8 @@ def _gradcheck_weighted(rng, step, beta, compose_penalty):
     ref = _tie_free_times(rng, int(rng.integers(3, 7)))
     w0 = 0.1 + 0.8 * rng.random(n)
 
-    def value(w):
-        t_soft = soft_vca.weighted_soft_t(times, w, ref, beta).t_soft
+    def value(weight_rows):
+        t_soft = soft_vca.weighted_soft_t(times, weight_rows, ref, beta).t_soft
         return soft_vca.vca_penalty(t_soft, 0.1)[0] if compose_penalty else t_soft
 
     trial = soft_vca.weighted_soft_t(times, w0, ref, beta)
@@ -189,8 +189,10 @@ def _gradcheck_combined(rng, step):
     def loss(theta):
         return toy_trainer.combined_loss(toy_trainer.ToyModel(theta), ds, config, step=0)
 
+    # one combined_loss call per point: its LossBreakdown holds one point
     return soft_vca.finite_difference_check(
-        lambda theta: loss(theta).total, loss(theta0).gradient, theta0, step)
+        lambda thetas: [loss(theta).total for theta in thetas], loss(theta0).gradient,
+        theta0, step)
 
 
 def cmd_gradcheck(args):

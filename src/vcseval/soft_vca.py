@@ -57,6 +57,9 @@ def effective_beta(timestamps):
 
 @dataclass(frozen=True)
 class SoftTrial:
+    """weighted_soft_t's result: floats for one weight row, or arrays
+    with one entry per row (weight_gradient (c, n)) for a stack."""
+
     d_r_soft: float
     d_disg_soft: float
     t_soft: float
@@ -171,27 +174,37 @@ def weighted_soft_t(timestamps, weights, random_times, beta):
     random times to the full weighted set (no exclusion). Returns a
     SoftTrial whose weight_gradient is d t_soft / d weights.
 
-    Raises NonFiniteGradient when a gradient entry is not finite. For
-    example, when a positive-weight event is far from every other
-    positive-weight event but has a zero-weight event close by, the
-    derivative for the zero-weight event grows like exp(beta * gap)
-    and overflows float64.
+    weights is one (n,) vector or a (c, n) stack of rows. A stack shares
+    one sort and two scans, with c and 2c columns, and gives a SoftTrial
+    with one entry per row in each field (weight_gradient is (c, n));
+    every entry is bit-identical to the one-row call, and a stack with
+    an invalid row raises what that row raises alone.
+
+    Raises ValueError when beta is so small or so large against the
+    gaps that a soft distance is not finite. Raises NonFiniteGradient
+    when a gradient entry is not finite. For example, when a
+    positive-weight event is far from every other positive-weight event
+    but has a zero-weight event close by, the derivative for the
+    zero-weight event grows like exp(beta * gap) and overflows float64.
     """
     t = np.asarray(timestamps, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     r = np.asarray(random_times, dtype=np.float64)
-    if t.shape != w.shape or t.ndim != 1:
-        raise ValueError("timestamps and weights must be 1-d and equal length")
+    if t.ndim != 1 or w.ndim not in (1, 2) or w.shape[-1] != t.size:
+        raise ValueError("timestamps must be 1-d and weights (n,) or (c, n) for n timestamps")
     if not ((w >= 0) & (w <= 1)).all():
         raise ValueError("weights must lie in [0, 1]")
     if not np.isfinite(t).all():
         raise ValueError("timestamps must be finite")
     if not np.isfinite(r).all():
         raise ValueError("random_times must be finite")
-    w_total = w.sum()
-    if w_total <= 0:
+    # C-contiguous rows, so every row sum below is numpy's pairwise sum
+    # over one row, as in the one-row call
+    rows = np.ascontiguousarray(np.atleast_2d(w))
+    fewest_positive = (rows > 0).sum(axis=1).min(initial=2)
+    if fewest_positive == 0:
         raise AllZeroWeights("weighted soft T needs positive total weight")
-    if np.count_nonzero(w > 0) < 2:
+    if fewest_positive < 2:
         raise InsufficientSet("weighted soft T needs >= 2 positive-weight events")
     if r.size < 1:
         raise ValueError("at least one random reference time is required")
@@ -201,51 +214,52 @@ def weighted_soft_t(timestamps, weights, random_times, beta):
     # Events and reference times share one sorted sequence. A point
     # that is not a source of a sum carries log-weight -inf in it, so
     # one self-excluded sum covers event-to-event and event-to-reference
-    # terms alike.
-    n = t.size
+    # terms alike. Each weight row is one column of the scans.
+    n, c = t.size, rows.shape[0]
     merged = np.concatenate((t, r))
     order = np.argsort(merged, kind="stable")
     times = merged[order]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         gaps = (times[1:] - times[:-1]) * beta
-        log_w = np.log(np.concatenate((w, np.zeros(r.size)))[order])
-        log_s = _self_excluded_logsum(gaps, log_w[:, None])[:, 0]
+        log_w = np.log(np.concatenate((rows, np.zeros((c, r.size))), axis=1)[:, order].T)
+        log_s = _self_excluded_logsum(gaps, log_w)
 
         # d d_k / d w_j = -exp(-beta*|t_k - t_j| - log S_k) / beta, so the
         # weighted sum over events k and the mean over reference times k
         # are kernel sums with log-weights log(w_k / beta) - log S_k and
         # -log(beta * r) - log S_k. The 1/beta inside the exponent keeps
         # exp from overflowing where the divided value fits.
-        ell = np.empty((merged.size, 2))
-        ell[:, 0] = log_w - (log_s + math.log(beta))
-        ell[:, 1] = np.where(order >= n, -(log_s + math.log(beta * r.size)), -np.inf)
+        ell = np.empty((merged.size, 2 * c))
+        ell[:, :c] = log_w - (log_s + math.log(beta))
+        ell[:, c:] = np.where((order >= n)[:, None], -(log_s + math.log(beta * r.size)), -np.inf)
         sums = np.exp(_self_excluded_logsum(gaps, ell))
 
-        by_input = np.empty((merged.size, 3))
-        by_input[order, 0] = log_s
-        by_input[order, 1:] = sums
-        d_ev = by_input[:n, 0] / -beta
-        d_r = by_input[n:, 0] / -beta
-        sums = by_input[:n, 1:]
+        # rows [log S, event sums, reference sums] per weight row, in input order
+        by_input = np.empty((3 * c, merged.size))
+        by_input[:c, order] = log_s.T
+        by_input[c:, order] = sums.T
+        d = by_input[:c] / -beta
+        d_ev = d[:, :n]
+        w_total = rows.sum(axis=1, keepdims=True)
+        b = (rows * d_ev).sum(axis=1, keepdims=True) / w_total
+        a = d[:, n:].sum(axis=1, keepdims=True) / r.size
 
-        numer = float((w * d_ev).sum())
-        b = numer / w_total
-        a = float(d_r.sum()) / r.size
-
-        d_numer = d_ev - sums[:, 0]
-        db = (d_numer - b) / w_total
-        da = -sums[:, 1]
+        db = (d_ev - by_input[c:2 * c, :n] - b) / w_total
+        da = -by_input[2 * c:, :n]
         denom = a + b
         dt = (da * b - a * db) / (denom * denom)
     if not np.isfinite(dt).all():
+        # a soft distance that is not finite makes a or b, and with it
+        # every gradient entry of its row, inf or NaN
+        if not np.isfinite(d).all():
+            raise ValueError("soft distances are not finite at this beta")
         raise NonFiniteGradient("weighted soft T weight gradient is not finite")
 
-    return SoftTrial(
-        d_r_soft=a,
-        d_disg_soft=b,
-        t_soft=a / denom,
-        weight_gradient=dt,
-    )
+    t_soft = a / denom
+    if w.ndim == 1:
+        return SoftTrial(float(a[0, 0]), float(b[0, 0]), float(t_soft[0, 0]), dt[0])
+    return SoftTrial(d_r_soft=a[:, 0], d_disg_soft=b[:, 0], t_soft=t_soft[:, 0],
+                     weight_gradient=dt)
 
 
 def soft_t(timestamps, random_times, beta):
@@ -265,24 +279,29 @@ def vca_penalty(t_soft, gamma):
 def finite_difference_check(value, gradient, point, step=1e-6):
     """Max relative error between an analytic gradient and central differences.
 
-    value maps a 1-d point to a float; gradient is the analytic gradient
-    at point. The relative error per coordinate is |fd - analytic| /
+    point is a 1-d point x of d coordinates and gradient the analytic
+    gradient there. value is called once, on the (2d, d) stack of rows
+    x + step * e_i for i < d, then x - step * e_i, and returns their 2d
+    values. The relative error per coordinate is |fd - analytic| /
     max(1, |fd|, |analytic|), so near-zero gradients are compared
     absolutely. A coordinate whose difference quotient or analytic entry
-    is not finite has error inf.
+    is not finite has error inf. An empty point has error 0.0, and value
+    is not called.
     """
     if not step > 0:
         raise ValueError("step must be positive")
     x = np.asarray(point, dtype=np.float64)
     grad = np.asarray(gradient, dtype=np.float64)
-    worst = 0.0
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = step
-        fd = (value(x + e) - value(x - e)) / (2.0 * step)
-        if np.isfinite(fd) and np.isfinite(grad[i]):
-            err = abs(fd - grad[i]) / max(1.0, abs(fd), abs(grad[i]))
-        else:
-            err = np.inf
-        worst = max(worst, err)
-    return worst
+    if x.ndim != 1 or grad.shape != x.shape:
+        raise ValueError("point must be 1-d and gradient of the same shape")
+    if x.size == 0:
+        return 0.0
+    shift = np.diag(np.full(x.size, step))
+    values = np.asarray(value(np.concatenate((x + shift, x - shift))), dtype=np.float64)
+    if values.shape != (2 * x.size,):
+        raise ValueError("value must return one value per row of the stack")
+    with np.errstate(over="ignore", invalid="ignore"):
+        fd = (values[:x.size] - values[x.size:]) / (2.0 * step)
+        err = np.abs(fd - grad) / np.maximum(1.0, np.maximum(np.abs(fd), np.abs(grad)))
+    err[~(np.isfinite(fd) & np.isfinite(grad))] = np.inf
+    return float(err.max())

@@ -110,7 +110,7 @@ def combined_loss(model, batch, config, step):
             ref_times = t_lo + rng.random(n_ref) * (t_hi - t_lo)
             try:
                 trial = weighted_soft_t(batch.t, w, ref_times, beta)
-            except NonFiniteGradient as exc:
+            except (NonFiniteGradient, ValueError) as exc:
                 raise NonFiniteLoss(step, str(exc)) from exc
             penalty, d_pen = vca_penalty(trial.t_soft, config.gamma)
             gz_pen = d_pen * trial.weight_gradient * np.sign(p - y) * p * (1.0 - p)

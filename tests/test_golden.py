@@ -8,7 +8,9 @@ wrote it, and again with its records in reverse order under --sort.
 
 train-demo's stdout and history CSVs were recorded while soft_nn_distance
 still had its own per-entry log-sum-exp, and gradcheck's stdout after it
-became one entry of the weighted_soft_t scan.
+became one entry of the weighted_soft_t scan. The gradcheck configurations
+in GRADCHECK were recorded while finite_difference_check still called its
+value function once per perturbed point.
 """
 
 import hashlib
@@ -87,3 +89,21 @@ def test_gradcheck_matches_recorded_digest(capsys):
     assert main(["gradcheck", "--trials", "20", "--seed", "0"]) == 0
     assert sha256(capsys.readouterr().out.encode()) == (
         "565c421713ec1dc852198a0080659368ce147a533f7cd9ed23bfc5f5aa989c1f")
+
+
+# argv after "gradcheck": (exit code, sha256 of stdout)
+GRADCHECK = {
+    ("--trials", "250", "--seed", "3"):
+        (0, "ca7f05df1fde2e51ab66600015c6dad2342e8a7c79a6906baa85f427afad2a02"),
+    ("--beta", "0.01"): (0, "e8138fe74bdabb7a2cadbe3b59538367a8b7ab19700cd29f5873656fe5547c48"),
+    ("--beta", "200"): (0, "13227cc782845c33968058a9d05b05d3d8f50d6adddb8e95d37ae45995753603"),
+    ("--step", "1.0"): (1, "a15d588ab62857e71d2e31d293a7202c1b7f0dd77caae4dc2df784004cf5e200"),
+    ("--beta", "1e308", "--trials", "2"):
+        (1, "35e460ce5c0afcccfd9f744bedd8fc10c6bad726daa23e3a25d670a88c02cec6"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GRADCHECK), ids=" ".join)
+def test_gradcheck_configurations_match_recorded_digests(argv, capsys):
+    code = main(["gradcheck", *argv])
+    assert (code, sha256(capsys.readouterr().out.encode())) == GRADCHECK[argv]

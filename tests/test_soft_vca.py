@@ -100,7 +100,7 @@ class TestSoftNnGradient:
             n = int(rng.integers(3, 10))
             times = np.cumsum(0.3 + rng.random(n))  # spacing keeps points tie-free
             err = finite_difference_check(
-                lambda point: soft_nn_distance(point, 0, 5.0),
+                lambda points: [soft_nn_distance(point, 0, 5.0) for point in points],
                 soft_nn_gradient(times, 0, 5.0), times, 1e-6)
             assert err <= 1e-5
 
@@ -164,7 +164,7 @@ class TestWeightedSoftT:
             beta = float(rng.uniform(1, 8))
             w0 = 0.1 + 0.8 * rng.random(n)
             err = finite_difference_check(
-                lambda w: weighted_soft_t(times, w, ref, beta).t_soft,
+                lambda rows: weighted_soft_t(times, rows, ref, beta).t_soft,
                 weighted_soft_t(times, w0, ref, beta).weight_gradient, w0, 1e-6)
             assert err <= 1e-5
 
@@ -303,6 +303,73 @@ class TestScanMatchesDenseOracle:
             assert np.abs(got.weight_gradient - want.weight_gradient).max() <= tol_g
 
 
+@st.composite
+def weight_stacks(draw):
+    """Tied times, a (c, n) stack whose rows have zeros and >= 2 positives."""
+    n, c = draw(st.integers(2, 60)), draw(st.integers(1, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    decimals = draw(st.sampled_from([0, 1, 15]))
+    times = np.round(rng.random(n) * 50, decimals)
+    ref = np.round(rng.random(int(rng.integers(1, 13))) * 60 - 5, decimals)
+    rows = rng.random((c, n))
+    rows[rng.random((c, n)) < draw(st.floats(0.0, 0.9))] = 0.0
+    for row in rows:
+        positive = rng.choice(n, size=2, replace=False)
+        row[positive] = np.maximum(row[positive], 0.5)
+    beta = 10.0 ** draw(st.floats(-1.0, 3.0))
+    return times, rows, ref, beta
+
+
+def _outcome(times, weights, ref, beta):
+    try:
+        return weighted_soft_t(times, weights, ref, beta)
+    except VcsEvalError as exc:
+        return type(exc)
+
+
+class TestStackedRows:
+    """A (c, n) stack of weight rows against c one-row calls.
+
+    Every field of every row is bit-identical, and a stack with one
+    invalid row raises the error class that row raises alone.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(weight_stacks())
+    def test_rows_match_one_row_calls_bit_for_bit(self, case):
+        times, rows, ref, beta = case
+        alone = [_outcome(times, row, ref, beta) for row in rows]
+        failed = [got for got in alone if isinstance(got, type)]
+        stacked = _outcome(times, rows, ref, beta)
+        if failed:
+            assert stacked in failed
+            return
+        assert stacked.weight_gradient.shape == rows.shape
+        for i, one in enumerate(alone):
+            assert stacked.t_soft[i] == one.t_soft
+            assert stacked.d_r_soft[i] == one.d_r_soft
+            assert stacked.d_disg_soft[i] == one.d_disg_soft
+            assert np.array_equal(stacked.weight_gradient[i], one.weight_gradient)
+
+    @settings(max_examples=200, deadline=None)
+    @given(weight_stacks(), st.sampled_from(["all_zero", "one_positive", "above_one",
+                                             "negative", "nan"]), st.data())
+    def test_invalid_row_raises_its_own_error(self, case, kind, data):
+        times, rows, ref, beta = case
+        bad = rows[data.draw(st.integers(0, rows.shape[0] - 1))]
+        if kind in ("all_zero", "one_positive"):
+            bad[:] = 0.0
+            if kind == "one_positive":
+                bad[0] = 0.5
+        else:
+            bad[0] = {"above_one": 1.5, "negative": -0.1, "nan": math.nan}[kind]
+        want = {"all_zero": AllZeroWeights, "one_positive": InsufficientSet}.get(kind, ValueError)
+        for weights in (bad, rows):
+            with pytest.raises(want) as err:
+                weighted_soft_t(times, weights, ref, beta)
+            assert type(err.value) is want
+
+
 class TestVcaPenalty:
     def test_zero_at_half(self):
         assert vca_penalty(0.5, 0.1) == (0.0, 0.0)
@@ -360,8 +427,8 @@ class TestEffectiveBeta:
 
 class TestFiniteDifferenceCheck:
     @staticmethod
-    def square(x):
-        return float(x @ x)
+    def square(points):
+        return (points * points).sum(axis=1)
 
     def test_quadratic_is_nearly_exact(self):
         x = np.array([1.0, -2.0, 0.5])
@@ -373,12 +440,13 @@ class TestFiniteDifferenceCheck:
         assert finite_difference_check(self.square, 3.0 * x, x, 1e-6) > 1e-2
 
     def test_nan_gradient_is_infinite_error(self):
-        err = finite_difference_check(lambda x: math.nan, [math.nan, math.nan], [1.0, 2.0], 1e-6)
+        err = finite_difference_check(
+            lambda points: np.full(len(points), math.nan), [math.nan, math.nan], [1.0, 2.0], 1e-6)
         assert err == math.inf
 
     def test_non_finite_difference_is_infinite_error(self):
-        def value(x):
-            return math.inf if x[0] > 1.0 else 0.0
+        def value(points):
+            return np.where(points[:, 0] > 1.0, math.inf, 0.0)
 
         assert finite_difference_check(value, [0.0], [1.0], 1e-6) == math.inf
 
@@ -386,6 +454,32 @@ class TestFiniteDifferenceCheck:
         for step in (0.0, -1e-6):
             with pytest.raises(ValueError):
                 finite_difference_check(self.square, [2.0], [1.0], step)
+
+    def test_value_called_once_on_the_stack(self):
+        x = np.array([1.0, -2.0, 0.5])
+        stacks = []
+
+        def value(points):
+            stacks.append(points.copy())
+            return self.square(points)
+
+        finite_difference_check(value, 2.0 * x, x, 0.25)
+        (stack,) = stacks
+        shift = np.diag(np.full(3, 0.25))
+        assert np.array_equal(stack, np.concatenate((x + shift, x - shift)))
+
+    def test_mismatched_shapes_rejected(self):
+        x = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="gradient of the same shape"):
+            finite_difference_check(self.square, [2.0], x, 1e-6)
+        with pytest.raises(ValueError, match="one value per row"):
+            finite_difference_check(lambda points: 0.0, 2.0 * x, x, 1e-6)
+
+    def test_empty_point_is_zero_error(self):
+        def value(points):
+            raise AssertionError("value is not called for an empty point")
+
+        assert finite_difference_check(value, [], [], 1e-6) == 0.0
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -447,3 +541,18 @@ class TestExtremeBeta:
                     except (ValueError, NonFiniteGradient):
                         continue
                     assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize("beta", [1e-320, 5e-324])
+    def test_subnormal_beta_names_the_soft_distances(self, beta):
+        # beta times every gap underflows, so -log S / beta overflows
+        times, ref = np.array([0.0, 1.0, 3.0]), np.array([2.0])
+        calls = (
+            lambda: weighted_soft_t(times, [0.5, 0.5, 1.0], ref, beta),
+            lambda: weighted_soft_t(times, [[0.5, 0.5, 1.0], [1.0, 0.2, 0.0]], ref, beta),
+            lambda: soft_t(times, ref, beta),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match="soft distances are not finite at this beta"):
+                    call()

@@ -72,7 +72,8 @@ class TestCombinedLoss:
         for _ in range(5):
             theta0 = 0.5 * rng.standard_normal(5)
             err = finite_difference_check(
-                lambda theta: loss(theta).total, loss(theta0).gradient, theta0, 1e-6)
+                lambda thetas: [loss(theta).total for theta in thetas],
+                loss(theta0).gradient, theta0, 1e-6)
             assert err <= 1e-4
 
     def test_non_finite_raises_with_step(self):
@@ -96,6 +97,20 @@ class TestCombinedLoss:
                 combined_loss(ToyModel(np.array([40.0, 0.0])), ds, TrainConfig(gamma=0.1), step=3)
         assert err.value.epoch == 3
         assert isinstance(err.value.__cause__, NonFiniteGradient)
+
+    def test_soft_distance_overflow_surfaces_as_non_finite_loss(self):
+        # beta = 5 / median gap = 5, and beta times the 1e308 gap to the
+        # last event overflows, so its soft distance is not finite
+        ds = DriftDataset(
+            t=np.array([0.0, 1.0, 2.0, 3.0, 1e308]),
+            features=np.zeros((5, 1)),
+            y=np.array([0, 1, 0, 1, 1]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteLoss, match="soft distances are not finite") as err:
+                combined_loss(ToyModel(np.zeros(2)), ds, TrainConfig(gamma=0.1), step=4)
+        assert err.value.epoch == 4
 
     def test_reference_times_follow_substream(self):
         # same (seed, step) twice gives the identical penalty value
