@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -36,9 +37,11 @@ _CSV_HEADERS = (["t", "y", "p"], ["t", "y", "p", "id"])
 # Characters other than "\n" at which str.splitlines ends a line
 _ASCII_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 _LINE_BREAKS = _ASCII_LINE_BREAKS + "\x85\u2028\u2029"
-# Bulk reads build their columns from about this many characters at a
-# time, so that no list holds every line or every parsed number
+# Bulk reads build their columns from about this many characters, or
+# rows, at a time, so that no list holds every line or every parsed
+# number; much larger row chunks raise peak memory
 _CHUNK_CHARS = 1 << 16
+_CHUNK_ROWS = 2048
 
 
 class EvalStream:
@@ -47,7 +50,7 @@ class EvalStream:
     t, y and p are equal-length arrays. ids is a sequence of strings, or
     None when each row's id is its index. Every t must be finite and
     >= 0, every y 0 or 1 and every p in [0, 1]; the first row that breaks
-    this raises InvalidValue.
+    this, or whose id is not a string, raises InvalidValue.
     """
 
     def __init__(self, t, y, p, ids=None):
@@ -62,8 +65,12 @@ class EvalStream:
         if t.size == 0:
             raise EmptyInput("stream must contain at least one record")
         bad = ~(np.isfinite(t) & (t >= 0)) | ((y != 0) & (y != 1)) | ~((p >= 0) & (p <= 1))
+        if ids is not None and not all(issubclass(kind, str) for kind in set(map(type, ids))):
+            bad |= [not isinstance(i, str) for i in ids]
         if bad.any():
             row = int(bad.argmax())
+            if ids is not None and not isinstance(ids[row], str):
+                raise InvalidValue(row, "id must be a string")
             raise InvalidValue(row, _value_problem(float(t[row]), float(y[row]), float(p[row])))
         if np.any(np.diff(t) < 0):
             raise UnsortedInput("timestamps must be nondecreasing")
@@ -149,10 +156,10 @@ def _csv_rows(text):
 
 
 class _NotBulk(Exception):
-    """The text is valid for the row path only, or not valid at all."""
+    """The text is valid for the line-by-line reader only, or not valid at all."""
 
 
-# What a bulk reader raises on text it does not take: a JSON decode miss
+# What _jsonl_chunks raises on text it does not take: a JSON decode miss
 # or an int past 4300 digits (ValueError), nesting too deep to decode, a
 # value that is not an object (TypeError), a missing key, a number
 # float() rejects or cannot hold.
@@ -193,41 +200,15 @@ def _jsonl_chunks(text):
         # json loads numbers as exact int or float; bool is its own type
         if not set(map(type, t + y + p)) <= {int, float}:
             raise _NotBulk
-        if not set(map(type, ids)) <= {str, type(None)}:
-            raise _NotBulk
         yield t, y, p, ids
     if text.count("\n") != lines - (not text.endswith("\n")):
         raise _NotBulk  # some value spans lines
 
 
-def _csv_chunks(text):
-    """Yield (t, y, p, ids) lists for about _CHUNK_CHARS of text at a time.
-
-    Takes only text without quotes, carriage returns or NUL and with no
-    line longer than csv's field size limit, where csv.reader's fields
-    are the text between commas.
-    """
-    if any(c in text for c in '"\r\0'):
-        raise _NotBulk
-    pos = text.find("\n") + 1 or len(text)
-    header = [h.strip() for h in text[:pos].rstrip("\n").split(",")]
-    if header not in _CSV_HEADERS:
-        raise _NotBulk
-    limit = csv.field_size_limit()
-    while pos < len(text):
-        end = text.find("\n", pos + _CHUNK_CHARS)
-        end = len(text) if end < 0 else end
-        lines = text[pos:end].split("\n")
-        pos = end + 1
-        if max(map(len, lines)) > limit:
-            raise _NotBulk
-        rows = [line.split(",") for line in lines if line]
-        if not rows:
-            continue
-        if set(map(len, rows)) != {len(header)}:
-            raise _NotBulk
-        columns = list(zip(*rows))
-        yield (*columns[:3], columns[3] if len(header) == 4 else [None] * len(rows))
+def _row_chunks(rows):
+    """Yield (t, y, p, ids) tuples of the rows, _CHUNK_ROWS rows at a time."""
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        yield tuple(zip(*chunk))[1:]
 
 
 def _bulk_columns(chunks):
@@ -258,14 +239,14 @@ def _stream(t, y, p, ids, sort):
 def parse_records(data, format, sort=False):
     """Parse bytes or text in the given format into an EvalStream.
 
-    Plain input is read in bulk, and EvalStream checks its values column
-    by column. Plain JSONL has one JSON object on every line, with no
-    blank line, no space around the object and no line break other than
-    a line feed; plain CSV has no quotes, carriage returns or NUL. Any
-    other input, and any input whose bulk read fails or whose values
-    EvalStream rejects, is read record by record, so the first bad record
-    is the one reported, with its line number and the same message
-    either way. A record without an id gets its index among the records.
+    The text is read into columns, and EvalStream checks their values
+    all at once. Plain JSONL, one JSON object on every line with no blank
+    line, no space around the object and no line break other than a line
+    feed, is scanned in bulk; other JSONL is read line by line, and CSV
+    by csv.reader. When a read or EvalStream fails, the records are
+    checked one by one, so the error names the first bad record, with
+    its line number and the same message either way. A record without
+    an id gets its index among the records.
 
     Parameters
     ----------
@@ -278,31 +259,28 @@ def parse_records(data, format, sort=False):
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    if format == "jsonl":
-        chunks, rows = _jsonl_chunks, _jsonl_rows
-    elif format == "csv":
-        chunks, rows = _csv_chunks, _csv_rows
-    else:
+    if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}")
+    rows = _jsonl_rows if format == "jsonl" else _csv_rows
     try:
-        columns = _bulk_columns(chunks(data))
-    except _NOT_BULK:
         columns = None
-    if columns is not None:
-        try:
-            return _stream(*columns, sort)
-        except InvalidValue:
-            pass  # the row path names the bad record's line
-    t, y, p, ids = [], [], [], []
-    for lineno, t_raw, y_raw, p_raw, rec_id in rows(data):
-        t_val, y_val, p_val = _validate_fields(t_raw, y_raw, p_raw, lineno)
-        t.append(t_val)
-        y.append(y_val)
-        p.append(p_val)
-        ids.append(rec_id)
-    if not t:
-        raise EmptyInput("no records in input")
-    return _stream(np.array(t), np.array(y, dtype=np.int64), np.array(p), ids, sort)
+        if format == "jsonl":
+            try:
+                columns = _bulk_columns(_jsonl_chunks(data))
+            except _NOT_BULK:
+                pass  # not plain, or a bad record: read it line by line
+        if columns is None:
+            columns = _bulk_columns(_row_chunks(rows(data)))
+        if columns is None:
+            raise EmptyInput("no records in input")
+        return _stream(*columns, sort)
+    except (MalformedRecord, InvalidValue, ValueError, OverflowError) as exc:
+        failure = exc
+    # A value float() cannot read or EvalStream rejects, or a malformed line
+    # read after a bad value in the same chunk: name the first bad record
+    for lineno, t, y, p, _ in rows(data):
+        _validate_fields(t, y, p, lineno)
+    raise failure
 
 
 def _csv_field(text):

@@ -18,7 +18,8 @@ from . import soft_vca, toy_trainer
 from .errors import (EXIT_FAILURE, EXIT_INPUT, EXIT_OK, EXIT_UNDEFINED, NonFiniteGradient,
                      NonFiniteLoss, VcsEvalError)
 from .event_stream import parse_records, serialize_records
-from .pattern_gen import DriftSpec, PatternSpec, generate_drift_dataset, generate_pattern
+from .pattern_gen import (DriftDataset, DriftSpec, PatternSpec, generate_drift_dataset,
+                          generate_pattern)
 from .toy_trainer import TrainConfig, train
 # vcs itself is not called here; perfbench's tests trace it through this binding
 from .vcs import VcsConfig, evaluate_stream, vcs  # noqa: F401
@@ -222,8 +223,6 @@ def cmd_gradcheck(args):
 
 def _interleaved_split(ds):
     """Even/odd record split so both halves cover the whole period."""
-    from .pattern_gen import DriftDataset
-
     train_part = DriftDataset(t=ds.t[0::2], features=ds.features[0::2], y=ds.y[0::2])
     test_part = DriftDataset(t=ds.t[1::2], features=ds.features[1::2], y=ds.y[1::2])
     return train_part, test_part
@@ -354,6 +353,9 @@ def main(argv=None):
         return args.func(args)
     except NonFiniteLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except (OSError, UnicodeDecodeError, VcsEvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

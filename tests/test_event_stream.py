@@ -241,6 +241,15 @@ class TestStream:
             EvalStream([0.0, 1.0, np.nan], [0, 3, 0], [0.5, 0.5, 0.5])
         assert err.value.row == 1
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_non_string_id_rejected(self, fmt):
+        """With the row path's wording, so no stream writes what no reader takes."""
+        with pytest.raises(InvalidValue, match=r"^row 1: id must be a string$"):
+            serialize_records(EvalStream([0.0, 1.0, 2.0], [0, 1, 1], [0.5, 0.5, 2.0],
+                                         ["a", 8, None]), fmt)
+        with pytest.raises(InvalidValue, match=r"^row 0: p must be in \[0,1\], got 2.0$"):
+            serialize_records(EvalStream([0.0, 1.0], [0, 1], [2.0, 0.5], ["a", 8]), fmt)
+
     def test_y_kept_as_int(self):
         stream = EvalStream([0.0, 1.0], [0.0, True], [0.5, 0.5])
         assert stream.y.dtype == np.int64
@@ -299,10 +308,13 @@ def assert_same_as_row_path(text, fmt, sort=False):
 
 def read_in_bulk(text, fmt):
     """True when the bulk reader takes the text as it is."""
-    chunks = event_stream._jsonl_chunks if fmt == "jsonl" else event_stream._csv_chunks
+    if fmt == "jsonl":
+        chunks = event_stream._jsonl_chunks(text)
+    else:
+        chunks = event_stream._row_chunks(event_stream._csv_rows(text))
     try:
-        return event_stream._bulk_columns(chunks(text)) is not None
-    except event_stream._NOT_BULK:
+        return event_stream._bulk_columns(chunks) is not None
+    except (EmptyInput, MalformedRecord, *event_stream._NOT_BULK):
         return False
 
 
@@ -383,7 +395,21 @@ class TestBulkMatchesRowPath:
         stream = EvalStream(np.sort(rng.random(3000) * 1e3), rng.integers(0, 2, 3000),
                             rng.random(3000), [f"e{i}" for i in range(3000)])
         text = serialize_records(stream, fmt)
-        monkeypatch.setattr(event_stream, f"_{fmt}_rows", None)
+        # plain JSONL is scanned in bulk; every CSV is read by _csv_rows
+        patched = "_jsonl_rows" if fmt == "jsonl" else "_validate_fields"
+        monkeypatch.setattr(event_stream, patched, None)
+        assert_same_stream(parse_records(text, fmt), stream)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_valid_awkward_text_never_reaches_the_record_loop(self, fmt, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the record loop ran on valid text")
+
+        stream = EvalStream([1.0, 2.0, 2.0, 3.5], [0, 1, 0, 1], [0.25, 0.5, 1.0, 0.0],
+                            ["a,b", 'say "hi"', "c", ""])
+        # CRLF line ends and blank lines; the ids need csv quotes
+        text = serialize_records(stream, fmt).replace("\n", "\r\n\r\n")
+        monkeypatch.setattr(event_stream, "_validate_fields", fail)
         assert_same_stream(parse_records(text, fmt), stream)
 
     @pytest.mark.parametrize(
@@ -419,6 +445,10 @@ class TestBulkMatchesRowPath:
                          "line 1: t, y, p must be numeric", id="int-near-10**309"),
             pytest.param('{"t": 1, "y": 1, "p": 0.5}\n{"t": 0, "y": 0, "p": 0.5}\n', True,
                          "timestamps must be nondecreasing", id="unsorted"),
+            pytest.param('{"t": 1, "y": 0, "p": 2}\r\n{"t": 2, "y": 0}\r\n', False,
+                         "line 1: p must be in [0,1], got 2.0", id="bad-value-then-missing-key"),
+            pytest.param('{"t": 1, "y": 0, "p": 0.5, "id": 7}\n{"t": 2, "y": 0, "p": 2}\n', True,
+                         "line 1: id must be a string", id="int-id-then-bad-value"),
             pytest.param('{"t": 1%s, "y": 0, "p": 0.5}\n' % ("0" * 5000), False,
                          "line 1: invalid JSON: Exceeds the limit (4300 digits)",
                          id="int-past-4300-digits"),
@@ -450,16 +480,19 @@ class TestBulkMatchesRowPath:
         "text,bulk,want",
         [
             pytest.param("t,y,p\n1_0,0,0.5\n", True, None, id="underscore-number"),
-            pytest.param('t,y,p,id\n1,0,0.5,"a,b"\n2,1,0.5,"say ""hi"""\n', False, None,
+            pytest.param('t,y,p,id\n1,0,0.5,"a,b"\n2,1,0.5,"say ""hi"""\n', True, None,
                          id="quoted-ids"),
-            pytest.param("t,y,p,id\n1,0,0.5,a\x00b\n", False, None, id="nul-in-id"),
-            pytest.param("t,y,p\r\n1,0,0.5\r\n2,1,0.5\r\n", False, None, id="crlf-line-endings"),
+            pytest.param("t,y,p,id\n1,0,0.5,a\x00b\n", True, None, id="nul-in-id"),
+            pytest.param("t,y,p\r\n1,0,0.5\r\n2,1,0.5\r\n", True, None, id="crlf-line-endings"),
             pytest.param("t,y,p,id\n 1 ,1.0,0.5, x \n\n2,0,1e0,\n", True, None,
                          id="spaces-blank-line-float-y"),
             pytest.param("t,y,p\n1,0,0.5\n2,1\n", False, "line 3: expected 3 fields, got 2",
                          id="short-row"),
             pytest.param("t,y,p\n1,0,nan\n", True, "line 2: p must be in [0,1], got nan",
                          id="nan-field"),
+            # the short row is read before EvalStream sees the chunk's values
+            pytest.param("t,y,p\n1,0,nan\n2,1\n", False, "line 2: p must be in [0,1], got nan",
+                         id="bad-value-then-short-row"),
             pytest.param("t,y,p,id\n1,0,0.5,%s\n" % ("x" * (csv.field_size_limit() + 1)), False,
                          "line 2: invalid CSV: field larger than field limit",
                          id="id-beyond-field-limit"),

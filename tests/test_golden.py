@@ -6,6 +6,11 @@ parsing and writing in bulk, so a change to either or to the statistics
 that moves any output bit fails here. Each fixture is evaluated as synth
 wrote it, and again with its records in reverse order under --sort.
 
+Awkward variants of the two logs (CRLF line ends, with quoted CSV ids
+or blank JSONL lines) must give the plain logs' report, SVG and density
+CSV: so they did while the record-by-record reader still built the
+columns of any text the bulk readers declined.
+
 train-demo's stdout and history CSVs were recorded while soft_nn_distance
 still had its own per-entry log-sum-exp, and gradcheck's stdout after it
 became one entry of the weighted_soft_t scan. The gradcheck configurations
@@ -70,6 +75,31 @@ def test_outputs_match_recorded_digests(fmt, sort, tmp_path):
     assert main(argv) == 0
     got.update((name, sha256(path.read_bytes())) for name, path in outputs.items())
     assert got == DIGESTS[fmt]
+
+
+def awkward_records(text, fmt):
+    """The log with CRLF line ends, each CSV id quoted, a blank line after every
+    seventh JSONL record."""
+    lines = text.splitlines()
+    if fmt == "csv":
+        lines[1:] = ['%s,"say ""%s"", then"' % tuple(line.rsplit(",", 1)) for line in lines[1:]]
+    else:
+        lines = [line + "\r\n" * (i % 7 == 0) for i, line in enumerate(lines)]
+    return "\r\n".join(lines) + "\r\n"
+
+
+@pytest.mark.parametrize("fmt", sorted(FIXTURES))
+def test_awkward_text_matches_recorded_digests(fmt, tmp_path):
+    synth_args, eval_args = FIXTURES[fmt]
+    log = tmp_path / f"log.{fmt}"
+    assert main(["synth", *synth_args, "--format", fmt, "--out", str(log)]) == 0
+    log.write_bytes(awkward_records(log.read_text(), fmt).encode())
+    outputs = {name: tmp_path / name for name in ("report.json", "density.svg", "bins.csv")}
+    assert main(["evaluate", "--input", str(log), "--format", fmt, *eval_args,
+                 "--report", str(outputs["report.json"]), "--svg", str(outputs["density.svg"]),
+                 "--density-csv", str(outputs["bins.csv"])]) == 0
+    got = {name: sha256(path.read_bytes()) for name, path in outputs.items()}
+    assert got == {name: DIGESTS[fmt][name] for name in outputs}
 
 
 def test_train_demo_matches_recorded_digests(tmp_path, capsys):

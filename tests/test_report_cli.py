@@ -192,6 +192,15 @@ class TestEvaluateCommand:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    def test_failed_allocation_exits_1(self, tmp_path, capsys):
+        # 1e15 bins need petabytes, so the allocation fails at once
+        path = tmp_path / "log.jsonl"
+        path.write_text(synthetic_jsonl())
+        assert main(["evaluate", "--input", str(path), "--density-bins", str(10**15)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory: ")
+
     def test_byte_identical_across_runs(self, tmp_path):
         log = tmp_path / "log.jsonl"
         log.write_text(synthetic_jsonl())
