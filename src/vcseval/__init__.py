@@ -61,6 +61,7 @@ from .toy_trainer import (
     ToyModel,
     TrainConfig,
     combined_loss,
+    combined_losses,
     evaluate_model,
     history_csv,
     train,

@@ -187,13 +187,11 @@ def _gradcheck_combined(rng, step):
     theta0 = 0.5 * rng.standard_normal(spec.feature_dim + 1)
     config = TrainConfig(gamma=0.1, seed=int(rng.integers(0, 2**31)))
 
-    def loss(theta):
-        return toy_trainer.combined_loss(toy_trainer.ToyModel(theta), ds, config, step=0)
+    def totals(thetas):
+        return [row.total for row in toy_trainer.combined_losses(thetas, ds, config, step=0)]
 
-    # one combined_loss call per point: its LossBreakdown holds one point
-    return soft_vca.finite_difference_check(
-        lambda thetas: [loss(theta).total for theta in thetas], loss(theta0).gradient,
-        theta0, step)
+    gradient = toy_trainer.combined_loss(toy_trainer.ToyModel(theta0), ds, config, step=0).gradient
+    return soft_vca.finite_difference_check(totals, gradient, theta0, step)
 
 
 def cmd_gradcheck(args):

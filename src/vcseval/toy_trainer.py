@@ -72,61 +72,88 @@ def _sigmoid(z):
     return out
 
 
-def combined_loss(model, batch, config, step):
-    """Cross-entropy plus clustering penalty, with the full parameter gradient.
+def combined_losses(thetas, batch, config, step):
+    """Cross-entropy plus clustering penalty, with the full parameter
+    gradient, for each row of a (c, d) stack of parameter rows.
 
-    The penalty path chains d total / d t_soft through the weight
-    gradient of the soft statistic, then through w_i = |p_i - y_i| and
-    the logistic derivative, back to the parameters. Events whose
-    probability hit the clamp bound contribute no cross-entropy
-    gradient.
+    Returns one LossBreakdown per row, bit-identical to the row's
+    one-row stack. The penalty path chains d total / d t_soft through
+    the weight gradient of the soft statistic, then through
+    w_i = |p_i - y_i| and the logistic derivative, back to the
+    parameters. Events whose probability hit the clamp bound contribute
+    no cross-entropy gradient. A row with fewer than 2 weights above
+    WEIGHT_FLOOR skips the penalty; the other rows share one beta, one
+    draw of reference times from the (seed, step) substream and one
+    stacked weighted_soft_t call.
+
+    Raises NonFiniteLoss(step) at the first row whose loss or gradient
+    is not finite. The work the penalty rows share runs before that
+    check and may fail first, also on a later row: effective_beta raises
+    its ValueError, and a weighted_soft_t failure becomes
+    NonFiniteLoss(step).
     """
     x = _augment(batch.features)
     y = batch.y.astype(np.float64)
     n = y.size
     if n == 0:
         raise ValueError("batch must be non-empty")
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.ndim != 2 or thetas.shape[1] != x.shape[1]:
+        raise ValueError("thetas must be (c, d) with d the feature count + 1")
 
-    z = x @ model.weights
-    p = _sigmoid(z)
-    p_safe = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
-    n_clamped = int(np.count_nonzero(p != p_safe))
-    ce = float(-np.mean(y * np.log(p_safe) + (1.0 - y) * np.log(1.0 - p_safe)))
-    unclamped = (p > P_CLAMP) & (p < 1.0 - P_CLAMP)
-    gz = np.where(unclamped, p - y, 0.0) / n
-    gradient = x.T @ gz
-
-    penalty = 0.0
-    skipped = False
-    if config.gamma > 0:
-        w = np.abs(p - y)
-        if np.count_nonzero(w > WEIGHT_FLOOR) < 2:
-            skipped = True
-        else:
+    # an overflow or NaN here fails the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one matrix-vector product per row: x @ thetas.T rounds some
+        # entries differently from the one-row product
+        probs = [_sigmoid(x @ theta) for theta in thetas]
+        weights, slot = [], {}
+        if config.gamma > 0:
+            for i, p in enumerate(probs):
+                w = np.abs(p - y)
+                if np.count_nonzero(w > WEIGHT_FLOOR) >= 2:
+                    slot[i] = len(weights)
+                    weights.append(w)
+        if weights:
             beta = effective_beta(batch.t)
             rng = np.random.default_rng((config.seed, step))
             n_ref = max(2, n // 2)
             t_lo, t_hi = float(batch.t.min()), float(batch.t.max())
             ref_times = t_lo + rng.random(n_ref) * (t_hi - t_lo)
             try:
-                trial = weighted_soft_t(batch.t, w, ref_times, beta)
+                trial = weighted_soft_t(batch.t, np.array(weights), ref_times, beta)
             except (NonFiniteGradient, ValueError) as exc:
                 raise NonFiniteLoss(step, str(exc)) from exc
-            penalty, d_pen = vca_penalty(trial.t_soft, config.gamma)
-            gz_pen = d_pen * trial.weight_gradient * np.sign(p - y) * p * (1.0 - p)
-            gradient = gradient + x.T @ gz_pen
+            penalties, d_pens = vca_penalty(trial.t_soft, config.gamma)
 
-    total = ce + penalty
-    if not np.isfinite(total) or not np.all(np.isfinite(gradient)):
-        raise NonFiniteLoss(step, "loss or gradient is not finite")
-    return LossBreakdown(
-        cross_entropy=ce,
-        penalty=float(penalty),
-        total=float(total),
-        gradient=gradient,
-        penalty_skipped=skipped,
-        n_clamped=n_clamped,
-    )
+        out = []
+        for i, p in enumerate(probs):
+            p_safe = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
+            ce = float(-np.mean(y * np.log(p_safe) + (1.0 - y) * np.log(1.0 - p_safe)))
+            unclamped = (p > P_CLAMP) & (p < 1.0 - P_CLAMP)
+            gradient = x.T @ (np.where(unclamped, p - y, 0.0) / n)
+            penalty = 0.0
+            j = slot.get(i)
+            if j is not None:
+                penalty = penalties[j]
+                gz_pen = d_pens[j] * trial.weight_gradient[j] * np.sign(p - y) * p * (1.0 - p)
+                gradient = gradient + x.T @ gz_pen
+            total = ce + penalty
+            if not np.isfinite(total) or not np.all(np.isfinite(gradient)):
+                raise NonFiniteLoss(step, "loss or gradient is not finite")
+            out.append(LossBreakdown(
+                cross_entropy=ce,
+                penalty=float(penalty),
+                total=float(total),
+                gradient=gradient,
+                penalty_skipped=config.gamma > 0 and j is None,
+                n_clamped=int(np.count_nonzero(p != p_safe)),
+            ))
+    return out
+
+
+def combined_loss(model, batch, config, step):
+    """combined_losses for the one parameter row model.weights."""
+    return combined_losses(model.weights[None], batch, config, step)[0]
 
 
 def train(dataset, config=TrainConfig()):

@@ -107,7 +107,12 @@ def _dist_to_sorted(points, sorted_times):
 
 
 def vcs(times, period, config=VcsConfig()):
-    """VCS = |0.5 - mean(t_stat)| over tau trials on the disagreement timestamps."""
+    """VCS = |0.5 - mean(t_stat)| over tau trials on the disagreement timestamps.
+
+    period is a (start, end) pair with start <= end; the reference times
+    are drawn from it. It may have zero length, and times outside it are
+    scored as given.
+    """
     times = np.asarray(times, dtype=np.float64)
     k_total = times.size
     if k_total < 2:
@@ -117,9 +122,13 @@ def vcs(times, period, config=VcsConfig()):
     k = config.subsample_size(k_total)
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
+    if np.shape(period) != (2,):
+        raise ValueError("period must be a (start, end) pair with start <= end")
     t_start, t_end = period
     if not (math.isfinite(t_start) and math.isfinite(t_end)):
         raise ValueError("period must be finite")
+    if t_start > t_end:
+        raise ValueError("period must be a (start, end) pair with start <= end")
     span = t_end - t_start
     # one stable argsort serves the nearest-neighbour gaps and the
     # reference distances; sorted input, as evaluate_stream passes it,

@@ -4,13 +4,20 @@ Everything here is written from the documented contracts only, without
 importing package internals. Small-scale routines are deliberately
 brute-force (full pairwise distance matrices, explicit loops); the
 uniform-pattern band sampler uses a faster sorted-gap route that is
-itself validated against the brute-force one in the unit tests.
+itself validated against the brute-force one in the unit tests. The
+exception is one_point_combined_loss, the trainer's loss one parameter
+row at a time: the stacked loss must match it bit for bit, so it calls
+the package's public one-row soft-T functions.
 """
 
 import math
 from collections import namedtuple
 
 import numpy as np
+
+from vcseval import (LossBreakdown, NonFiniteGradient, NonFiniteLoss, effective_beta,
+                     vca_penalty, weighted_soft_t)
+from vcseval.toy_trainer import P_CLAMP, WEIGHT_FLOOR
 
 
 def brute_nn_distance(index, times):
@@ -260,6 +267,58 @@ def logistic_twin(features, labels, learning_rate, epochs):
         gz = np.where((p > eps) & (p < 1.0 - eps), p - y, 0.0) / y.size
         theta = theta - learning_rate * (x.T @ gz)
     return theta
+
+
+def one_point_combined_loss(theta, batch, config, step):
+    """The trainer's loss and gradient for one parameter row theta.
+
+    Cross-entropy of the clamped logistic probabilities plus
+    gamma * (0.5 - t_soft)^2, with t_soft the one-row weighted soft T on
+    weights |p - y|, its own effective beta and reference times drawn
+    from the (seed, step) substream. The penalty is skipped when fewer
+    than 2 weights exceed WEIGHT_FLOOR. Raises NonFiniteLoss(step) as
+    the trainer does.
+    """
+    x = np.hstack([np.asarray(batch.features, dtype=np.float64), np.ones((len(batch.y), 1))])
+    y = batch.y.astype(np.float64)
+    n = y.size
+    z = x @ theta
+    p = np.empty_like(z)
+    pos = z >= 0
+    p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    p[~pos] = ez / (1.0 + ez)
+    p_safe = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
+    n_clamped = int(np.count_nonzero(p != p_safe))
+    ce = float(-np.mean(y * np.log(p_safe) + (1.0 - y) * np.log(1.0 - p_safe)))
+    unclamped = (p > P_CLAMP) & (p < 1.0 - P_CLAMP)
+    gz = np.where(unclamped, p - y, 0.0) / n
+    gradient = x.T @ gz
+
+    penalty = 0.0
+    skipped = False
+    if config.gamma > 0:
+        w = np.abs(p - y)
+        if np.count_nonzero(w > WEIGHT_FLOOR) < 2:
+            skipped = True
+        else:
+            beta = effective_beta(batch.t)
+            rng = np.random.default_rng((config.seed, step))
+            n_ref = max(2, n // 2)
+            t_lo, t_hi = float(batch.t.min()), float(batch.t.max())
+            ref_times = t_lo + rng.random(n_ref) * (t_hi - t_lo)
+            try:
+                trial = weighted_soft_t(batch.t, w, ref_times, beta)
+            except (NonFiniteGradient, ValueError) as exc:
+                raise NonFiniteLoss(step, str(exc)) from exc
+            penalty, d_pen = vca_penalty(trial.t_soft, config.gamma)
+            gz_pen = d_pen * trial.weight_gradient * np.sign(p - y) * p * (1.0 - p)
+            gradient = gradient + x.T @ gz_pen
+
+    total = ce + penalty
+    if not np.isfinite(total) or not np.all(np.isfinite(gradient)):
+        raise NonFiniteLoss(step, "loss or gradient is not finite")
+    return LossBreakdown(ce, float(penalty), float(total), gradient, skipped, n_clamped)
 
 
 def average_precision_direct(y, p):

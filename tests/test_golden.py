@@ -15,7 +15,8 @@ train-demo's stdout and history CSVs were recorded while soft_nn_distance
 still had its own per-entry log-sum-exp, and gradcheck's stdout after it
 became one entry of the weighted_soft_t scan. The gradcheck configurations
 in GRADCHECK were recorded while finite_difference_check still called its
-value function once per perturbed point.
+value function once per perturbed point, and while combined_loss was still
+called once per point rather than on the stack of points.
 """
 
 import hashlib

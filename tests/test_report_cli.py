@@ -376,6 +376,17 @@ class TestGradcheckCommand:
         assert lines[-1] == "gradcheck: FAIL"
         assert captured.err == ""
 
+    def test_overflowing_step_fails_without_warnings(self, capsys):
+        # theta +- 1e308 overflows the logits of the combined_loss family;
+        # the output was recorded before the loss stopped warning
+        assert main(["gradcheck", "--step", "1e308", "--trials", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-2:] == [
+            "combined_loss            max_rel_err=6.893e-01  tol=1e-04  FAIL",
+            "gradcheck: FAIL",
+        ]
+        assert captured.err == ""
+
     @pytest.mark.parametrize("flags", [
         ["--beta", "0"], ["--beta", "-1"], ["--beta", "nan"],
         ["--step", "0"], ["--step", "-1e-6"], ["--trials", "0"],
@@ -412,6 +423,13 @@ class TestTrainDemoCommand:
         with pytest.raises(SystemExit) as exc:
             main(["train-demo", *flags])
         assert exc.value.code == 2
+
+    def test_overflowing_gamma_exits_1_without_warnings(self, capsys):
+        # -2 * gamma overflows at gamma 1e308, so the penalty gradient is not finite
+        assert main(["train-demo", "--seeds", "0", "--epochs", "1", "--gamma", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: epoch 0: loss or gradient is not finite\n"
 
     def test_gradient_overflow_exits_1(self, monkeypatch, capsys):
         def overflow(*args):

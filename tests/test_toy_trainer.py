@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from vcseval import (
     DriftSpec,
@@ -9,6 +11,7 @@ from vcseval import (
     NonFiniteLoss,
     TrainConfig,
     combined_loss,
+    combined_losses,
     evaluate_model,
     generate_drift_dataset,
     history_csv,
@@ -122,6 +125,72 @@ class TestCombinedLoss:
         c = combined_loss(ToyModel(theta), ds, cfg, step=6)
         assert a.penalty == b.penalty
         assert a.penalty != c.penalty
+
+
+# Kinds of parameter row in a stack: moderate and large random rows,
+# rows so sharp on the labelling direction that the penalty is skipped
+# (when the labels follow it), and rows whose logits overflow.
+ROW_SCALES = {"random": 1.0, "steep": 8.0, "saturated": 1e4, "overflow": 1e308}
+
+
+def loss_bits(breakdown):
+    return (np.array([breakdown.cross_entropy, breakdown.penalty, breakdown.total]).tobytes(),
+            breakdown.gradient.tobytes(), breakdown.penalty_skipped, breakdown.n_clamped)
+
+
+class TestCombinedLosses:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(3, 80),
+        gamma=st.sampled_from([0.0, 0.1, 3.0]) | st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**31 - 1),
+        step=st.integers(0, 10**6),
+        data_seed=st.integers(0, 2**32 - 1),
+        labels_follow=st.booleans(),
+        heavy_tailed=st.booleans(),
+        kinds=st.lists(st.sampled_from(sorted(ROW_SCALES)), min_size=1, max_size=8),
+    )
+    def test_rows_match_one_point_oracle(self, n, gamma, seed, step, data_seed,
+                                         labels_follow, heavy_tailed, kinds):
+        rng = np.random.default_rng(data_seed)
+        features = rng.standard_normal((n, 4))
+        direction = rng.standard_normal(5)
+        if labels_follow:
+            y = (features @ direction[:4] + direction[4] > 0).astype(np.int64)
+        else:
+            y = rng.integers(0, 2, n)
+        # heavy-tailed gaps: beta times the widest gap can overflow the
+        # soft distances or their weight gradients
+        t = np.cumsum(rng.pareto(0.5, n)) if heavy_tailed else np.sort(rng.random(n) * 100.0)
+        ds = DriftDataset(t=t, features=features, y=y)
+        thetas = np.array([
+            ROW_SCALES[kind] * (direction if kind == "saturated" else rng.uniform(-1.0, 1.0, 5))
+            for kind in kinds
+        ])
+        config = TrainConfig(gamma=gamma, seed=seed)
+
+        want, first_error = [], None
+        for theta in thetas:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want.append(oracles.one_point_combined_loss(theta, ds, config, step))
+            except Exception as exc:
+                first_error = exc
+                break
+        if first_error is not None:
+            event(f"raises {type(first_error).__name__}")
+            with pytest.raises(Exception) as err:
+                combined_losses(thetas, ds, config, step)
+            assert type(err.value) is type(first_error)
+            return
+        event(f"penalty skipped in {sum(w.penalty_skipped for w in want)} rows")
+        got = combined_losses(thetas, ds, config, step)
+        assert [loss_bits(g) for g in got] == [loss_bits(w) for w in want]
+
+    @pytest.mark.parametrize("thetas", [np.zeros(5), np.zeros((2, 4)), np.zeros((1, 2, 5))])
+    def test_stack_shape_checked(self, thetas):
+        with pytest.raises(ValueError, match="thetas"):
+            combined_losses(thetas, small_dataset(), TrainConfig(), step=0)
 
 
 class TestTrain:

@@ -189,6 +189,18 @@ class TestVcs:
             with pytest.raises(ValueError, match="period must be finite"):
                 vcs([1.0, 2.0, 3.0], period)
 
+    @pytest.mark.parametrize("period", [(5.0, 0.0), (0.0, 5.0, 10.0), (1.0,), 3.0],
+                             ids=["reversed", "three-values", "one-value", "scalar"])
+    def test_period_must_be_an_ordered_pair(self, period):
+        with pytest.raises(ValueError, match=r"period must be a \(start, end\) pair"):
+            vcs([1.0, 2.0, 3.0], period)
+
+    @pytest.mark.parametrize("period", [(2.0, 2.0), (100.0, 200.0)],
+                             ids=["zero-length", "excludes-every-time"])
+    def test_period_may_be_empty_or_exclude_the_times(self, period):
+        result = vcs([1.0, 2.0, 3.0], period)
+        assert 0.0 <= result.vcs <= 0.5
+
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         s = np.sort(rng.random(30) * 10)
