@@ -34,12 +34,8 @@ from .errors import (
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 _CSV_HEADERS = (["t", "y", "p"], ["t", "y", "p", "id"])
-# Characters other than "\n" at which str.splitlines ends a line
-_ASCII_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
-_LINE_BREAKS = _ASCII_LINE_BREAKS + "\x85\u2028\u2029"
-# Bulk reads build their columns from about this many characters, or
-# rows, at a time, so that no list holds every line or every parsed
-# number; much larger row chunks raise peak memory
+# JSONL is read about this many characters, and CSV this many rows, at a time,
+# so that no list holds every line or number; much larger chunks raise peak memory
 _CHUNK_CHARS = 1 << 16
 _CHUNK_ROWS = 2048
 
@@ -107,30 +103,75 @@ def _validate_fields(t, y, p, line):
     return t, int(y), p
 
 
-def _jsonl_rows(text):
-    """Yield (line, t, y, p, id or None) per record line, checking its shape."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+def _jsonl_chunks(text):
+    """Yield (line numbers, values) of the records in about _CHUNK_CHARS of
+    text at a time, each value as json.loads reads its line.
+
+    Each chunk ends just after a line feed, so its lines are lines of
+    text.splitlines(). A chunk whose every line is one JSON value alone is
+    scanned. In any other, json.loads reads each line that is not blank; at
+    a line it rejects, the values before it are yielded, then MalformedRecord
+    is raised."""
+    scan = json.JSONDecoder().scan_once
+    start, first = 0, 1
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        lines = text[start:stop].splitlines()
+        linenos, values = range(first, first + len(lines)), []
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(lineno, f"invalid JSON: {exc.msg}") from None
-        except (ValueError, RecursionError) as exc:  # an int past 4300 digits, deep nesting
-            raise MalformedRecord(lineno, f"invalid JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise MalformedRecord(lineno, "each line must be a JSON object")
-        missing = [k for k in ("t", "y", "p") if k not in obj]
-        if missing:
-            raise MalformedRecord(lineno, f"missing keys: {', '.join(missing)}")
-        rec_id = obj.get("id")
-        if rec_id is not None and not isinstance(rec_id, str):
-            raise MalformedRecord(lineno, "id must be a string")
-        fields = (obj["t"], obj["y"], obj["p"])
-        # JSON true/false load as bool, a subclass of int
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in fields):
-            raise MalformedRecord(lineno, "t, y, p must be numeric")
-        yield (lineno, *fields, rec_id)
+            for line in lines:
+                value, end = scan(line, 0)
+                if end != len(line):
+                    break
+                values.append(value)
+        except (StopIteration, ValueError, RecursionError):
+            pass  # a blank line, a space before the value, invalid JSON
+        if len(values) < len(lines):
+            linenos, values = [], []
+            for lineno, line in enumerate(lines, start=first):
+                if not line.strip():
+                    continue
+                try:
+                    values.append(json.loads(line))
+                except (ValueError, RecursionError) as exc:  # also an int past 4300 digits
+                    yield linenos, values
+                    msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                    raise MalformedRecord(lineno, f"invalid JSON: {msg}") from None
+                linenos.append(lineno)
+        yield linenos, values
+        start, first = stop, first + len(lines)
+
+
+def _jsonl_columns(text):
+    """Yield (t, y, p, ids) lists of the JSONL records, a chunk at a time."""
+    for _, objs in _jsonl_chunks(text):
+        t = [o["t"] for o in objs]
+        y = [o["y"] for o in objs]
+        p = [o["p"] for o in objs]
+        ids = [o.get("id") for o in objs]
+        # json loads numbers as exact int or float; bool is its own type
+        if not set(map(type, t + y + p)) <= {int, float}:
+            raise TypeError("t, y, p must be numeric")
+        yield t, y, p, ids
+
+
+def _jsonl_rows(text):
+    """Yield (line, t, y, p, id or None) per record, checking its shape."""
+    for linenos, objs in _jsonl_chunks(text):
+        for lineno, obj in zip(linenos, objs):
+            if not isinstance(obj, dict):
+                raise MalformedRecord(lineno, "each line must be a JSON object")
+            missing = [k for k in ("t", "y", "p") if k not in obj]
+            if missing:
+                raise MalformedRecord(lineno, f"missing keys: {', '.join(missing)}")
+            rec_id = obj.get("id")
+            if rec_id is not None and not isinstance(rec_id, str):
+                raise MalformedRecord(lineno, "id must be a string")
+            fields = (obj["t"], obj["y"], obj["p"])
+            # JSON true/false load as bool, a subclass of int
+            if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in fields):
+                raise MalformedRecord(lineno, "t, y, p must be numeric")
+            yield (lineno, *fields, rec_id)
 
 
 def _csv_rows(text):
@@ -155,56 +196,6 @@ def _csv_rows(text):
         raise MalformedRecord(reader.line_num, f"invalid CSV: {exc}") from None
 
 
-class _NotBulk(Exception):
-    """The text is valid for the line-by-line reader only, or not valid at all."""
-
-
-# What _jsonl_chunks raises on text it does not take: a JSON decode miss
-# or an int past 4300 digits (ValueError), nesting too deep to decode, a
-# value that is not an object (TypeError), a missing key, a number
-# float() rejects or cannot hold.
-_NOT_BULK = (_NotBulk, KeyError, TypeError, ValueError, OverflowError, RecursionError)
-
-
-def _jsonl_chunks(text):
-    """Yield (t, y, p, ids) lists for about _CHUNK_CHARS of text at a time.
-
-    Takes only text in which each line is exactly the one JSON value that
-    json.loads(line) would see: every value starts at the start of a line
-    and ends at a line feed or at the end of the text, no value spans a
-    line feed, and no other character splits lines in str.splitlines.
-    """
-    breaks = _ASCII_LINE_BREAKS if text.isascii() else _LINE_BREAKS
-    if any(c in text for c in breaks):
-        raise _NotBulk
-    scan = json.JSONDecoder().scan_once
-    size = len(text)
-    idx = lines = 0
-    while idx < size:
-        objs = []
-        stop = min(size, idx + _CHUNK_CHARS)
-        while idx < stop:
-            try:
-                obj, end = scan(text, idx)
-            except StopIteration:
-                raise _NotBulk from None
-            if end < size and text[end] != "\n":
-                raise _NotBulk
-            objs.append(obj)
-            idx = end + 1
-        lines += len(objs)
-        t = [o["t"] for o in objs]
-        y = [o["y"] for o in objs]
-        p = [o["p"] for o in objs]
-        ids = [o.get("id") for o in objs]
-        # json loads numbers as exact int or float; bool is its own type
-        if not set(map(type, t + y + p)) <= {int, float}:
-            raise _NotBulk
-        yield t, y, p, ids
-    if text.count("\n") != lines - (not text.endswith("\n")):
-        raise _NotBulk  # some value spans lines
-
-
 def _row_chunks(rows):
     """Yield (t, y, p, ids) tuples of the rows, _CHUNK_ROWS rows at a time."""
     while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
@@ -225,9 +216,10 @@ def _bulk_columns(chunks):
 
 def _stream(t, y, p, ids, sort):
     """EvalStream of parsed columns; ids holds None where a record had none."""
-    if ids.count(None) == len(ids):
+    missing = ids.count(None)
+    if missing == len(ids):
         ids = None
-    else:
+    elif missing:
         ids = [str(index) if i is None else i for index, i in enumerate(ids)]
     if sort:
         order = np.argsort(t, kind="stable")
@@ -240,13 +232,13 @@ def parse_records(data, format, sort=False):
     """Parse bytes or text in the given format into an EvalStream.
 
     The text is read into columns, and EvalStream checks their values
-    all at once. Plain JSONL, one JSON object on every line with no blank
-    line, no space around the object and no line break other than a line
-    feed, is scanned in bulk; other JSONL is read line by line, and CSV
-    by csv.reader. When a read or EvalStream fails, the records are
-    checked one by one, so the error names the first bad record, with
-    its line number and the same message either way. A record without
-    an id gets its index among the records.
+    all at once. JSONL is read in chunks of lines: a chunk whose every
+    line holds one JSON value and nothing else is scanned, and the lines
+    of any other chunk, such as one with a blank line or a space around a
+    value, are decoded one by one. CSV is read by csv.reader. When a read
+    or EvalStream fails, the records are checked one by one, so the error
+    names the first bad record, with its line number and the same message
+    either way. A record without an id gets its index among the records.
 
     Parameters
     ----------
@@ -261,23 +253,19 @@ def parse_records(data, format, sort=False):
         data = data.decode("utf-8")
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    rows = _jsonl_rows if format == "jsonl" else _csv_rows
+    if format == "jsonl":
+        rows, chunks = _jsonl_rows, _jsonl_columns(data)
+    else:
+        rows, chunks = _csv_rows, _row_chunks(_csv_rows(data))
     try:
-        columns = None
-        if format == "jsonl":
-            try:
-                columns = _bulk_columns(_jsonl_chunks(data))
-            except _NOT_BULK:
-                pass  # not plain, or a bad record: read it line by line
-        if columns is None:
-            columns = _bulk_columns(_row_chunks(rows(data)))
+        columns = _bulk_columns(chunks)
         if columns is None:
             raise EmptyInput("no records in input")
         return _stream(*columns, sort)
-    except (MalformedRecord, InvalidValue, ValueError, OverflowError) as exc:
+    except (MalformedRecord, InvalidValue, KeyError, TypeError, ValueError, OverflowError) as exc:
         failure = exc
-    # A value float() cannot read or EvalStream rejects, or a malformed line
-    # read after a bad value in the same chunk: name the first bad record
+    # A record of the wrong shape, a value float() cannot read or EvalStream
+    # rejects, or a bad line read after a bad value: name the first bad record
     for lineno, t, y, p, _ in rows(data):
         _validate_fields(t, y, p, lineno)
     raise failure

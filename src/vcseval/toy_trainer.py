@@ -82,9 +82,9 @@ def combined_losses(thetas, batch, config, step):
     w_i = |p_i - y_i| and the logistic derivative, back to the
     parameters. Events whose probability hit the clamp bound contribute
     no cross-entropy gradient. A row with fewer than 2 weights above
-    WEIGHT_FLOOR skips the penalty; the other rows share one beta, one
-    draw of reference times from the (seed, step) substream and one
-    stacked weighted_soft_t call.
+    WEIGHT_FLOOR, or with a weight that is not finite, skips the penalty;
+    the other rows share one beta, one draw of reference times from the
+    (seed, step) substream and one stacked weighted_soft_t call.
 
     Raises NonFiniteLoss(step) at the first row whose loss or gradient
     is not finite. The work the penalty rows share runs before that
@@ -110,7 +110,9 @@ def combined_losses(thetas, batch, config, step):
         if config.gamma > 0:
             for i, p in enumerate(probs):
                 w = np.abs(p - y)
-                if np.count_nonzero(w > WEIGHT_FLOOR) >= 2:
+                # a weight that is not finite, from a NaN logit, would fail the
+                # stack; its row fails its own finiteness check below
+                if np.count_nonzero(w > WEIGHT_FLOOR) >= 2 and np.isfinite(w).all():
                     slot[i] = len(weights)
                     weights.append(w)
         if weights:

@@ -7,16 +7,18 @@ uniform-pattern band sampler uses a faster sorted-gap route that is
 itself validated against the brute-force one in the unit tests. The
 exception is one_point_combined_loss, the trainer's loss one parameter
 row at a time: the stacked loss must match it bit for bit, so it calls
-the package's public one-row soft-T functions.
+the package's public one-row soft-T functions. jsonl_rows raises the
+package's public MalformedRecord, whose messages it must match.
 """
 
+import json
 import math
 from collections import namedtuple
 
 import numpy as np
 
-from vcseval import (LossBreakdown, NonFiniteGradient, NonFiniteLoss, effective_beta,
-                     vca_penalty, weighted_soft_t)
+from vcseval import (LossBreakdown, MalformedRecord, NonFiniteGradient, NonFiniteLoss,
+                     effective_beta, vca_penalty, weighted_soft_t)
 from vcseval.toy_trainer import P_CLAMP, WEIGHT_FLOOR
 
 
@@ -345,3 +347,35 @@ def auroc_direct(y, p):
             elif a == b:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def jsonl_rows(text):
+    """Yield (line, t, y, p, id or None) per JSONL record, one line at a time.
+
+    Each line of text.splitlines() that is not blank is read by
+    json.loads and must be an object with numeric t, y and p and a
+    string id if any; the first line that breaks this raises
+    MalformedRecord with its 1-based line number.
+    """
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(lineno, f"invalid JSON: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:  # an int past 4300 digits, deep nesting
+            raise MalformedRecord(lineno, f"invalid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise MalformedRecord(lineno, "each line must be a JSON object")
+        missing = [k for k in ("t", "y", "p") if k not in obj]
+        if missing:
+            raise MalformedRecord(lineno, f"missing keys: {', '.join(missing)}")
+        rec_id = obj.get("id")
+        if rec_id is not None and not isinstance(rec_id, str):
+            raise MalformedRecord(lineno, "id must be a string")
+        fields = (obj["t"], obj["y"], obj["p"])
+        # JSON true/false load as bool, a subclass of int
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in fields):
+            raise MalformedRecord(lineno, "t, y, p must be numeric")
+        yield (lineno, *fields, rec_id)

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from vcseval import (
     serialize_records,
     threshold_labels,
 )
+
+from . import oracles
 
 JSONL = """\
 {"t": 1.0, "y": 1, "p": 0.9}
@@ -259,9 +262,11 @@ class TestStream:
 def row_path(text, fmt, sort=False):
     """parse_records as the record-by-record reader alone computes it.
 
-    Returns (t, y, p, ids) as lists, ids None when no record has one.
+    JSONL is read line by line by the oracle, which shares no code with
+    the package's chunked reader. Returns (t, y, p, ids) as lists, ids
+    None when no record has one.
     """
-    rows = event_stream._jsonl_rows if fmt == "jsonl" else event_stream._csv_rows
+    rows = oracles.jsonl_rows if fmt == "jsonl" else event_stream._csv_rows
     records = []
     for line, t, y, p, rec_id in rows(text):
         records.append((*event_stream._validate_fields(t, y, p, line), rec_id))
@@ -306,18 +311,6 @@ def assert_same_as_row_path(text, fmt, sort=False):
     return got
 
 
-def read_in_bulk(text, fmt):
-    """True when the bulk reader takes the text as it is."""
-    if fmt == "jsonl":
-        chunks = event_stream._jsonl_chunks(text)
-    else:
-        chunks = event_stream._row_chunks(event_stream._csv_rows(text))
-    try:
-        return event_stream._bulk_columns(chunks) is not None
-    except (EmptyInput, MalformedRecord, *event_stream._NOT_BULK):
-        return False
-
-
 ODD_NUMBER = st.one_of(
     st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=3),
     st.sampled_from([1.0, 2**53 + 1, 2**64, 10**309, -0.0]),
@@ -330,10 +323,11 @@ TEXT_ID = st.text(st.characters(codec="utf-8"), max_size=5)
 
 
 def drawer(draw):
-    """draw for one text: the valid strategy, but the odd one at one call at most."""
-    odd_at = draw(st.none() | st.integers(0, 50))
+    """draw for one text: the valid strategy, but the odd one at two calls at most,
+    so that a text may hold, say, a bad value and a later malformed line."""
+    odd_at = draw(st.sets(st.integers(0, 50), max_size=2))
     calls = itertools.count()
-    return lambda valid, odd: draw(odd if next(calls) == odd_at else valid)
+    return lambda valid, odd: draw(odd if next(calls) in odd_at else valid)
 
 
 @st.composite
@@ -383,11 +377,14 @@ class TestBulkMatchesRowPath:
     """
 
     @settings(max_examples=400, deadline=None)
-    @given(st.data(), st.sampled_from(["jsonl", "csv"]), st.booleans())
-    def test_fuzzed_text(self, data, fmt, sort):
+    @given(st.data(), st.sampled_from(["jsonl", "csv"]), st.booleans(),
+           st.sampled_from([1, 40, event_stream._CHUNK_CHARS]))
+    def test_fuzzed_text(self, data, fmt, sort, chunk_chars):
         text = data.draw(jsonl_texts() if fmt == "jsonl" else csv_texts())
-        got = assert_same_as_row_path(text, fmt, sort)
-        event(f"{fmt} bulk={read_in_bulk(text, fmt)} ok={isinstance(got[0], bytes)}")
+        # small JSONL chunks split a text into many, some scanned, some decoded
+        with mock.patch.object(event_stream, "_CHUNK_CHARS", chunk_chars):
+            got = assert_same_as_row_path(text, fmt, sort)
+        event(f"{fmt} ok={isinstance(got[0], bytes)}")
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_plain_text_never_reaches_the_row_path(self, fmt, monkeypatch):
@@ -395,7 +392,7 @@ class TestBulkMatchesRowPath:
         stream = EvalStream(np.sort(rng.random(3000) * 1e3), rng.integers(0, 2, 3000),
                             rng.random(3000), [f"e{i}" for i in range(3000)])
         text = serialize_records(stream, fmt)
-        # plain JSONL is scanned in bulk; every CSV is read by _csv_rows
+        # plain JSONL is only scanned; every CSV is read by _csv_rows
         patched = "_jsonl_rows" if fmt == "jsonl" else "_validate_fields"
         monkeypatch.setattr(event_stream, patched, None)
         assert_same_stream(parse_records(text, fmt), stream)
@@ -412,63 +409,92 @@ class TestBulkMatchesRowPath:
         monkeypatch.setattr(event_stream, "_validate_fields", fail)
         assert_same_stream(parse_records(text, fmt), stream)
 
+    def test_odd_line_is_decoded_with_its_chunk_only(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n = 4000
+        stream = EvalStream(np.sort(rng.random(n) * 1e3), rng.integers(0, 2, n),
+                            rng.random(n), [f"e{i}" for i in range(n)])
+        lines = serialize_records(stream, "jsonl").splitlines()
+        lines[n // 2] = " " + lines[n // 2] + " "
+        text = "\n".join(lines) + "\n"
+        longest = max(map(len, lines))
+        assert len(text) > 3 * (event_stream._CHUNK_CHARS + longest + 1)
+        decoded, loads = [], json.loads
+
+        def recording_loads(line, *args, **kwargs):
+            decoded.append(line)
+            return loads(line, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", recording_loads)
+        assert_same_stream(parse_records(text, "jsonl"), stream)
+        # one run of whole lines around the padded one, no longer than a chunk
+        first = lines.index(decoded[0])
+        assert decoded == lines[first:first + len(decoded)]
+        assert lines[n // 2] in decoded
+        assert sum(len(line) + 1 for line in decoded) <= event_stream._CHUNK_CHARS + longest + 1
+
     @pytest.mark.parametrize(
-        "text,bulk,want",
+        "text,want",
         [
-            pytest.param('{"t":0,"y":0,"p":0.5,"x":[{"a":1}\n{"b":2}]}\n', False,
+            pytest.param('{"t":0,"y":0,"p":0.5,"x":[{"a":1}\n{"b":2}]}\n',
                          "line 1: invalid JSON", id="object-spanning-lines"),
-            pytest.param('{"t": 0, "y": 0,\n "p": 0.5}\n', False, "line 1: invalid JSON",
+            pytest.param('{"t": 0, "y": 0,\n "p": 0.5}\n', "line 1: invalid JSON",
                          id="object-spanning-lines-at-a-space"),
             pytest.param('{"t":0,"y":0,"p":0.5}{"t":1,"y":0,"p":0.5}\n{"t":2,"y":0,"p":0.5}\n',
-                         False, "line 1: invalid JSON: Extra data", id="two-objects-on-a-line"),
+                         "line 1: invalid JSON: Extra data", id="two-objects-on-a-line"),
             # two values on line 1, one spanning lines 2 and 3: as many values as lines
-            pytest.param('{"t": 0, "y": 0, "p": 0.5} {"t": 1, "y": 0,\n"p": 0.5}\n', False,
+            pytest.param('{"t": 0, "y": 0, "p": 0.5} {"t": 1, "y": 0,\n"p": 0.5}\n',
                          "line 1: invalid JSON: Extra data", id="two-objects-then-spanning"),
-            pytest.param('{"t": 1, "y": 0, "p": 0.5}\r\n{"t": 2, "y": 1, "p": 0.5}\r\n', False,
+            pytest.param('{"t": 1, "y": 0, "p": 0.5}\r\n{"t": 2, "y": 1, "p": 0.5}\r\n',
                          None, id="crlf-line-endings"),
-            pytest.param('{"t": 1, "y": 0, "p": 0.5, "id": "a\u2028b"}\n', False,
+            pytest.param('{"t": 1, "y": 0, "p": 0.5, "id": "a\u2028b"}\n',
                          "line 1: invalid JSON", id="raw-u2028-in-id"),
-            pytest.param(' {"t": 1, "y": 0, "p": 0.5}\n{"t": 2, "y": 1, "p": 0.5} \n', False,
+            pytest.param(' {"t": 1, "y": 0, "p": 0.5}\n{"t": 2, "y": 1, "p": 0.5} \n',
                          None, id="leading-and-trailing-spaces"),
             pytest.param('{"t": 1, "y": 0, "p": 0.5}\n\n  \n{"t": 2, "y": 1, "p": 0.5}\n\n',
-                         False, None, id="blank-lines"),
-            pytest.param('{"t": 1, "y": 0, "p": 0.5}\n{"t": NaN, "y": 0, "p": 0.5}\n', True,
+                         None, id="blank-lines"),
+            pytest.param('{"t": 1, "y": 0, "p": 0.5}\n{"t": NaN, "y": 0, "p": 0.5}\n',
                          "line 2: t must be finite and >= 0, got nan", id="nan-literal"),
-            pytest.param('{"t": 1, "y": 0, "p": Infinity}\n', True,
+            pytest.param('{"t": 1, "y": 0, "p": Infinity}\n',
                          "line 1: p must be in [0,1], got inf", id="infinity-literal"),
-            pytest.param('{"t": 1, "y": 1.0, "p": 0.5}\n', True, None, id="y-one-point-zero"),
-            pytest.param('{"t": 9007199254740993, "y": 0, "p": 0.5}\n', True, None,
-                         id="int-near-2**53"),
-            pytest.param('{"t": 18446744073709551617, "y": 1, "p": 0.5}\n', True, None,
+            pytest.param('{"t": 1, "y": 1.0, "p": 0.5}\n', None, id="y-one-point-zero"),
+            pytest.param('{"t": 9007199254740993, "y": 0, "p": 0.5}\n', None, id="int-near-2**53"),
+            pytest.param('{"t": 18446744073709551617, "y": 1, "p": 0.5}\n', None,
                          id="int-near-2**64"),
-            pytest.param('{"t": 1%s, "y": 0, "p": 0.5}\n' % ("0" * 309), False,
+            pytest.param('{"t": 1%s, "y": 0, "p": 0.5}\n' % ("0" * 309),
                          "line 1: t, y, p must be numeric", id="int-near-10**309"),
-            pytest.param('{"t": 1, "y": 1, "p": 0.5}\n{"t": 0, "y": 0, "p": 0.5}\n', True,
+            pytest.param('{"t": 1, "y": 1, "p": 0.5}\n{"t": 0, "y": 0, "p": 0.5}\n',
                          "timestamps must be nondecreasing", id="unsorted"),
-            pytest.param('{"t": 1, "y": 0, "p": 2}\r\n{"t": 2, "y": 0}\r\n', False,
+            pytest.param('{"t": 1, "y": 0, "p": 2}\r\n{"t": 2, "y": 0}\r\n',
                          "line 1: p must be in [0,1], got 2.0", id="bad-value-then-missing-key"),
-            pytest.param('{"t": 1, "y": 0, "p": 0.5, "id": 7}\n{"t": 2, "y": 0, "p": 2}\n', True,
+            # the values before the invalid line reach the record loop first
+            pytest.param('{"t": 1, "y": 0, "p": 2}\n\n{"t": 2\n',
+                         "line 1: p must be in [0,1], got 2.0", id="bad-value-then-invalid-json"),
+            # line numbers run on past a decoded chunk into the next one
+            pytest.param("\n" + '{"t": 1, "y": 0, "p": 0.5}\n' * 3000 + '{"t": 1, "y": 0, "p": 2}',
+                         "line 3002: p must be in [0,1], got 2.0",
+                         id="blank-line-then-bad-value-a-chunk-later"),
+            pytest.param('{"t": 1, "y": 0, "p": 0.5, "id": 7}\n{"t": 2, "y": 0, "p": 2}\n',
                          "line 1: id must be a string", id="int-id-then-bad-value"),
-            pytest.param('{"t": 1%s, "y": 0, "p": 0.5}\n' % ("0" * 5000), False,
+            pytest.param('{"t": 1%s, "y": 0, "p": 0.5}\n' % ("0" * 5000),
                          "line 1: invalid JSON: Exceeds the limit (4300 digits)",
                          id="int-past-4300-digits"),
             pytest.param('{"t": 1, "y": 0, "p": 0.5, "x": %s}\n' % ("[" * 100_000 + "]" * 100_000),
-                         False, "line 1: invalid JSON: maximum recursion depth exceeded",
+                         "line 1: invalid JSON: maximum recursion depth exceeded",
                          id="array-nested-100k-deep"),
         ],
     )
-    def test_jsonl_case(self, text, bulk, want):
-        self.check_case(text, "jsonl", bulk, want)
+    def test_jsonl_case(self, text, want):
+        self.check_case(text, "jsonl", want)
 
     @staticmethod
-    def check_case(text, fmt, bulk, want):
-        """Equal to the row path, with the expected error, read in bulk or not."""
+    def check_case(text, fmt, want):
+        """Equal to the row path, with the expected error."""
         got = assert_same_as_row_path(text, fmt)
         if want is None:
             assert isinstance(got[0], bytes)
         else:
             assert want in got[1]
-        assert read_in_bulk(text, fmt) == bulk
 
     def test_exact_ints(self):
         text = ('{"t": 9007199254740993, "y": 0, "p": 0.5}\n'
@@ -477,29 +503,28 @@ class TestBulkMatchesRowPath:
         assert stream.t.tolist() == [float(2**53 + 1), float(2**64 + 1)]
 
     @pytest.mark.parametrize(
-        "text,bulk,want",
+        "text,want",
         [
-            pytest.param("t,y,p\n1_0,0,0.5\n", True, None, id="underscore-number"),
-            pytest.param('t,y,p,id\n1,0,0.5,"a,b"\n2,1,0.5,"say ""hi"""\n', True, None,
-                         id="quoted-ids"),
-            pytest.param("t,y,p,id\n1,0,0.5,a\x00b\n", True, None, id="nul-in-id"),
-            pytest.param("t,y,p\r\n1,0,0.5\r\n2,1,0.5\r\n", True, None, id="crlf-line-endings"),
-            pytest.param("t,y,p,id\n 1 ,1.0,0.5, x \n\n2,0,1e0,\n", True, None,
+            pytest.param("t,y,p\n1_0,0,0.5\n", None, id="underscore-number"),
+            pytest.param('t,y,p,id\n1,0,0.5,"a,b"\n2,1,0.5,"say ""hi"""\n', None, id="quoted-ids"),
+            pytest.param("t,y,p,id\n1,0,0.5,a\x00b\n", None, id="nul-in-id"),
+            pytest.param("t,y,p\r\n1,0,0.5\r\n2,1,0.5\r\n", None, id="crlf-line-endings"),
+            pytest.param("t,y,p,id\n 1 ,1.0,0.5, x \n\n2,0,1e0,\n", None,
                          id="spaces-blank-line-float-y"),
-            pytest.param("t,y,p\n1,0,0.5\n2,1\n", False, "line 3: expected 3 fields, got 2",
+            pytest.param("t,y,p\n1,0,0.5\n2,1\n", "line 3: expected 3 fields, got 2",
                          id="short-row"),
-            pytest.param("t,y,p\n1,0,nan\n", True, "line 2: p must be in [0,1], got nan",
+            pytest.param("t,y,p\n1,0,nan\n", "line 2: p must be in [0,1], got nan",
                          id="nan-field"),
             # the short row is read before EvalStream sees the chunk's values
-            pytest.param("t,y,p\n1,0,nan\n2,1\n", False, "line 2: p must be in [0,1], got nan",
+            pytest.param("t,y,p\n1,0,nan\n2,1\n", "line 2: p must be in [0,1], got nan",
                          id="bad-value-then-short-row"),
-            pytest.param("t,y,p,id\n1,0,0.5,%s\n" % ("x" * (csv.field_size_limit() + 1)), False,
+            pytest.param("t,y,p,id\n1,0,0.5,%s\n" % ("x" * (csv.field_size_limit() + 1)),
                          "line 2: invalid CSV: field larger than field limit",
                          id="id-beyond-field-limit"),
         ],
     )
-    def test_csv_case(self, text, bulk, want):
-        self.check_case(text, "csv", bulk, want)
+    def test_csv_case(self, text, want):
+        self.check_case(text, "csv", want)
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_sort(self, fmt):
@@ -508,7 +533,6 @@ class TestBulkMatchesRowPath:
         lines = serialize_records(stream, fmt).splitlines()
         header, body = (lines[:1], lines[1:]) if fmt == "csv" else ([], lines)
         text = "\n".join(header + body[::-1]) + "\n"
-        assert read_in_bulk(text, fmt)
         got = assert_same_as_row_path(text, fmt, sort=True)
         # stable: c stays before b, as in the reversed text
         want = EvalStream([1.0, 2.0, 2.0, 3.0], [0, 0, 1, 1], [0.25, 0.75, 0.5, 1.0],

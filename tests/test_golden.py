@@ -9,7 +9,9 @@ wrote it, and again with its records in reverse order under --sort.
 Awkward variants of the two logs (CRLF line ends, with quoted CSV ids
 or blank JSONL lines) must give the plain logs' report, SVG and density
 CSV: so they did while the record-by-record reader still built the
-columns of any text the bulk readers declined.
+columns of any text the bulk readers declined. So must the JSONL log
+with one space-padded line in its middle, whose chunk is decoded line
+by line while the other chunks are scanned.
 
 train-demo's stdout and history CSVs were recorded while soft_nn_distance
 still had its own per-entry log-sum-exp, and gradcheck's stdout after it
@@ -89,12 +91,24 @@ def awkward_records(text, fmt):
     return "\r\n".join(lines) + "\r\n"
 
 
-@pytest.mark.parametrize("fmt", sorted(FIXTURES))
-def test_awkward_text_matches_recorded_digests(fmt, tmp_path):
+def one_padded_line(text, fmt):
+    """The log with spaces around the one record in its middle, so that
+    its chunk is decoded line by line and the others are scanned."""
+    lines = text.splitlines()
+    lines[len(lines) // 2] = f"  {lines[len(lines) // 2]} "
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt,edit", [
+    pytest.param("csv", awkward_records, id="csv"),
+    pytest.param("jsonl", awkward_records, id="jsonl"),
+    pytest.param("jsonl", one_padded_line, id="jsonl-one-padded-line"),
+])
+def test_awkward_text_matches_recorded_digests(fmt, edit, tmp_path):
     synth_args, eval_args = FIXTURES[fmt]
     log = tmp_path / f"log.{fmt}"
     assert main(["synth", *synth_args, "--format", fmt, "--out", str(log)]) == 0
-    log.write_bytes(awkward_records(log.read_text(), fmt).encode())
+    log.write_bytes(edit(log.read_text(), fmt).encode())
     outputs = {name: tmp_path / name for name in ("report.json", "density.svg", "bins.csv")}
     assert main(["evaluate", "--input", str(log), "--format", fmt, *eval_args,
                  "--report", str(outputs["report.json"]), "--svg", str(outputs["density.svg"]),

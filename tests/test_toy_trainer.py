@@ -115,6 +115,17 @@ class TestCombinedLoss:
                 combined_loss(ToyModel(np.zeros(2)), ds, TrainConfig(gamma=0.1), step=4)
         assert err.value.epoch == 4
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_nan_logits_fail_the_rows_own_check(self, gamma):
+        # some logits are 1e308 - 1e308 = NaN, so some weights |p - y| are
+        # NaN: the row stays out of the weighted_soft_t stack
+        ds = small_dataset(n=40)
+        theta = np.array([1e308, -1e308, 0.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteLoss, match="^epoch 0: loss or gradient is not finite$"):
+                combined_losses(theta[None], ds, TrainConfig(gamma=gamma), step=0)
+
     def test_reference_times_follow_substream(self):
         # same (seed, step) twice gives the identical penalty value
         ds = small_dataset(seed=4)
