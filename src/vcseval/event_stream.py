@@ -60,14 +60,7 @@ class EvalStream:
             raise ValueError("ids must have one entry per row")
         if t.size == 0:
             raise EmptyInput("stream must contain at least one record")
-        bad = ~(np.isfinite(t) & (t >= 0)) | ((y != 0) & (y != 1)) | ~((p >= 0) & (p <= 1))
-        if ids is not None and not all(issubclass(kind, str) for kind in set(map(type, ids))):
-            bad |= [not isinstance(i, str) for i in ids]
-        if bad.any():
-            row = int(bad.argmax())
-            if ids is not None and not isinstance(ids[row], str):
-                raise InvalidValue(row, "id must be a string")
-            raise InvalidValue(row, _value_problem(float(t[row]), float(y[row]), float(p[row])))
+        _check_values(t, y, p, ids)
         if np.any(np.diff(t) < 0):
             raise UnsortedInput("timestamps must be nondecreasing")
         self.t, self.y, self.p = t, y.astype(np.int64), p
@@ -79,39 +72,34 @@ class EvalStream:
         return self.t.size
 
 
-def _value_problem(t, y, p):
-    """What is wrong with one row's values, as floats, or None."""
-    if not math.isfinite(t) or t < 0:
-        return f"t must be finite and >= 0, got {t!r}"
-    if y not in (0.0, 1.0):
-        return f"y must be 0 or 1, got {y!r}"
-    if not math.isfinite(p) or not 0.0 <= p <= 1.0:
-        return f"p must be in [0,1], got {p!r}"
-    return None
-
-
-def _validate_fields(t, y, p, line):
-    try:
-        t = float(t)
-        y = float(y)
-        p = float(p)
-    except (TypeError, ValueError, OverflowError):
-        raise MalformedRecord(line, "t, y, p must be numeric") from None
-    problem = _value_problem(t, y, p)
-    if problem:
-        raise MalformedRecord(line, problem)
-    return t, int(y), p
+def _check_values(t, y, p, ids=None):
+    """Raise InvalidValue at the first row whose t is not finite and >= 0,
+    whose y is not 0 or 1, whose p is not in [0, 1] or, when ids are given,
+    whose id is not a string."""
+    bad = ~(np.isfinite(t) & (t >= 0)) | ((y != 0) & (y != 1)) | ~((p >= 0) & (p <= 1))
+    if ids is not None and not all(issubclass(kind, str) for kind in set(map(type, ids))):
+        bad |= [not isinstance(i, str) for i in ids]
+    if bad.any():
+        row = int(bad.argmax())
+        t, y, p = float(t[row]), float(y[row]), float(p[row])
+        if ids is not None and not isinstance(ids[row], str):
+            raise InvalidValue(row, "id must be a string")
+        if not math.isfinite(t) or t < 0:
+            raise InvalidValue(row, f"t must be finite and >= 0, got {t!r}")
+        if y not in (0.0, 1.0):
+            raise InvalidValue(row, f"y must be 0 or 1, got {y!r}")
+        raise InvalidValue(row, f"p must be in [0,1], got {p!r}")
 
 
 def _jsonl_chunks(text):
-    """Yield (line numbers, values) of the records in about _CHUNK_CHARS of
-    text at a time, each value as json.loads reads its line.
+    """Yield (line numbers, t, y, p, ids) lists of the JSONL records in about
+    _CHUNK_CHARS of text at a time, each record as json.loads reads its line.
 
     Each chunk ends just after a line feed, so its lines are lines of
     text.splitlines(). A chunk whose every line is one JSON value alone is
-    scanned. In any other, json.loads reads each line that is not blank; at
-    a line it rejects, the values before it are yielded, then MalformedRecord
-    is raised."""
+    scanned. In any other, json.loads reads each line that is not blank. At
+    a line it rejects, or a value that is not a record, the records before
+    it are yielded, then MalformedRecord is raised."""
     scan = json.JSONDecoder().scan_once
     start, first = 0, 1
     while start < len(text):
@@ -134,48 +122,55 @@ def _jsonl_chunks(text):
                 try:
                     values.append(json.loads(line))
                 except (ValueError, RecursionError) as exc:  # also an int past 4300 digits
-                    yield linenos, values
+                    yield from _record_columns(linenos, values)
                     msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
                     raise MalformedRecord(lineno, f"invalid JSON: {msg}") from None
                 linenos.append(lineno)
-        yield linenos, values
+        yield from _record_columns(linenos, values)
         start, first = stop, first + len(lines)
 
 
-def _jsonl_columns(text):
-    """Yield (t, y, p, ids) lists of the JSONL records, a chunk at a time."""
-    for _, objs in _jsonl_chunks(text):
+def _record_columns(lines, objs):
+    """Yield (lines, t, y, p, ids) of the JSON values as lists. At the first
+    that is not an object with numeric t, y and p and a string id, if any,
+    those before it are yielded, then MalformedRecord is raised."""
+    try:
         t = [o["t"] for o in objs]
         y = [o["y"] for o in objs]
         p = [o["p"] for o in objs]
         ids = [o.get("id") for o in objs]
         # json loads numbers as exact int or float; bool is its own type
-        if not set(map(type, t + y + p)) <= {int, float}:
-            raise TypeError("t, y, p must be numeric")
-        yield t, y, p, ids
+        shaped = (set(map(type, t + y + p)) <= {int, float}
+                  and set(map(type, ids)) <= {str, type(None)})
+    except (KeyError, TypeError):  # a missing key, or a value that is not an object
+        shaped = False
+    if shaped:
+        yield lines, t, y, p, ids
+    else:
+        row, problem = next((row, m) for row, m in enumerate(map(_shape_problem, objs)) if m)
+        yield from _record_columns(lines[:row], objs[:row])
+        raise MalformedRecord(lines[row], problem)
 
 
-def _jsonl_rows(text):
-    """Yield (line, t, y, p, id or None) per record, checking its shape."""
-    for linenos, objs in _jsonl_chunks(text):
-        for lineno, obj in zip(linenos, objs):
-            if not isinstance(obj, dict):
-                raise MalformedRecord(lineno, "each line must be a JSON object")
-            missing = [k for k in ("t", "y", "p") if k not in obj]
-            if missing:
-                raise MalformedRecord(lineno, f"missing keys: {', '.join(missing)}")
-            rec_id = obj.get("id")
-            if rec_id is not None and not isinstance(rec_id, str):
-                raise MalformedRecord(lineno, "id must be a string")
-            fields = (obj["t"], obj["y"], obj["p"])
-            # JSON true/false load as bool, a subclass of int
-            if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in fields):
-                raise MalformedRecord(lineno, "t, y, p must be numeric")
-            yield (lineno, *fields, rec_id)
+def _shape_problem(obj):
+    """What keeps one JSON value from being a record, or None."""
+    if not isinstance(obj, dict):
+        return "each line must be a JSON object"
+    missing = [k for k in ("t", "y", "p") if k not in obj]
+    if missing:
+        return f"missing keys: {', '.join(missing)}"
+    if obj.get("id") is not None and not isinstance(obj["id"], str):
+        return "id must be a string"
+    # JSON true/false load as bool, a subclass of int
+    if any(isinstance(obj[k], bool) or not isinstance(obj[k], (int, float)) for k in "typ"):
+        return "t, y, p must be numeric"
+    return None
 
 
 def _csv_rows(text):
-    """Yield (line, t, y, p, id or None) per CSV row; ids are kept verbatim."""
+    """Yield (line, t, y, p, id or None) per CSV row; ids are kept verbatim.
+    A row with the wrong number of fields, or text csv.reader rejects, ends
+    the rows with its MalformedRecord, yielded so that no row is lost."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader, None)
@@ -189,56 +184,47 @@ def _csv_rows(text):
             if not row:
                 continue
             if len(row) != len(header):
-                raise MalformedRecord(
+                yield MalformedRecord(
                     reader.line_num, f"expected {len(header)} fields, got {len(row)}")
+                return
             yield reader.line_num, row[0], row[1], row[2], row[3] if len(row) == 4 else None
     except csv.Error as exc:
-        raise MalformedRecord(reader.line_num, f"invalid CSV: {exc}") from None
+        yield MalformedRecord(reader.line_num, f"invalid CSV: {exc}")
 
 
 def _row_chunks(rows):
-    """Yield (t, y, p, ids) tuples of the rows, _CHUNK_ROWS rows at a time."""
+    """Yield (line numbers, t, y, p, ids) of the rows, _CHUNK_ROWS at a time.
+    At a MalformedRecord, the rows before it are yielded, then it is raised."""
     while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-        yield tuple(zip(*chunk))[1:]
+        if isinstance(chunk[-1], MalformedRecord):
+            yield from _row_chunks(iter(chunk[:-1]))
+            raise chunk[-1]
+        yield tuple(zip(*chunk))
 
 
-def _bulk_columns(chunks):
-    """(t, y, p, ids) from the chunks, as float64 arrays and a list; None if empty."""
-    t, y, p, ids = [], [], [], []
-    for *values, chunk_ids in chunks:
-        for column, chunk in zip((t, y, p), values):
-            column.append(np.fromiter(map(float, chunk), np.float64, len(chunk)))
-        ids.extend(chunk_ids)
-    if not ids:
-        return None
-    return np.concatenate(t), np.concatenate(y), np.concatenate(p), ids
+def _floats(fields):
+    return np.fromiter(map(float, fields), np.float64, len(fields))
 
 
-def _stream(t, y, p, ids, sort):
-    """EvalStream of parsed columns; ids holds None where a record had none."""
-    missing = ids.count(None)
-    if missing == len(ids):
-        ids = None
-    elif missing:
-        ids = [str(index) if i is None else i for index, i in enumerate(ids)]
-    if sort:
-        order = np.argsort(t, kind="stable")
-        t, y, p = t[order], y[order], p[order]
-        ids = [str(i) if ids is None else ids[i] for i in order]
-    return EvalStream(t, y, p, ids)
+def _not_numeric(record):
+    """Whether float() rejects one of a record's t, y and p."""
+    try:
+        _floats(record)
+    except (ValueError, OverflowError):
+        return True
+    return False
 
 
 def parse_records(data, format, sort=False):
     """Parse bytes or text in the given format into an EvalStream.
 
-    The text is read into columns, and EvalStream checks their values
-    all at once. JSONL is read in chunks of lines: a chunk whose every
-    line holds one JSON value and nothing else is scanned, and the lines
-    of any other chunk, such as one with a blank line or a space around a
-    value, are decoded one by one. CSV is read by csv.reader. When a read
-    or EvalStream fails, the records are checked one by one, so the error
-    names the first bad record, with its line number and the same message
-    either way. A record without an id gets its index among the records.
+    The text is read once, a chunk at a time: about _CHUNK_CHARS characters
+    of whole JSONL lines, or _CHUNK_ROWS rows of csv.reader. A JSONL chunk
+    whose every line holds one JSON value and nothing else is scanned; the
+    lines of any other, such as one with a blank line or a space around a
+    value, are decoded one by one. Each chunk's values are checked before
+    the next chunk is read, so an error names the line of the first bad
+    record. A record without an id gets its index among the records.
 
     Parameters
     ----------
@@ -253,22 +239,35 @@ def parse_records(data, format, sort=False):
         data = data.decode("utf-8")
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    if format == "jsonl":
-        rows, chunks = _jsonl_rows, _jsonl_columns(data)
-    else:
-        rows, chunks = _csv_rows, _row_chunks(_csv_rows(data))
+    chunks = _jsonl_chunks(data) if format == "jsonl" else _row_chunks(_csv_rows(data))
+    parts, ids = [], []
     try:
-        columns = _bulk_columns(chunks)
-        if columns is None:
-            raise EmptyInput("no records in input")
-        return _stream(*columns, sort)
-    except (MalformedRecord, InvalidValue, KeyError, TypeError, ValueError, OverflowError) as exc:
-        failure = exc
-    # A record of the wrong shape, a value float() cannot read or EvalStream
-    # rejects, or a bad line read after a bad value: name the first bad record
-    for lineno, t, y, p, _ in rows(data):
-        _validate_fields(t, y, p, lineno)
-    raise failure
+        for lines, *fields, chunk_ids in chunks:
+            try:
+                values = [_floats(column) for column in fields]
+            except (ValueError, OverflowError):
+                # a bad value before the first field float() rejects is named first
+                row = next(row for row, record in enumerate(zip(*fields)) if _not_numeric(record))
+                _check_values(*(_floats(column[:row]) for column in fields))
+                raise MalformedRecord(lines[row], "t, y, p must be numeric") from None
+            _check_values(*values)
+            parts.append(values)
+            ids.extend(chunk_ids)
+    except InvalidValue as exc:
+        raise MalformedRecord(lines[exc.row], exc.message) from None
+    if not ids:
+        raise EmptyInput("no records in input")
+    t, y, p = (np.concatenate(column) for column in zip(*parts))
+    missing = ids.count(None)
+    if missing == len(ids):
+        ids = None
+    elif missing:
+        ids = [str(index) if i is None else i for index, i in enumerate(ids)]
+    if sort:
+        order = np.argsort(t, kind="stable")
+        t, y, p = t[order], y[order], p[order]
+        ids = [str(i) if ids is None else ids[i] for i in order]
+    return EvalStream(t, y, p, ids)
 
 
 def _csv_field(text):

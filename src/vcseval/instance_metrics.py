@@ -26,8 +26,9 @@ class InstanceMetricSpec:
     aggregator: str = "one_minus_mean"
 
     def __post_init__(self):
-        if not self.mismatch_weight > 0:
-            raise ValueError("mismatch_weight must be positive")
+        # NaN fails every comparison
+        if not 0 < self.mismatch_weight < np.inf:
+            raise ValueError("mismatch_weight must be positive and finite")
         if self.aggregator not in AGGREGATORS:
             raise ValueError(f"aggregator must be one of {AGGREGATORS}")
 

@@ -89,8 +89,11 @@ class DriftSpec:
             raise SpecViolation("burst_fraction must lie in [0, 1)")
         if not 0.0 <= self.post_class1_rate <= 1.0:
             raise SpecViolation("post_class1_rate must lie in [0, 1]")
-        if self.class_separation < 0:
-            raise SpecViolation("class_separation must be non-negative")
+        # NaN fails every comparison
+        if not 0 <= self.class_separation < math.inf:
+            raise SpecViolation("class_separation must be finite and non-negative")
+        if not math.isfinite(self.drift_shift):
+            raise SpecViolation("drift_shift must be finite")
 
 
 @dataclass(frozen=True)

@@ -270,8 +270,11 @@ def soft_t(timestamps, random_times, beta):
 
 def vca_penalty(t_soft, gamma):
     """Quadratic pull toward t_soft = 0.5: (value, d value / d t_soft)."""
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
+    # NaN fails every comparison
+    if not 0 <= gamma < math.inf:
+        raise ValueError("gamma must be finite and non-negative")
+    if not np.isfinite(t_soft).all():
+        raise ValueError("t_soft must be finite")
     gap = 0.5 - t_soft
     return gamma * gap * gap, -2.0 * gamma * gap
 

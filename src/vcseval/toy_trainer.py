@@ -32,10 +32,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if not (isinstance(self.epochs, (int, np.integer)) and self.epochs >= 1):
+            raise ValueError("epochs must be a positive integer")
+        # NaN fails every comparison
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be finite and non-negative")
 
 
 @dataclass(frozen=True)

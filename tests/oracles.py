@@ -7,18 +7,21 @@ uniform-pattern band sampler uses a faster sorted-gap route that is
 itself validated against the brute-force one in the unit tests. The
 exception is one_point_combined_loss, the trainer's loss one parameter
 row at a time: the stacked loss must match it bit for bit, so it calls
-the package's public one-row soft-T functions. jsonl_rows raises the
-package's public MalformedRecord, whose messages it must match.
+the package's public one-row soft-T functions. jsonl_rows, csv_rows and
+record_values raise the package's public MalformedRecord and EmptyInput,
+whose messages they must match.
 """
 
+import csv
+import io
 import json
 import math
 from collections import namedtuple
 
 import numpy as np
 
-from vcseval import (LossBreakdown, MalformedRecord, NonFiniteGradient, NonFiniteLoss,
-                     effective_beta, vca_penalty, weighted_soft_t)
+from vcseval import (EmptyInput, LossBreakdown, MalformedRecord, NonFiniteGradient,
+                     NonFiniteLoss, effective_beta, vca_penalty, weighted_soft_t)
 from vcseval.toy_trainer import P_CLAMP, WEIGHT_FLOOR
 
 
@@ -379,3 +382,51 @@ def jsonl_rows(text):
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in fields):
             raise MalformedRecord(lineno, "t, y, p must be numeric")
         yield (lineno, *fields, rec_id)
+
+
+def csv_rows(text):
+    """Yield (line, t, y, p, id or None) per CSV row, as csv.reader reads it.
+
+    The header must be t,y,p or t,y,p,id, spaces around a name aside;
+    blank rows are skipped and every other row needs one field per header
+    name. Fields are kept as text, ids verbatim. The first row that breaks
+    this, or text csv.reader rejects, raises MalformedRecord with its
+    line number as csv.reader counts it.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise EmptyInput("no CSV header")
+        header = [h.strip() for h in header]
+        if header not in (["t", "y", "p"], ["t", "y", "p", "id"]):
+            raise MalformedRecord(
+                1, f"header must be 't,y,p' or 't,y,p,id', got {','.join(header)!r}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise MalformedRecord(
+                    reader.line_num, f"expected {len(header)} fields, got {len(row)}")
+            yield reader.line_num, row[0], row[1], row[2], row[3] if len(row) == 4 else None
+    except csv.Error as exc:
+        raise MalformedRecord(reader.line_num, f"invalid CSV: {exc}") from None
+
+
+def record_values(t, y, p, line):
+    """One record's (t, y, p) as (float, int, float), or MalformedRecord.
+
+    float() must read all three fields; then t must be finite and >= 0, y
+    0 or 1 and p in [0, 1], checked in that order.
+    """
+    try:
+        t, y, p = float(t), float(y), float(p)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedRecord(line, "t, y, p must be numeric") from None
+    if not math.isfinite(t) or t < 0:
+        raise MalformedRecord(line, f"t must be finite and >= 0, got {t!r}")
+    if y not in (0.0, 1.0):
+        raise MalformedRecord(line, f"y must be 0 or 1, got {y!r}")
+    if not math.isfinite(p) or not 0.0 <= p <= 1.0:
+        raise MalformedRecord(line, f"p must be in [0,1], got {p!r}")
+    return t, int(y), p

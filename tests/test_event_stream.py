@@ -262,14 +262,14 @@ class TestStream:
 def row_path(text, fmt, sort=False):
     """parse_records as the record-by-record reader alone computes it.
 
-    JSONL is read line by line by the oracle, which shares no code with
-    the package's chunked reader. Returns (t, y, p, ids) as lists, ids
-    None when no record has one.
+    Records are read and checked one at a time by the oracles, which share
+    no code with the package's chunked readers and column checks. Returns
+    (t, y, p, ids) as lists, ids None when no record has one.
     """
-    rows = oracles.jsonl_rows if fmt == "jsonl" else event_stream._csv_rows
+    rows = oracles.jsonl_rows if fmt == "jsonl" else oracles.csv_rows
     records = []
     for line, t, y, p, rec_id in rows(text):
-        records.append((*event_stream._validate_fields(t, y, p, line), rec_id))
+        records.append((*oracles.record_values(t, y, p, line), rec_id))
     if not records:
         raise EmptyInput("no records in input")
     if all(r[3] is None for r in records):
@@ -378,13 +378,25 @@ class TestBulkMatchesRowPath:
 
     @settings(max_examples=400, deadline=None)
     @given(st.data(), st.sampled_from(["jsonl", "csv"]), st.booleans(),
-           st.sampled_from([1, 40, event_stream._CHUNK_CHARS]))
-    def test_fuzzed_text(self, data, fmt, sort, chunk_chars):
+           st.sampled_from([1, 40, event_stream._CHUNK_CHARS]),
+           st.sampled_from([1, 3, event_stream._CHUNK_ROWS]))
+    def test_fuzzed_text(self, data, fmt, sort, chunk_chars, chunk_rows):
         text = data.draw(jsonl_texts() if fmt == "jsonl" else csv_texts())
-        # small JSONL chunks split a text into many, some scanned, some decoded
-        with mock.patch.object(event_stream, "_CHUNK_CHARS", chunk_chars):
+        # small JSONL chunks split a text into many, some scanned, some decoded;
+        # small CSV chunks put a bad row after, at or before a chunk boundary
+        with mock.patch.object(event_stream, "_CHUNK_CHARS", chunk_chars), \
+                mock.patch.object(event_stream, "_CHUNK_ROWS", chunk_rows):
             got = assert_same_as_row_path(text, fmt, sort)
         event(f"{fmt} ok={isinstance(got[0], bytes)}")
+
+    @staticmethod
+    def forbid_record_checks(monkeypatch):
+        """Make the record-by-record search that names a bad record fail if it runs."""
+        def fail(*args):
+            raise AssertionError("a valid text was searched record by record")
+
+        monkeypatch.setattr(event_stream, "_shape_problem", fail)
+        monkeypatch.setattr(event_stream, "_not_numeric", fail)
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_plain_text_never_reaches_the_row_path(self, fmt, monkeypatch):
@@ -392,22 +404,42 @@ class TestBulkMatchesRowPath:
         stream = EvalStream(np.sort(rng.random(3000) * 1e3), rng.integers(0, 2, 3000),
                             rng.random(3000), [f"e{i}" for i in range(3000)])
         text = serialize_records(stream, fmt)
-        # plain JSONL is only scanned; every CSV is read by _csv_rows
-        patched = "_jsonl_rows" if fmt == "jsonl" else "_validate_fields"
-        monkeypatch.setattr(event_stream, patched, None)
+        self.forbid_record_checks(monkeypatch)
         assert_same_stream(parse_records(text, fmt), stream)
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_valid_awkward_text_never_reaches_the_record_loop(self, fmt, monkeypatch):
-        def fail(*args):
-            raise AssertionError("the record loop ran on valid text")
-
         stream = EvalStream([1.0, 2.0, 2.0, 3.5], [0, 1, 0, 1], [0.25, 0.5, 1.0, 0.0],
                             ["a,b", 'say "hi"', "c", ""])
         # CRLF line ends and blank lines; the ids need csv quotes
         text = serialize_records(stream, fmt).replace("\n", "\r\n\r\n")
-        monkeypatch.setattr(event_stream, "_validate_fields", fail)
+        self.forbid_record_checks(monkeypatch)
         assert_same_stream(parse_records(text, fmt), stream)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_bad_last_line_is_read_once(self, fmt, monkeypatch):
+        n = 7000
+        stream = EvalStream(np.arange(n, dtype=np.float64), [0] * n, [0.5] * n,
+                            [f"e{i}" for i in range(n)])
+        lines = serialize_records(stream, fmt).splitlines()
+        lines[-1] = lines[-1].replace("0.5", "2")
+        text = "\n".join(lines) + "\n"
+        if fmt == "jsonl":
+            assert len(text) > 3 * event_stream._CHUNK_CHARS
+            module, name = event_stream, "_jsonl_chunks"
+        else:
+            assert n > 3 * event_stream._CHUNK_ROWS
+            module, name = csv, "reader"
+        reads, read = [], getattr(module, name)
+
+        def counting_read(*args, **kwargs):
+            reads.append(name)
+            return read(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting_read)
+        with pytest.raises(MalformedRecord, match=f"^line {len(lines)}: p must be in"):
+            parse_records(text, fmt)
+        assert reads == [name]
 
     def test_odd_line_is_decoded_with_its_chunk_only(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -476,6 +508,12 @@ class TestBulkMatchesRowPath:
                          id="blank-line-then-bad-value-a-chunk-later"),
             pytest.param('{"t": 1, "y": 0, "p": 0.5, "id": 7}\n{"t": 2, "y": 0, "p": 2}\n',
                          "line 1: id must be a string", id="int-id-then-bad-value"),
+            # a decoded chunk's line numbers skip its blank lines
+            pytest.param('{"t": 1, "y": 0, "p": 0.5}\n\n{"t": 2, "y": 0, "p": 2}\n',
+                         "line 3: p must be in [0,1], got 2.0", id="blank-line-then-bad-value"),
+            pytest.param('{"t": 1, "y": 0, "p": 2}\n{"t": 1%s, "y": 0, "p": 0.5}\n' % ("0" * 400),
+                         "line 1: p must be in [0,1], got 2.0",
+                         id="bad-value-then-int-beyond-float-range"),
             pytest.param('{"t": 1%s, "y": 0, "p": 0.5}\n' % ("0" * 5000),
                          "line 1: invalid JSON: Exceeds the limit (4300 digits)",
                          id="int-past-4300-digits"),
@@ -515,9 +553,14 @@ class TestBulkMatchesRowPath:
                          id="short-row"),
             pytest.param("t,y,p\n1,0,nan\n", "line 2: p must be in [0,1], got nan",
                          id="nan-field"),
-            # the short row is read before EvalStream sees the chunk's values
+            # the rows before the short row are checked before it is named
             pytest.param("t,y,p\n1,0,nan\n2,1\n", "line 2: p must be in [0,1], got nan",
                          id="bad-value-then-short-row"),
+            pytest.param("t,y,p\n1,0,2\nx,0,0.5\n", "line 2: p must be in [0,1], got 2.0",
+                         id="bad-value-then-non-numeric"),
+            pytest.param('t,y,p,id\n1,0,0.5,"a\nb"\n\n2,0,2,c\n',
+                         "line 5: p must be in [0,1], got 2.0",
+                         id="line-break-in-id-and-blank-line-then-bad-value"),
             pytest.param("t,y,p,id\n1,0,0.5,%s\n" % ("x" * (csv.field_size_limit() + 1)),
                          "line 2: invalid CSV: field larger than field limit",
                          id="id-beyond-field-limit"),

@@ -8,10 +8,11 @@ wrote it, and again with its records in reverse order under --sort.
 
 Awkward variants of the two logs (CRLF line ends, with quoted CSV ids
 or blank JSONL lines) must give the plain logs' report, SVG and density
-CSV: so they did while the record-by-record reader still built the
-columns of any text the bulk readers declined. So must the JSONL log
-with one space-padded line in its middle, whose chunk is decoded line
-by line while the other chunks are scanned.
+CSV: so they did while a record-by-record reader still built the
+columns of any text the bulk readers declined, and so they do now that
+every log is read once, a chunk at a time. So must the JSONL log with
+one space-padded line in its middle, whose chunk is decoded line by
+line while the other chunks are scanned.
 
 train-demo's stdout and history CSVs were recorded while soft_nn_distance
 still had its own per-entry log-sum-exp, and gradcheck's stdout after it

@@ -58,6 +58,9 @@ class TestInstanceMetric:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             InstanceMetricSpec(-1.0, "sum")
+        for weight in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^mismatch_weight must be positive and finite"):
+                InstanceMetricSpec(weight, "sum")
         with pytest.raises(ValueError):
             InstanceMetricSpec(1.0, "median")
 

@@ -126,6 +126,10 @@ class TestDriftDataset:
         for period in ((0.0, np.inf), (np.nan, 1.0)):
             with pytest.raises(SpecViolation):
                 DriftSpec(n_events=10, period=period)
+        for field, value in [("drift_shift", np.nan), ("drift_shift", np.inf),
+                             ("class_separation", np.nan), ("class_separation", np.inf)]:
+            with pytest.raises(SpecViolation, match=f"^{field} must be finite"):
+                DriftSpec(n_events=10, **{field: value})
 
 
 def fit_early_eval_late(spec, train_frac=0.7):

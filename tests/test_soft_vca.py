@@ -392,6 +392,12 @@ class TestVcaPenalty:
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
             vca_penalty(0.5, -0.1)
+        for gamma in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^gamma must be finite"):
+                vca_penalty(0.3, gamma)
+        for t_soft in (np.nan, np.array([0.3, np.nan])):
+            with pytest.raises(ValueError, match="^t_soft must be finite"):
+                vca_penalty(t_soft, 0.1)
 
 
 class TestEffectiveBeta:

@@ -278,3 +278,8 @@ class TestConfigValidation:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(gamma=-1.0)
+        for gamma in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^gamma must be finite"):
+                TrainConfig(gamma=gamma)
+        with pytest.raises(ValueError, match="^epochs must be a positive integer"):
+            TrainConfig(epochs=2.5)
