@@ -26,6 +26,10 @@ from .event_stream import EvalStream
 PATTERN_KINDS = ("random", "clustered", "regular")
 
 
+def _integers(*values):
+    return all(isinstance(value, (int, np.integer)) for value in values)
+
+
 @dataclass(frozen=True)
 class PatternSpec:
     kind: str
@@ -39,6 +43,8 @@ class PatternSpec:
     def __post_init__(self):
         if self.kind not in PATTERN_KINDS:
             raise SpecViolation(f"kind must be one of {PATTERN_KINDS}")
+        if not _integers(self.n_events, self.n_errors):
+            raise SpecViolation("n_events and n_errors must be integers")
         if not 2 <= self.n_errors <= self.n_events:
             raise SpecViolation("need 2 <= n_errors <= n_events")
         t_start, t_end = self.period
@@ -76,6 +82,8 @@ class DriftSpec:
     post_class1_rate: float = 0.5
 
     def __post_init__(self):
+        if not _integers(self.n_events, self.feature_dim):
+            raise SpecViolation("n_events and feature_dim must be integers")
         if self.n_events < 2:
             raise SpecViolation("n_events must be at least 2")
         if not 0.0 < self.drift_onset < 1.0:

@@ -112,8 +112,9 @@ def density_csv(report):
 
 
 def cmd_evaluate(args):
-    data = Path(args.input).read_text(encoding="utf-8")
-    stream = parse_records(data, args.format, sort=args.sort)
+    # the text is freed when the parse returns, before the VCS trials run
+    stream = parse_records(Path(args.input).read_text(encoding="utf-8"), args.format,
+                           sort=args.sort)
     config = VcsConfig(tau=args.tau, subsample_fraction=args.subsample, seed=args.seed)
     report = build_eval_report(stream, args.threshold, config, args.density_bins)
     text = json.dumps(report, indent=2) + "\n"

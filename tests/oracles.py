@@ -54,6 +54,23 @@ def contract_draws(seed, i, big_k, k, period):
     return positions, t_start + rng.random(k) * (t_end - t_start)
 
 
+def exact_trial_sums(times, period, tau, k, seed):
+    """Trial i's (d_disg, d_r) per the contract, for i < tau.
+
+    Brute-force distances, each one rounded subtraction, summed in draw
+    order as vcs sums them, so the sums match vcs's bit for bit. A sum
+    past the float range is inf, which vcs rejects.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    sums = []
+    with np.errstate(over="ignore"):
+        for i in range(tau):
+            positions, ref = contract_draws(seed, i, times.size, k, period)
+            d_disg = np.array([brute_nn_distance(j, times) for j in positions])
+            sums.append((float(d_disg.sum()), brute_ref_sum(ref, times)))
+    return sums
+
+
 def brute_vcs(times, period, tau=5, frac=0.5, seed=42):
     """VCS per the documented contract with brute-force distances.
 

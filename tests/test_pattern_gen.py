@@ -73,6 +73,10 @@ class TestPatterns:
             PatternSpec("random", 500, 100, period=(-50.0, 50.0))
         with pytest.raises(SpecViolation):
             PatternSpec("clustered", 10, 5, cluster_width=0.0)
+        for n_events, n_errors in ((10.5, 3), (10, 2.5), (np.nan, 3), (10.0, 3)):
+            with pytest.raises(SpecViolation, match="must be integers"):
+                PatternSpec("random", n_events, n_errors)
+        assert PatternSpec("random", np.int64(10), np.int32(3)).n_errors == 3
 
     def test_separation_quick(self, uniform_band):
         cfg = VcsConfig()
@@ -123,6 +127,12 @@ class TestDriftDataset:
             DriftSpec(n_events=10, feature_dim=0)
         with pytest.raises(SpecViolation):
             DriftSpec(n_events=10, burst_fraction=1.0)
+        for kwargs in ({"n_events": np.nan}, {"n_events": 10.5}, {"n_events": 10.0},
+                       {"n_events": 10, "feature_dim": np.nan},
+                       {"n_events": 10, "feature_dim": 2.5}):
+            with pytest.raises(SpecViolation, match="must be integers"):
+                DriftSpec(**kwargs)
+        assert len(generate_drift_dataset(DriftSpec(n_events=np.int64(10)))) == 10
         for period in ((0.0, np.inf), (np.nan, 1.0)):
             with pytest.raises(SpecViolation):
                 DriftSpec(n_events=10, period=period)

@@ -1,12 +1,24 @@
+import importlib
+import os
+import pathlib
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vcseval
 from vcseval import (
     DegenerateDistances,
     EvalStream,
     PatternSpec,
     TooFewDisagreements,
     VcsConfig,
+    VcsTrial,
     auroc,
     average_precision,
     disagreement_set,
@@ -17,6 +29,9 @@ from vcseval import (
 )
 
 from . import oracles
+
+# vcseval.vcs is the function, which shadows its module
+vcs_module = importlib.import_module("vcseval.vcs")
 
 
 def trials_with_draws(times, period, config):
@@ -299,6 +314,141 @@ class TestSortSkip:
                 assert trial.d_disg == float(d_disg.sum())
                 assert trial.d_r == oracles.brute_ref_sum(ref, times)
                 assert trial.t_stat == t_statistic(trial.d_r, trial.d_disg)
+
+
+def outcome(times, period, config):
+    """vcs's result, or the type and message of the error it raises."""
+    try:
+        return vcs(times, period, config)
+    except DegenerateDistances as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def trial_cases(draw):
+    """Unsorted times with ties, some large enough to overflow the sums."""
+    scale = draw(st.sampled_from([1.0, 1e3, 5e306, 1.7e307]))
+    steps = draw(st.lists(st.integers(0, 10), min_size=2, max_size=60))
+    times = np.array(steps, dtype=np.float64) * scale
+    period = draw(st.sampled_from([(0.0, 10 * scale), (0.0, 0.0), (times[0], times[0]),
+                                   (0.0, 1.7e308)]))
+    config = VcsConfig(tau=draw(st.integers(1, 6)),
+                       subsample_fraction=draw(st.sampled_from([0.01, 0.3, 0.5, 0.9])),
+                       seed=draw(st.integers(0, 2**64 - 1)))
+    return times, period, config
+
+
+class TestThreadedTrials:
+    """Trials on threads are bit-identical to the contract and to the serial path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(trial_cases())
+    def test_every_trial_matches_exact_sums(self, case):
+        times, period, config = case
+        serial = outcome(times, period, config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vcs_module, "PARALLEL_MIN_K", 1)
+            patch.setattr(vcs_module, "_usable_cpus", lambda: vcs_module.MAX_WORKERS)
+            threaded = outcome(times, period, config)
+        assert threaded == serial
+        want, t_sum = [], 0.0
+        k = config.subsample_size(times.size)
+        for d_disg, d_r in oracles.exact_trial_sums(times, period, config.tau, k, config.seed):
+            try:
+                t_stat = t_statistic(d_r, d_disg)
+            except DegenerateDistances as exc:
+                # the first failing trial in trial order is the one reported
+                assert threaded == (type(exc), str(exc))
+                return
+            want.append(VcsTrial(d_disg=d_disg, d_r=d_r, t_stat=t_stat))
+            t_sum += t_stat
+        assert threaded.trials == tuple(want)
+        assert threaded.t_mean == t_sum / config.tau
+
+    def test_real_size_runs_on_threads(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        big_k = 2 * vcs_module.PARALLEL_MIN_K
+        times = np.sort(rng.integers(0, 5000, big_k).astype(np.float64))
+        config = VcsConfig(tau=6, seed=31)
+        got = vcs(times, (0.0, 5000.0), config)
+        assert [t.t_stat for t in got.trials] == oracles.fast_vcs(
+            times, (0.0, 5000.0), tau=6, seed=31)[2]
+
+        threads = set()
+        lookup = vcs_module._dist_to_sorted
+
+        def slow_lookup(points, sorted_times):
+            # the pause lets every thread take a trial before the others finish
+            threads.add(threading.get_ident())
+            time.sleep(0.01)
+            return lookup(points, sorted_times)
+
+        monkeypatch.setattr(vcs_module, "_dist_to_sorted", slow_lookup)
+        assert vcs(times, (0.0, 5000.0), config) == got
+        assert len(threads) == min(config.tau, vcs_module._usable_cpus(),
+                                   vcs_module.MAX_WORKERS)
+        monkeypatch.setattr(vcs_module, "PARALLEL_MIN_K", big_k)
+        threads.clear()
+        assert vcs(times, (0.0, 5000.0), config) == got
+        assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("times, period, seed, message", [
+        ([3.0] * 40, (3.0, 3.0), 0, "both distance sums are zero"),
+        ([0.0, 1.7e308] * 20, (0.0, 1.7e308), 0, "distance sums overflow float64"),
+        # trials 0-2 pass; trial 3 draws both far times, whose gaps overflow
+        ([-0.9e308] + [0.0] * 10 + [0.9e308], (0.0, 0.0), 3, "distance sums overflow float64"),
+        # trial 0 overflows and trial 1 has zero sums; trial 0 is reported
+        ([-0.9e308] + [0.0] * 6 + [0.9e308], (0.0, 0.0), 3, "distance sums overflow float64"),
+    ], ids=["zero-sums", "overflow", "later-trial-fails", "first-of-two-fails"])
+    def test_failing_trial_raises_the_same_error(self, times, period, seed, message,
+                                                 monkeypatch):
+        config = VcsConfig(tau=6, seed=seed)
+        assert outcome(times, period, config) == (DegenerateDistances, message)
+        monkeypatch.setattr(vcs_module, "PARALLEL_MIN_K", 1)
+        monkeypatch.setattr(vcs_module, "_usable_cpus", lambda: vcs_module.MAX_WORKERS)
+        assert outcome(times, period, config) == (DegenerateDistances, message)
+
+
+def test_map_in_threads_under_stress():
+    # more threads than cores and a short switch interval, so that a lost
+    # update of the shared index or result list would show
+    calls = []
+
+    def fail_from_3000(i):
+        calls.append(i)
+        if i >= 3000 and i % 7 == 0:
+            raise ValueError(i)
+        return i
+
+    interval, running = sys.getswitchinterval(), threading.active_count()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert vcs_module._map_in_threads(lambda i: i * i, 5000, 8) == [
+            i * i for i in range(5000)]
+        with pytest.raises(ValueError) as failure:
+            vcs_module._map_in_threads(fail_from_3000, 5000, 8)
+        assert failure.value.args == (3003,)
+        # indices are taken in order, and none once a call has failed
+        assert sorted(calls) == list(range(len(calls))) and len(calls) < 3100
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == running
+
+
+def test_import_gradcheck_and_threaded_vcs_load_no_thread_pool():
+    # vcs starts its threads with threading, which every command loads;
+    # concurrent.futures would add logging's import time and RSS to each
+    code = ("import sys, numpy as np, vcseval\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "from vcseval.report_cli import main\n"
+            "assert main(['gradcheck', '--trials', '2']) == 0\n"
+            "assert 'concurrent.futures' not in sys.modules, 'loaded by gradcheck'\n"
+            "vcseval.vcs(np.arange(20000.0), (0.0, 20000.0), vcseval.VcsConfig(tau=4))\n"
+            "assert 'concurrent.futures' not in sys.modules, 'loaded by vcs'\n")
+    src = str(pathlib.Path(vcseval.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 class TestEvaluateStream:
