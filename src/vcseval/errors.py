@@ -33,11 +33,10 @@ class UnsortedInput(VcsEvalError):
 
 
 class InvalidValue(VcsEvalError):
-    """A stream value is out of its range; carries the 0-based row and message."""
+    """A stream value is out of its range; carries the 0-based row."""
 
     def __init__(self, row, message):
         self.row = row
-        self.message = message
         super().__init__(f"row {row}: {message}")
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import re
@@ -73,33 +72,42 @@ class EvalStream:
 
 
 def _check_values(t, y, p, ids=None):
-    """Raise InvalidValue at the first row whose t is not finite and >= 0,
-    whose y is not 0 or 1, whose p is not in [0, 1] or, when ids are given,
-    whose id is not a string."""
+    """Raise InvalidValue at the first row with a value _value_problem names
+    or, when ids are given, an id that is not a string."""
     bad = ~(np.isfinite(t) & (t >= 0)) | ((y != 0) & (y != 1)) | ~((p >= 0) & (p <= 1))
     if ids is not None and not all(issubclass(kind, str) for kind in set(map(type, ids))):
         bad |= [not isinstance(i, str) for i in ids]
     if bad.any():
         row = int(bad.argmax())
-        t, y, p = float(t[row]), float(y[row]), float(p[row])
         if ids is not None and not isinstance(ids[row], str):
             raise InvalidValue(row, "id must be a string")
-        if not math.isfinite(t) or t < 0:
-            raise InvalidValue(row, f"t must be finite and >= 0, got {t!r}")
-        if y not in (0.0, 1.0):
-            raise InvalidValue(row, f"y must be 0 or 1, got {y!r}")
-        raise InvalidValue(row, f"p must be in [0,1], got {p!r}")
+        raise InvalidValue(row, _value_problem(t[row], y[row], p[row]))
+
+
+def _value_problem(t, y, p):
+    """What keeps t, y and p from being valid values, or None; float() reads all three first."""
+    try:
+        t, y, p = float(t), float(y), float(p)
+    except (ValueError, OverflowError):
+        return "t, y, p must be numeric"
+    if not math.isfinite(t) or t < 0:
+        return f"t must be finite and >= 0, got {t!r}"
+    if y not in (0.0, 1.0):
+        return f"y must be 0 or 1, got {y!r}"
+    if not 0.0 <= p <= 1.0:  # also NaN
+        return f"p must be in [0,1], got {p!r}"
+    return None
 
 
 def _jsonl_chunks(text):
-    """Yield (line numbers, t, y, p, ids) lists of the JSONL records in about
-    _CHUNK_CHARS of text at a time, each record as json.loads reads its line.
+    """Yield (line numbers, JSON values) of the JSONL lines in about
+    _CHUNK_CHARS of text at a time, each value as json.loads reads its line.
 
     Each chunk ends just after a line feed, so its lines are lines of
     text.splitlines(). A chunk whose every line is one JSON value alone is
     scanned. In any other, json.loads reads each line that is not blank. At
-    a line it rejects, or a value that is not a record, the records before
-    it are yielded, then MalformedRecord is raised."""
+    a line it rejects, the values before it are yielded, then
+    MalformedRecord is raised."""
     scan = json.JSONDecoder().scan_once
     start, first = 0, 1
     while start < len(text):
@@ -122,38 +130,29 @@ def _jsonl_chunks(text):
                 try:
                     values.append(json.loads(line))
                 except (ValueError, RecursionError) as exc:  # also an int past 4300 digits
-                    yield from _record_columns(linenos, values)
+                    yield linenos, values
                     msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
                     raise MalformedRecord(lineno, f"invalid JSON: {msg}") from None
                 linenos.append(lineno)
-        yield from _record_columns(linenos, values)
+        yield linenos, values
         start, first = stop, first + len(lines)
 
 
-def _record_columns(lines, objs):
-    """Yield (lines, t, y, p, ids) of the JSON values as lists. At the first
-    that is not an object with numeric t, y and p and a string id, if any,
-    those before it are yielded, then MalformedRecord is raised."""
-    try:
-        t = [o["t"] for o in objs]
-        y = [o["y"] for o in objs]
-        p = [o["p"] for o in objs]
-        ids = [o.get("id") for o in objs]
-        # json loads numbers as exact int or float; bool is its own type
-        shaped = (set(map(type, t + y + p)) <= {int, float}
-                  and set(map(type, ids)) <= {str, type(None)})
-    except (KeyError, TypeError):  # a missing key, or a value that is not an object
-        shaped = False
-    if shaped:
-        yield lines, t, y, p, ids
-    else:
-        row, problem = next((row, m) for row, m in enumerate(map(_shape_problem, objs)) if m)
-        yield from _record_columns(lines[:row], objs[:row])
-        raise MalformedRecord(lines[row], problem)
+def _jsonl_columns(objs):
+    """t, y, p and ids of the JSON values as lists; KeyError, TypeError or ValueError
+    unless each is an object with numeric t, y and p and a string id, if any."""
+    t = [o["t"] for o in objs]
+    y = [o["y"] for o in objs]
+    p = [o["p"] for o in objs]
+    ids = [o.get("id") for o in objs]
+    # json loads numbers as exact int or float; bool is its own type
+    if not (set(map(type, t + y + p)) <= {int, float} and set(map(type, ids)) <= {str, type(None)}):
+        raise ValueError("not every JSON value is a record")
+    return t, y, p, ids
 
 
-def _shape_problem(obj):
-    """What keeps one JSON value from being a record, or None."""
+def _jsonl_problem(obj):
+    """What keeps one JSON value from being a valid record, or None."""
     if not isinstance(obj, dict):
         return "each line must be a JSON object"
     missing = [k for k in ("t", "y", "p") if k not in obj]
@@ -164,14 +163,15 @@ def _shape_problem(obj):
     # JSON true/false load as bool, a subclass of int
     if any(isinstance(obj[k], bool) or not isinstance(obj[k], (int, float)) for k in "typ"):
         return "t, y, p must be numeric"
-    return None
+    return _value_problem(obj["t"], obj["y"], obj["p"])
 
 
-def _csv_rows(text):
-    """Yield (line, t, y, p, id or None) per CSV row; ids are kept verbatim.
-    A row with the wrong number of fields, or text csv.reader rejects, ends
-    the rows with its MalformedRecord, yielded so that no row is lost."""
+def _csv_chunks(text):
+    """Yield (line numbers, rows) of csv.reader, _CHUNK_ROWS rows at a time.
+    At a row with the wrong number of fields, or text csv.reader rejects,
+    the rows before it are yielded, then MalformedRecord is raised."""
     reader = csv.reader(io.StringIO(text))
+    linenos, rows, problem = [], [], None
     try:
         header = next(reader, None)
         if header is None:
@@ -184,35 +184,34 @@ def _csv_rows(text):
             if not row:
                 continue
             if len(row) != len(header):
-                yield MalformedRecord(
-                    reader.line_num, f"expected {len(header)} fields, got {len(row)}")
-                return
-            yield reader.line_num, row[0], row[1], row[2], row[3] if len(row) == 4 else None
+                problem = f"expected {len(header)} fields, got {len(row)}"
+                break
+            linenos.append(reader.line_num)
+            rows.append(tuple(row))  # the list is reused: less memory, fewer collections
+            if len(rows) == _CHUNK_ROWS:
+                yield linenos, rows
+                linenos, rows = [], []
     except csv.Error as exc:
-        yield MalformedRecord(reader.line_num, f"invalid CSV: {exc}")
+        problem = f"invalid CSV: {exc}"
+    if rows:
+        yield linenos, rows
+    if problem:
+        raise MalformedRecord(reader.line_num, problem)
 
 
-def _row_chunks(rows):
-    """Yield (line numbers, t, y, p, ids) of the rows, _CHUNK_ROWS at a time.
-    At a MalformedRecord, the rows before it are yielded, then it is raised."""
-    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-        if isinstance(chunk[-1], MalformedRecord):
-            yield from _row_chunks(iter(chunk[:-1]))
-            raise chunk[-1]
-        yield tuple(zip(*chunk))
+def _csv_columns(rows):
+    """t, y, p and ids of the rows as tuples; ids None without an id column."""
+    t, y, p, *ids = zip(*rows)
+    return t, y, p, ids[0] if ids else [None] * len(rows)
+
+
+def _csv_problem(row):
+    """What keeps one CSV row from being a valid record, or None."""
+    return _value_problem(*row[:3])
 
 
 def _floats(fields):
     return np.fromiter(map(float, fields), np.float64, len(fields))
-
-
-def _not_numeric(record):
-    """Whether float() rejects one of a record's t, y and p."""
-    try:
-        _floats(record)
-    except (ValueError, OverflowError):
-        return True
-    return False
 
 
 def parse_records(data, format, sort=False):
@@ -222,9 +221,11 @@ def parse_records(data, format, sort=False):
     of whole JSONL lines, or _CHUNK_ROWS rows of csv.reader. A JSONL chunk
     whose every line holds one JSON value and nothing else is scanned; the
     lines of any other, such as one with a blank line or a space around a
-    value, are decoded one by one. Each chunk's values are checked before
-    the next chunk is read, so an error names the line of the first bad
-    record. A record without an id gets its index among the records.
+    value, are decoded one by one. Each chunk's columns are checked before
+    the next chunk is read; a chunk that fails is searched once, record by
+    record, so an error names the line of the first bad record. A line that
+    only a reader rejects, such as invalid JSON, is named after the records
+    before it are checked. A record without an id gets its index.
 
     Parameters
     ----------
@@ -237,24 +238,24 @@ def parse_records(data, format, sort=False):
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    if format not in ("jsonl", "csv"):
+    if format == "jsonl":
+        chunks, columns, problem = _jsonl_chunks(data), _jsonl_columns, _jsonl_problem
+    elif format == "csv":
+        chunks, columns, problem = _csv_chunks(data), _csv_columns, _csv_problem
+    else:
         raise ValueError(f"unknown format {format!r}")
-    chunks = _jsonl_chunks(data) if format == "jsonl" else _row_chunks(_csv_rows(data))
     parts, ids = [], []
-    try:
-        for lines, *fields, chunk_ids in chunks:
-            try:
-                values = [_floats(column) for column in fields]
-            except (ValueError, OverflowError):
-                # a bad value before the first field float() rejects is named first
-                row = next(row for row, record in enumerate(zip(*fields)) if _not_numeric(record))
-                _check_values(*(_floats(column[:row]) for column in fields))
-                raise MalformedRecord(lines[row], "t, y, p must be numeric") from None
+    for lines, records in chunks:
+        try:
+            *fields, chunk_ids = columns(records)
+            values = [_floats(column) for column in fields]
             _check_values(*values)
-            parts.append(values)
-            ids.extend(chunk_ids)
-    except InvalidValue as exc:
-        raise MalformedRecord(lines[exc.row], exc.message) from None
+        except (KeyError, TypeError, ValueError, OverflowError, InvalidValue):
+            line, message = next((line, m) for line, m in zip(lines, map(problem, records)) if m)
+            raise MalformedRecord(line, message) from None
+        parts.append(values)
+        ids.extend(chunk_ids)
+        del records  # so that the next chunk is read with one chunk of records alive
     if not ids:
         raise EmptyInput("no records in input")
     t, y, p = (np.concatenate(column) for column in zip(*parts))

@@ -34,12 +34,13 @@ class InstanceMetricSpec:
 
 
 def _as_labels(y, name):
-    arr = np.asarray(y, dtype=np.int64)
+    # checked as float, so that 0.5, NaN or inf is rejected, not cast to an integer
+    arr = np.asarray(y, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a nonempty 1-d label list")
     if not np.isin(arr, (0, 1)).all():
         raise ValueError(f"{name} entries must be 0 or 1")
-    return arr
+    return arr.astype(np.int64)
 
 
 def hamming_disagreement(y, y_hat):

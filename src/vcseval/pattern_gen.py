@@ -59,6 +59,8 @@ class PatternSpec:
             raise SpecViolation("cluster_center must lie in [0, 1]")
         if not 0.0 < self.cluster_width <= 1.0:
             raise SpecViolation("cluster_width must lie in (0, 1]")
+        if not (_integers(self.seed) and self.seed >= 0):
+            raise SpecViolation("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,8 @@ class DriftSpec:
             raise SpecViolation("class_separation must be finite and non-negative")
         if not math.isfinite(self.drift_shift):
             raise SpecViolation("drift_shift must be finite")
+        if not (_integers(self.seed) and self.seed >= 0):
+            raise SpecViolation("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,8 @@ class TrainConfig:
         # NaN fails every comparison
         if not 0 <= self.gamma < np.inf:
             raise ValueError("gamma must be finite and non-negative")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)

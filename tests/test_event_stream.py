@@ -395,8 +395,8 @@ class TestBulkMatchesRowPath:
         def fail(*args):
             raise AssertionError("a valid text was searched record by record")
 
-        monkeypatch.setattr(event_stream, "_shape_problem", fail)
-        monkeypatch.setattr(event_stream, "_not_numeric", fail)
+        monkeypatch.setattr(event_stream, "_jsonl_problem", fail)
+        monkeypatch.setattr(event_stream, "_value_problem", fail)
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_plain_text_never_reaches_the_row_path(self, fmt, monkeypatch):

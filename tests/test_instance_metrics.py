@@ -41,6 +41,29 @@ class TestHamming:
         with pytest.raises(ValueError):
             hamming_disagreement([1, 2], [0, 1])
 
+    @pytest.mark.parametrize(
+        "y,y_hat,name",
+        [
+            ([0.5, 1.7, 1], [0, 1, 1], "y"),
+            ([0.9, 1], [0, 1], "y"),
+            ([0, 1], [0, 1.0000001], "y_hat"),
+            ([0, np.nan], [0, 1], "y"),
+            ([0, 1], [np.inf, 1], "y_hat"),
+            ([-np.inf, 1], [0, 1], "y"),
+            ([0, 2**63], [0, 1], "y"),
+        ],
+        ids=["fractions", "fraction-below-one", "just-above-one", "nan", "inf", "minus-inf",
+             "beyond-int64"],
+    )
+    def test_non_labels_rejected_before_any_cast(self, y, y_hat, name):
+        for call in (lambda: hamming_disagreement(y, y_hat),
+                     lambda: instance_metric(InstanceMetricSpec(), y, y_hat)):
+            with pytest.raises(ValueError, match=f"^{name} entries must be 0 or 1$"):
+                call()
+
+    def test_float_and_bool_labels_count_as_ints(self):
+        assert hamming_disagreement([0.0, 1.0, True], np.array([1, 1, 1], np.int8)) == 1
+
 
 class TestInstanceMetric:
     def test_sum_equals_c_times_h(self):

@@ -77,6 +77,12 @@ class TestPatterns:
             with pytest.raises(SpecViolation, match="must be integers"):
                 PatternSpec("random", n_events, n_errors)
         assert PatternSpec("random", np.int64(10), np.int32(3)).n_errors == 3
+        for seed in (1.5, 2.0, -1, np.int64(-1), np.nan, "1"):
+            with pytest.raises(SpecViolation, match="^seed must be a non-negative integer$"):
+                PatternSpec("random", 10, 5, seed=seed)
+        # no upper bound: SeedSequence takes any non-negative integer
+        for seed in (np.uint64(2**64 - 1), 2**100):
+            assert len(generate_pattern(PatternSpec("random", 10, 5, seed=seed))) == 10
 
     def test_separation_quick(self, uniform_band):
         cfg = VcsConfig()
@@ -133,6 +139,10 @@ class TestDriftDataset:
             with pytest.raises(SpecViolation, match="must be integers"):
                 DriftSpec(**kwargs)
         assert len(generate_drift_dataset(DriftSpec(n_events=np.int64(10)))) == 10
+        for seed in (1.5, -1, np.int32(-1), np.nan):
+            with pytest.raises(SpecViolation, match="^seed must be a non-negative integer$"):
+                DriftSpec(n_events=10, seed=seed)
+        assert len(generate_drift_dataset(DriftSpec(n_events=10, seed=2**100))) == 10
         for period in ((0.0, np.inf), (np.nan, 1.0)):
             with pytest.raises(SpecViolation):
                 DriftSpec(n_events=10, period=period)

@@ -283,3 +283,7 @@ class TestConfigValidation:
                 TrainConfig(gamma=gamma)
         with pytest.raises(ValueError, match="^epochs must be a positive integer"):
             TrainConfig(epochs=2.5)
+        # rejected at construction, not at the first penalty step
+        for seed in (-1, np.int64(-1), 1.5, np.nan):
+            with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+                TrainConfig(seed=seed)
