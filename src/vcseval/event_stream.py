@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -99,20 +100,47 @@ def _value_problem(t, y, p):
     return None
 
 
-def _jsonl_chunks(text):
-    """Yield (line numbers, JSON values) of the JSONL lines in about
-    _CHUNK_CHARS of text at a time, each value as json.loads reads its line.
+def _pieces(data):
+    """Yield a str, or a file opened for reading, in pieces of about _CHUNK_CHARS
+    characters that end just after a line feed or at the end: read(_CHUNK_CHARS)
+    plus readline() of a file. A binary file's pieces end between characters, so
+    each is decoded alone as UTF-8, and a bad byte is named at its file offset."""
+    if isinstance(data, str):
+        start = 0
+        while start < len(data):
+            stop = data.find("\n", start + _CHUNK_CHARS) + 1 or len(data)
+            yield data[start:stop]
+            start = stop
+        return
+    offset = 0
+    while piece := data.read(_CHUNK_CHARS):
+        piece += data.readline()
+        if isinstance(piece, bytes):
+            try:
+                text = piece.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # the message shows the bad byte only if the error's object holds
+                # its position, so the bytes before this piece are padded as zeros
+                raise UnicodeDecodeError(exc.encoding, bytes(offset) + piece, offset + exc.start,
+                                         offset + exc.end, exc.reason) from None
+            offset += len(piece)
+            piece = text
+        yield piece
 
-    Each chunk ends just after a line feed, so its lines are lines of
-    text.splitlines(). A chunk whose every line is one JSON value alone is
-    scanned. In any other, json.loads reads each line that is not blank. At
-    a line it rejects, the values before it are yielded, then
+
+def _jsonl_chunks(pieces):
+    """Yield (line numbers, [JSON values]) of the JSONL lines of each text
+    piece, each value as json.loads reads its line.
+
+    Each piece ends just after a line feed, so its lines are lines of the
+    whole text's splitlines(). A piece whose every line is one JSON value
+    alone is scanned. In any other, json.loads reads each line that is not
+    blank. At a line it rejects, the values before it are yielded, then
     MalformedRecord is raised."""
     scan = json.JSONDecoder().scan_once
-    start, first = 0, 1
-    while start < len(text):
-        stop = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        lines = text[start:stop].splitlines()
+    first = 1
+    for piece in pieces:
+        lines = piece.splitlines()
         linenos, values = range(first, first + len(lines)), []
         try:
             for line in lines:
@@ -130,12 +158,12 @@ def _jsonl_chunks(text):
                 try:
                     values.append(json.loads(line))
                 except (ValueError, RecursionError) as exc:  # also an int past 4300 digits
-                    yield linenos, values
+                    yield linenos, [values]
                     msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
                     raise MalformedRecord(lineno, f"invalid JSON: {msg}") from None
                 linenos.append(lineno)
-        yield linenos, values
-        start, first = stop, first + len(lines)
+        yield linenos, [values]
+        first += len(lines)
 
 
 def _jsonl_columns(objs):
@@ -166,12 +194,16 @@ def _jsonl_problem(obj):
     return _value_problem(obj["t"], obj["y"], obj["p"])
 
 
-def _csv_chunks(text):
-    """Yield (line numbers, rows) of csv.reader, _CHUNK_ROWS rows at a time.
-    At a row with the wrong number of fields, or text csv.reader rejects,
-    the rows before it are yielded, then MalformedRecord is raised."""
-    reader = csv.reader(io.StringIO(text))
-    linenos, rows, problem = [], [], None
+def _csv_chunks(pieces):
+    """Yield (line numbers, field columns) of csv.reader, _CHUNK_ROWS rows at a time.
+
+    csv.reader reads the lines of each text piece, split at line feeds only
+    as io.StringIO splits them, so a quoted id may hold a carriage return
+    and line numbers count line feeds. At a row with the wrong number of
+    fields, or text csv.reader rejects, the rows before it are yielded, then
+    MalformedRecord is raised."""
+    reader = csv.reader(itertools.chain.from_iterable(map(io.StringIO, pieces)))
+    linenos, fields, problem = [], [], None
     try:
         header = next(reader, None)
         if header is None:
@@ -180,91 +212,105 @@ def _csv_chunks(text):
         if header not in _CSV_HEADERS:
             raise MalformedRecord(
                 1, f"header must be 't,y,p' or 't,y,p,id', got {','.join(header)!r}")
+        width = len(header)
         for row in reader:
             if not row:
                 continue
-            if len(row) != len(header):
-                problem = f"expected {len(header)} fields, got {len(row)}"
+            if len(row) != width:
+                problem = f"expected {width} fields, got {len(row)}"
                 break
             linenos.append(reader.line_num)
-            rows.append(tuple(row))  # the list is reused: less memory, fewer collections
-            if len(rows) == _CHUNK_ROWS:
-                yield linenos, rows
-                linenos, rows = [], []
+            # only strings outlive the row, and the garbage collector tracks none
+            fields += row
+            if len(linenos) == _CHUNK_ROWS:
+                yield linenos, [fields[i::width] for i in range(width)]
+                linenos, fields = [], []
     except csv.Error as exc:
         problem = f"invalid CSV: {exc}"
-    if rows:
-        yield linenos, rows
+    if linenos:
+        yield linenos, [fields[i::width] for i in range(width)]
     if problem:
         raise MalformedRecord(reader.line_num, problem)
 
 
-def _csv_columns(rows):
-    """t, y, p and ids of the rows as tuples; ids None without an id column."""
-    t, y, p, *ids = zip(*rows)
-    return t, y, p, ids[0] if ids else [None] * len(rows)
+def _csv_columns(t, y, p, ids=None):
+    """t, y, p and ids of the field columns; ids None without an id column."""
+    return t, y, p, [None] * len(t) if ids is None else ids
 
 
-def _csv_problem(row):
+def _csv_problem(t, y, p, i=None):
     """What keeps one CSV row from being a valid record, or None."""
-    return _value_problem(*row[:3])
+    return _value_problem(t, y, p)
 
 
 def _floats(fields):
     return np.fromiter(map(float, fields), np.float64, len(fields))
 
 
-def parse_records(data, format, sort=False):
-    """Parse bytes or text in the given format into an EvalStream.
+def _index_ids(ids, first):
+    """Whether every id is missing, or every id spells out its row index from first on."""
+    n = len(ids)
+    return ids.count(None) == n or list(ids) == list(map(str, range(first, first + n)))
 
-    The text is read once, a chunk at a time: about _CHUNK_CHARS characters
-    of whole JSONL lines, or _CHUNK_ROWS rows of csv.reader. A JSONL chunk
-    whose every line holds one JSON value and nothing else is scanned; the
-    lines of any other, such as one with a blank line or a space around a
-    value, are decoded one by one. Each chunk's columns are checked before
-    the next chunk is read; a chunk that fails is searched once, record by
-    record, so an error names the line of the first bad record. A line that
-    only a reader rejects, such as invalid JSON, is named after the records
-    before it are checked. A record without an id gets its index.
+
+def parse_records(data, format, sort=False):
+    """Parse bytes, text or an open file in the given format into an EvalStream.
+
+    The input is read once, in pieces of about _CHUNK_CHARS characters that
+    end at a line feed, and parsed a chunk at a time: a piece of whole JSONL
+    lines, or _CHUNK_ROWS rows of csv.reader. A JSONL chunk whose every line
+    holds one JSON value and nothing else is scanned; the lines of any other,
+    such as one with a blank line or a space around a value, are decoded one
+    by one. Each chunk's columns are checked before the next chunk is read;
+    a chunk that fails is searched once, record by record, so an error names
+    the line of the first bad record. A line that only a reader rejects, such
+    as invalid JSON, is named after the records before it are checked, and a
+    byte that is not UTF-8 when its piece is read. A record without an id
+    gets its index. When every id of a chunk is missing or spells out its
+    row index, none is kept, so ids is None when every chunk's are.
 
     Parameters
     ----------
-    data : bytes or str
-        Raw JSONL or CSV content.
+    data : bytes, str or file
+        Raw JSONL or CSV content, or a file opened for reading. Bytes and
+        binary files are decoded as UTF-8. Open a text file with
+        ``newline="\n"``, so that line ends are read as written.
     format : {"jsonl", "csv"}
     sort : bool
         When true, records are stably sorted by timestamp instead of
         rejecting unsorted input.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = io.BytesIO(data)
     if format == "jsonl":
-        chunks, columns, problem = _jsonl_chunks(data), _jsonl_columns, _jsonl_problem
+        chunks, columns, problem = _jsonl_chunks(_pieces(data)), _jsonl_columns, _jsonl_problem
     elif format == "csv":
-        chunks, columns, problem = _csv_chunks(data), _csv_columns, _csv_problem
+        chunks, columns, problem = _csv_chunks(_pieces(data)), _csv_columns, _csv_problem
     else:
         raise ValueError(f"unknown format {format!r}")
-    parts, ids = [], []
-    for lines, records in chunks:
+    parts, ids, rows = [], None, 0
+    for lines, raw in chunks:
         try:
-            *fields, chunk_ids = columns(records)
+            *fields, chunk_ids = columns(*raw)
             values = [_floats(column) for column in fields]
             _check_values(*values)
         except (KeyError, TypeError, ValueError, OverflowError, InvalidValue):
-            line, message = next((line, m) for line, m in zip(lines, map(problem, records)) if m)
+            line, message = next((line, m) for line, m in zip(lines, map(problem, *raw)) if m)
             raise MalformedRecord(line, message) from None
         parts.append(values)
-        ids.extend(chunk_ids)
-        del records  # so that the next chunk is read with one chunk of records alive
-    if not ids:
+        if ids is None and not _index_ids(chunk_ids, rows):
+            ids = list(map(str, range(rows)))  # the first chunk with ids of its own
+        if ids is not None:
+            ids.extend(chunk_ids)
+        rows += len(lines)
+        del raw  # so that the next chunk is read with one chunk of records alive
+    if not rows:
         raise EmptyInput("no records in input")
     t, y, p = (np.concatenate(column) for column in zip(*parts))
-    missing = ids.count(None)
-    if missing == len(ids):
-        ids = None
-    elif missing:
-        ids = [str(index) if i is None else i for index, i in enumerate(ids)]
-    if sort:
+    del parts
+    if ids is not None and None in ids:
+        ids = [str(row) if i is None else i for row, i in enumerate(ids)]
+    if sort and np.any(np.diff(t) < 0):
         order = np.argsort(t, kind="stable")
         t, y, p = t[order], y[order], p[order]
         ids = [str(i) if ids is None else ids[i] for i in order]
@@ -278,19 +324,36 @@ def _csv_field(text):
     return text
 
 
-def serialize_records(stream, format):
-    """Render a stream back to JSONL or CSV text (inverse of parse_records)."""
-    ids = map(str, range(len(stream))) if stream.ids is None else stream.ids
-    rows = zip(stream.t.tolist(), stream.y.tolist(), stream.p.tolist(), ids)
-    if format == "jsonl":
-        # t and p are finite, so repr writes them as json.dumps would
-        lines = [f'{{"t": {t!r}, "y": {y}, "p": {p!r}, "id": {json.dumps(i)}}}'
-                 for t, y, p, i in rows]
-    elif format == "csv":
-        lines = ["t,y,p,id"] + [f"{t!r},{y},{p!r},{_csv_field(i)}" for t, y, p, i in rows]
-    else:
+def serialize_records(stream, format, out=None):
+    """Render a stream as JSONL or CSV text, the inverse of parse_records.
+
+    The text is built _CHUNK_ROWS rows at a time. Given out, a file opened
+    for writing, each piece is written as it is made and None is returned;
+    otherwise the text is returned. A stream whose ids are None is written
+    with each row's index as its id."""
+    if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    return "\n".join(lines) + "\n"
+    pieces = _text_pieces(stream, format)
+    if out is None:
+        return "".join(pieces)
+    out.writelines(pieces)
+
+
+def _text_pieces(stream, format):
+    """The lines of serialize_records, joined _CHUNK_ROWS at a time."""
+    # one iterator across the pieces, so that each piece takes the next ids
+    ids = iter(map(str, range(len(stream))) if stream.ids is None else stream.ids)
+    if format == "csv":
+        yield "t,y,p,id\n"
+    for start in range(0, len(stream), _CHUNK_ROWS):
+        block = slice(start, start + _CHUNK_ROWS)
+        rows = zip(*(column[block].tolist() for column in (stream.t, stream.y, stream.p)), ids)
+        if format == "jsonl":
+            # t and p are finite, so repr writes them as json.dumps would
+            yield "".join([f'{{"t": {t!r}, "y": {y}, "p": {p!r}, "id": {json.dumps(i)}}}\n'
+                           for t, y, p, i in rows])
+        else:
+            yield "".join([f"{t!r},{y},{p!r},{_csv_field(i)}\n" for t, y, p, i in rows])
 
 
 def threshold_labels(stream, threshold=0.5):

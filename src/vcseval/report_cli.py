@@ -112,9 +112,9 @@ def density_csv(report):
 
 
 def cmd_evaluate(args):
-    # the text is freed when the parse returns, before the VCS trials run
-    stream = parse_records(Path(args.input).read_text(encoding="utf-8"), args.format,
-                           sort=args.sort)
+    # read in pieces as it is parsed; only the columns outlive the parse
+    with open(args.input, "rb") as log:
+        stream = parse_records(log, args.format, sort=args.sort)
     config = VcsConfig(tau=args.tau, subsample_fraction=args.subsample, seed=args.seed)
     report = build_eval_report(stream, args.threshold, config, args.density_bins)
     text = json.dumps(report, indent=2) + "\n"
@@ -142,11 +142,12 @@ def cmd_synth(args):
         cluster_width=args.width,
         seed=args.seed,
     )
-    text = serialize_records(generate_pattern(spec), args.format)
+    stream = generate_pattern(spec)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            serialize_records(stream, args.format, out)
     else:
-        sys.stdout.write(text)
+        serialize_records(stream, args.format, sys.stdout)
     return EXIT_OK
 
 

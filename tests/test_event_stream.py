@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -192,7 +193,7 @@ class TestSerialize:
         stream = EvalStream(t, y, p, ids)
         back = parse_records(serialize_records(stream, fmt), fmt)
         assert_same_stream(back, stream)
-        assert back.ids == tuple(ids)
+        assert row_ids(back) == ids
 
     def test_jsonl_lines_are_objects(self):
         stream = parse_records(CSV, "csv")
@@ -289,25 +290,39 @@ def row_path(text, fmt, sort=False):
 
 
 def outcome(parse):
-    """What a parse returns, with exact float bits, or the error it raises."""
+    """What a parse returns, with exact float bits and the id of every row
+    (its index where ids are None), or the error it raises."""
     try:
         t, y, p, ids = parse()
     except (VcsEvalError, ValueError) as exc:
         return type(exc), str(exc)
     return (np.asarray(t, np.float64).tobytes(), np.asarray(y, np.int64).tolist(),
-            np.asarray(p, np.float64).tobytes(), None if ids is None else list(ids))
+            np.asarray(p, np.float64).tobytes(),
+            [str(i) for i in range(len(t))] if ids is None else list(ids))
 
 
-def parsed(text, fmt, sort=False):
+def parsed(source, fmt, sort=False):
+    """outcome of parse_records on a text, or on the file that source() opens."""
     def parse():
-        stream = parse_records(text, fmt, sort)
+        if isinstance(source, str):
+            stream = parse_records(source, fmt, sort)
+        else:
+            with source() as log:
+                stream = parse_records(log, fmt, sort)
         return stream.t, stream.y, stream.p, stream.ids
     return outcome(parse)
 
 
-def assert_same_as_row_path(text, fmt, sort=False):
+def assert_same_as_row_path(text, fmt, sort=False, path=None):
+    """parse_records of the text equals the row path; so does its read of
+    the text written to path, when one is given, opened as evaluate opens it
+    (binary) and as a text file without line-end translation."""
     got = parsed(text, fmt, sort)
     assert got == outcome(lambda: row_path(text, fmt, sort))
+    if path is not None:
+        path.write_bytes(text.encode("utf-8"))
+        assert parsed(lambda: open(path, "rb"), fmt, sort) == got
+        assert parsed(lambda: open(path, encoding="utf-8", newline="\n"), fmt, sort) == got
     return got
 
 
@@ -380,13 +395,15 @@ class TestBulkMatchesRowPath:
     @given(st.data(), st.sampled_from(["jsonl", "csv"]), st.booleans(),
            st.sampled_from([1, 40, event_stream._CHUNK_CHARS]),
            st.sampled_from([1, 3, event_stream._CHUNK_ROWS]))
-    def test_fuzzed_text(self, data, fmt, sort, chunk_chars, chunk_rows):
+    def test_fuzzed_text(self, tmp_path_factory, data, fmt, sort, chunk_chars, chunk_rows):
         text = data.draw(jsonl_texts() if fmt == "jsonl" else csv_texts())
         # small JSONL chunks split a text into many, some scanned, some decoded;
-        # small CSV chunks put a bad row after, at or before a chunk boundary
+        # small CSV chunks put a bad row after, at or before a chunk boundary;
+        # a file is read in pieces of bytes, so its pieces end at other line feeds
         with mock.patch.object(event_stream, "_CHUNK_CHARS", chunk_chars), \
                 mock.patch.object(event_stream, "_CHUNK_ROWS", chunk_rows):
-            got = assert_same_as_row_path(text, fmt, sort)
+            got = assert_same_as_row_path(text, fmt, sort,
+                                          tmp_path_factory.getbasetemp() / "fuzzed.log")
         event(f"{fmt} ok={isinstance(got[0], bytes)}")
 
     @staticmethod
@@ -514,6 +531,13 @@ class TestBulkMatchesRowPath:
             pytest.param('{"t": 1, "y": 0, "p": 2}\n{"t": 1%s, "y": 0, "p": 0.5}\n' % ("0" * 400),
                          "line 1: p must be in [0,1], got 2.0",
                          id="bad-value-then-int-beyond-float-range"),
+            # str.splitlines splits at these, in a file as in a text
+            pytest.param('{"t": 1, "y": 0, "p": 0.5}\u2028{"t": 2, "y": 0, "p": 0.5}\x0b'
+                         '{"t": 3, "y": 0, "p": 0.5}\r{"t": 4, "y": 0, "p": 2}\n',
+                         "line 4: p must be in [0,1], got 2.0", id="unicode-line-breaks"),
+            pytest.param('{"t": 1, "y": 0, "p": 0.5}\r\n\r\n  \r\n {"t": 2, "y": 1, "p": 0.5} \r\n'
+                         '{"t": 3, "y": 3, "p": 0.5}\r\n',
+                         "line 5: y must be 0 or 1, got 3.0", id="crlf-blank-and-padded-lines"),
             pytest.param('{"t": 1%s, "y": 0, "p": 0.5}\n' % ("0" * 5000),
                          "line 1: invalid JSON: Exceeds the limit (4300 digits)",
                          id="int-past-4300-digits"),
@@ -522,13 +546,13 @@ class TestBulkMatchesRowPath:
                          id="array-nested-100k-deep"),
         ],
     )
-    def test_jsonl_case(self, text, want):
-        self.check_case(text, "jsonl", want)
+    def test_jsonl_case(self, text, want, tmp_path):
+        self.check_case(text, "jsonl", want, tmp_path)
 
     @staticmethod
-    def check_case(text, fmt, want):
-        """Equal to the row path, with the expected error."""
-        got = assert_same_as_row_path(text, fmt)
+    def check_case(text, fmt, want, tmp_path):
+        """Equal to the row path, from the text and from a file, with the expected error."""
+        got = assert_same_as_row_path(text, fmt, path=tmp_path / "case.log")
         if want is None:
             assert isinstance(got[0], bytes)
         else:
@@ -561,13 +585,20 @@ class TestBulkMatchesRowPath:
             pytest.param('t,y,p,id\n1,0,0.5,"a\nb"\n\n2,0,2,c\n',
                          "line 5: p must be in [0,1], got 2.0",
                          id="line-break-in-id-and-blank-line-then-bad-value"),
+            # csv.reader reads lines split at line feeds only, so these stay in the ids
+            pytest.param('t,y,p,id\n1,0,0.5,"a\rb"\n2,0,0.5,"c\x0bd"\n3,0,0.5,"e\u2028f"\n'
+                         '4,0,0.5,"g\r\nh"\n', None, id="line-breaks-in-quoted-ids"),
+            pytest.param('t,y,p,id\r\n1,0,0.5,"a\rb"\r\n2,0,0.5,"c\x0bd"\r\n\r\n'
+                         '3,0,0.5,"e\u2028f"\r\n4,0,2,g\r\n',
+                         "line 6: p must be in [0,1], got 2.0",
+                         id="line-breaks-in-quoted-ids-then-bad-value"),
             pytest.param("t,y,p,id\n1,0,0.5,%s\n" % ("x" * (csv.field_size_limit() + 1)),
                          "line 2: invalid CSV: field larger than field limit",
                          id="id-beyond-field-limit"),
         ],
     )
-    def test_csv_case(self, text, want):
-        self.check_case(text, "csv", want)
+    def test_csv_case(self, text, want, tmp_path):
+        self.check_case(text, "csv", want, tmp_path)
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_sort(self, fmt):
@@ -581,6 +612,136 @@ class TestBulkMatchesRowPath:
         want = EvalStream([1.0, 2.0, 2.0, 3.0], [0, 0, 1, 1], [0.25, 0.75, 0.5, 1.0],
                           ["a", "c", "b", "d"])
         assert got == outcome(lambda: (want.t, want.y, want.p, want.ids))
+
+
+def random_stream(n, ids=None, seed=0):
+    rng = np.random.default_rng(seed)
+    return EvalStream(np.sort(rng.random(n) * 1e3), rng.integers(0, 2, n), rng.random(n), ids)
+
+
+def records_text(t, y, p, ids, fmt):
+    """The records as a log, with an id field only where ids is not None."""
+    t, y, p = (np.asarray(column).tolist() for column in (t, y, p))
+    if fmt == "jsonl":
+        lines = [f'{{"t": {a!r}, "y": {b}, "p": {c!r}' + ("}" if i is None else f', "id": "{i}"}}')
+                 for a, b, c, i in zip(t, y, p, ids or itertools.repeat(None))]
+    else:
+        lines = ["t,y,p" if ids is None else "t,y,p,id"]
+        lines += [f"{a!r},{b},{c!r}" + ("" if i is None else f",{i}")
+                  for a, b, c, i in zip(t, y, p, ids or itertools.repeat(None))]
+    return "\n".join(lines) + "\n"
+
+
+class TestStreaming:
+    """Logs are read from files and written to them in pieces: ids that spell
+    out row indices are not kept, a bad byte is named at its file offset, and
+    memory stays a small multiple of the columns."""
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_index_ids_are_not_kept(self, fmt):
+        stream = random_stream(5)
+        text = serialize_records(stream, fmt)
+        assert '"id": "4"' in text or text.endswith(",4\n")
+        assert parse_records(text, fmt).ids is None
+        assert parse_records(text, fmt, sort=True).ids is None  # already in order
+        assert parse_records(records_text(stream.t, stream.y, stream.p, None, fmt), fmt).ids is None
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_ids_of_their_own_after_index_chunks(self, fmt, monkeypatch):
+        # one line per JSONL piece, two rows per CSV chunk
+        monkeypatch.setattr(event_stream, "_CHUNK_CHARS", 1)
+        monkeypatch.setattr(event_stream, "_CHUNK_ROWS", 2)
+        stream = random_stream(7)
+        ids = ["0", "1", "2", "3", "x", "5", "6"]
+        text = records_text(stream.t, stream.y, stream.p, ids, fmt)
+        assert parse_records(text, fmt).ids == tuple(ids)
+        if fmt == "jsonl":  # missing ids in the chunks before
+            text = text.replace(', "id": "0"', "").replace(', "id": "3"', "")
+            assert parse_records(text, fmt).ids == tuple(ids)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("where", ["past-three-pieces", "truncated-at-the-end"])
+    def test_non_utf8_byte_is_named_at_its_file_offset(self, fmt, where, tmp_path):
+        n = 10_000
+        data = serialize_records(random_stream(n, [f"id{i}" for i in range(n)]), fmt).encode()
+        assert len(data) > 3 * event_stream._CHUNK_CHARS
+        if where == "past-three-pieces":
+            at = data.index(b"id", 3 * event_stream._CHUNK_CHARS + 1000)
+            data = data[:at] + b"\xe9" + data[at + 1:]
+        else:
+            data += b"\xe2\x82"
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        path = tmp_path / "log"
+        path.write_bytes(data)
+        for source in (data, path):
+            with pytest.raises(UnicodeDecodeError) as err:
+                parsed_or_raise(source, fmt)
+            assert str(err.value) == str(whole.value)
+            assert (err.value.start, err.value.end) == (whole.value.start, whole.value.end)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_bad_record_before_a_non_utf8_byte_is_named_first(self, fmt, tmp_path):
+        """The log is decoded as it is read, so a bad record on line 11 is named
+        before a bad byte a few pieces later."""
+        n = 40_000
+        y = [0] * n
+        y[10 if fmt == "jsonl" else 9] = 3
+        data = records_text(range(n), y, [0.5] * n, None, fmt).encode()
+        at = data.index(b"\n", 4 * event_stream._CHUNK_CHARS) + 1
+        assert data.count(b"\n", 0, at) > 3 * event_stream._CHUNK_ROWS
+        data = data[:at] + b"\xff" + data[at:]
+        path = tmp_path / "log"
+        path.write_bytes(data)
+        for source in (data, path):
+            with pytest.raises(MalformedRecord, match=r"^line 11: y must be 0 or 1, got 3\.0$"):
+                parsed_or_raise(source, fmt)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_file_parse_peak_per_record(self, fmt, tmp_path):
+        """The text is never held whole, and index ids are not kept: the
+        traced peak, the returned columns included, stays near the columns."""
+        n = 100_000
+        path = tmp_path / "log"
+        with open(path, "w", encoding="utf-8") as out:
+            serialize_records(random_stream(n), fmt, out)
+        tracemalloc.start()
+        try:
+            with open(path, "rb") as log:
+                stream = parse_records(log, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stream.ids is None and len(stream) == n
+        assert peak / n <= 96
+
+    @pytest.mark.parametrize("sort", [False, True], ids=["as-written", "sorted"])
+    @pytest.mark.parametrize("with_ids", [False, True], ids=["index-ids", "own-ids"])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_written_text_is_the_returned_text(self, fmt, with_ids, sort, tmp_path):
+        n = 2 * event_stream._CHUNK_ROWS + 7
+        ids = [f"r{i}" for i in range(n)] if with_ids else None
+        stream = random_stream(n, ids)
+        if sort:  # the ids become a permutation
+            backwards = (list(reversed(column)) for column in (stream.t, stream.y, stream.p))
+            stream = parse_records(records_text(*backwards, ids and ids[::-1], fmt), fmt,
+                                   sort=True)
+            assert stream.ids[:2] == (("r0", "r1") if with_ids else (str(n - 1), str(n - 2)))
+        path = tmp_path / "out"
+        with open(path, "w", encoding="utf-8") as out:
+            assert serialize_records(stream, fmt, out) is None
+        text = serialize_records(stream, fmt)
+        assert path.read_bytes() == text.encode()
+        assert len(text.splitlines()) == n + (fmt == "csv")
+        assert_same_stream(parse_records(text, fmt), stream)
+
+
+def parsed_or_raise(source, fmt):
+    """parse_records of bytes, or of a file path opened as evaluate opens it."""
+    if isinstance(source, bytes):
+        return parse_records(source, fmt)
+    with open(source, "rb") as log:
+        return parse_records(log, fmt)
 
 
 class TestThreshold:

@@ -87,6 +87,23 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--input", str(path), "--format", "csv"]) == 2
         assert "utf-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_non_utf8_byte_is_named_at_its_file_offset(self, fmt, tmp_path, capsys):
+        """The log is decoded in pieces as it is read, and the message is the
+        one decoding the whole file gives, past the first 64 KiB too."""
+        path = tmp_path / "log"
+        assert main(["synth", "--pattern", "random", "--events", "5000", "--errors", "50",
+                     "--format", fmt, "--out", str(path)]) == 0
+        data = path.read_bytes()
+        at = data.index(b"\n", 100_000) + 1
+        data = data[:at] + b"\xe9" + data[at:]
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--input", str(path), "--format", fmt]) == 2
+        assert capsys.readouterr().err == f"error: {whole.value}\n"
+
     def test_parse_error_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"t": 1, "y": 5, "p": 0.5}\n')
