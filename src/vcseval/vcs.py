@@ -34,15 +34,17 @@ from .instance_metrics import auroc, average_precision
 
 # Below this subsample size k the trials run on the calling thread alone:
 # on small inputs the threads lose to GIL contention. Serial against two
-# threads, tau 50, best of 7 on 2 vCPUs: K = 200, 4.4 against 6.9 ms;
-# K = 2,000, 11.3 against 18.0 ms; K = 3,000-5,000 about even;
-# K = 16,384 (k = 8,192), 92 against 64 ms; K = 50,000, 356 against
-# 225 ms. The floor sits above break-even because a shared host's other
+# threads, tau 50, medians of 11 interleaved pairs on 2 vCPUs, clustered
+# then uniform times: K = 2,000, 8.8 against 20.7 and 11.3 against
+# 26.0 ms; K = 16,384, 23.9 against 29.4 and 27.9 against 30.4 ms;
+# K = 25,000 about even; K = 32,768 (k = 16,384), 52.0 against 44.4 and
+# 58.6 against 46.3 ms; K = 50,000, 77.7 against 54.7 and 74.5 against
+# 55.1 ms. The floor sits above break-even because a shared host's other
 # CPU is not always free.
-PARALLEL_MIN_K = 8192
-# Each trial in flight peaks at about 64·k bytes (its draws, distances
-# and lookups), so the thread count is capped rather than one per CPU:
-# on a 64-CPU host, uncapped, that is gigabytes at K = 1e6.
+PARALLEL_MIN_K = 16384
+# Each trial in flight peaks at about 44·k bytes (its draws, lookups and
+# distances), so the thread count is capped rather than one per CPU:
+# on a 64-CPU host, uncapped, that is over a gigabyte at K = 1e6.
 MAX_WORKERS = 4
 
 
@@ -113,12 +115,67 @@ def _nn_gaps(sorted_times, order):
     return out
 
 
-def _dist_to_sorted(points, sorted_times):
-    """Distance from each point to its nearest value in sorted_times."""
-    idx = np.searchsorted(sorted_times, points)
-    lo = np.clip(idx - 1, 0, sorted_times.size - 1)
-    hi = np.clip(idx, 0, sorted_times.size - 1)
-    return np.minimum(np.abs(points - sorted_times[lo]), np.abs(points - sorted_times[hi]))
+@dataclass(frozen=True)
+class _CellTable:
+    """Where each reference draw t_start + u * span falls among the sorted times.
+
+    The period is cut into `cells` equal parts, the least power of two
+    >= K, so that c = floor(u * cells) is exact. starts[c] is the
+    searchsorted index of cell c's lower edge, int32 while K < 2**31;
+    padded is the sorted times between one -inf and 2**halvings +infs,
+    halvings being the bit length of the widest cell.
+    """
+
+    t_start: float
+    span: float
+    starts: np.ndarray
+    padded: np.ndarray
+    halvings: int
+
+
+def _cell_table(sorted_times, t_start, span):
+    """The _CellTable of sorted_times over a period of finite length span."""
+    k_total = sorted_times.size
+    cells = 1 << (k_total - 1).bit_length()
+    starts = np.empty(cells + 1, np.int32 if k_total < 2**31 else np.intp)
+    # edge c is computed as the draw at u = c / cells is, and rounding is
+    # monotone, so a draw in cell c has its index in [starts[c], starts[c + 1]].
+    # The edges go a block at a time, so that no full-size float or intp
+    # copy of the table raises the call's peak memory.
+    block = 8192
+    for lo in range(0, cells + 1, block):
+        c = np.arange(lo, min(lo + block, cells + 1))
+        starts[lo:lo + c.size] = np.searchsorted(sorted_times, t_start + (c / cells) * span)
+    halvings = int(np.diff(starts).max()).bit_length()
+    padded = np.concatenate(([-np.inf], sorted_times, np.full(1 << halvings, np.inf)))
+    return _CellTable(t_start, span, starts, padded, halvings)
+
+
+def _ref_distances(u, table):
+    """Distance from each draw t_start + u * span to its nearest sorted time.
+
+    pos counts the sorted times below the draw, as searchsorted would:
+    a draw in an empty cell has it from starts, the others take halvings
+    branchless steps from their cell's start, in intp so that no probe
+    wraps. The nearest time is padded[pos] or padded[pos + 1], where a
+    pad stands for a missing neighbour and is never the nearer one. The
+    search's arrays are freed before the two distance arrays are made.
+    """
+    points = table.t_start + u * table.span
+    starts, padded = table.starts, table.padded
+    cell = (u * (starts.size - 1)).astype(np.intp)
+    pos = starts.take(cell)
+    searched = np.flatnonzero(starts[1:].take(cell) != pos)
+    del cell
+    found, wanted = pos.take(searched).astype(np.intp), points.take(searched)
+    for h in reversed(range(table.halvings)):
+        found += (padded.take(found + (1 << h)) < wanted) << h
+    pos[searched] = found
+    del searched, found, wanted
+    below, above = padded.take(pos), padded[1:].take(pos)
+    np.abs(np.subtract(points, below, out=below), out=below)
+    np.abs(np.subtract(points, above, out=above), out=above)
+    return np.minimum(below, above, out=below)
 
 
 def _usable_cpus():
@@ -184,7 +241,11 @@ def vcs(times, period, config=VcsConfig()):
     them. Each keeps its own substream and sum order, and the t_stats
     are summed in trial order, so every result is bit-identical whatever
     the thread count; a failure raises the first failing trial's error.
-    Each trial in flight peaks at about 64·k bytes.
+    Each trial in flight peaks at about 44·k bytes. The reference lookup
+    table they share costs 4·cells bytes, cells being the least power of
+    two >= K (at most 8·K bytes), plus a copy of the sorted times padded
+    with one -inf and 2**h +infs, h being the bit length of the most
+    times one cell holds.
     """
     times = np.asarray(times, dtype=np.float64)
     k_total = times.size
@@ -203,8 +264,12 @@ def vcs(times, period, config=VcsConfig()):
     if t_start > t_end:
         raise ValueError("period must be a (start, end) pair with start <= end")
     span = t_end - t_start
+    if not math.isfinite(span):
+        # every reference draw t_start + u * span then lies at inf, so
+        # every d_r overflows and trial 0 fails as t_statistic fails it
+        raise DegenerateDistances("distance sums overflow float64")
     # one stable argsort serves the nearest-neighbour gaps and the
-    # reference distances; sorted input, as evaluate_stream passes it,
+    # reference lookup; sorted input, as evaluate_stream passes it,
     # takes the same path
     order = np.argsort(times, kind="stable")
     sorted_times = times[order]
@@ -212,14 +277,15 @@ def vcs(times, period, config=VcsConfig()):
     # a gap or sum past the float range becomes inf, which t_statistic rejects
     with np.errstate(over="ignore"):
         gaps = _nn_gaps(sorted_times, order)
+        table = _cell_table(sorted_times, t_start, span)
+    del order, sorted_times  # the trials read only gaps and table
 
     def trial(i):
         # np.errstate is per thread, so each trial enters its own
         with np.errstate(over="ignore"):
             rng = np.random.default_rng((config.seed, i))
             d_disg = float(gaps[rng.choice(k_total, size=k, replace=False)].sum())
-            random_times = t_start + rng.random(k) * span
-            d_r = float(_dist_to_sorted(random_times, sorted_times).sum())
+            d_r = float(_ref_distances(rng.random(k), table).sum())
         return VcsTrial(d_disg=d_disg, d_r=d_r, t_stat=t_statistic(d_r, d_disg))
 
     workers = min(config.tau, _usable_cpus(), MAX_WORKERS) if k >= PARALLEL_MIN_K else 1

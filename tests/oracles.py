@@ -41,6 +41,14 @@ def brute_ref_sum(ref_times, times):
     return float(d.min(axis=1).sum())
 
 
+def dist_to_sorted(points, sorted_times):
+    """Distance from each point to its nearest value in sorted_times, by binary search."""
+    idx = np.searchsorted(sorted_times, points)
+    lo = np.clip(idx - 1, 0, sorted_times.size - 1)
+    hi = np.clip(idx, 0, sorted_times.size - 1)
+    return np.minimum(np.abs(points - sorted_times[lo]), np.abs(points - sorted_times[hi]))
+
+
 def contract_draws(seed, i, big_k, k, period):
     """Trial i's (positions, random_times) per the documented contract.
 
@@ -108,10 +116,7 @@ def fast_vcs(times, period, tau=5, frac=0.5, seed=42):
     for i in range(tau):
         positions, ref = contract_draws(seed, i, big_k, k, period)
         d_disg = float(nn[positions].sum())
-        idx = np.searchsorted(times, ref)
-        lo = np.clip(idx - 1, 0, big_k - 1)
-        hi = np.clip(idx, 0, big_k - 1)
-        d_r = float(np.minimum(np.abs(ref - times[lo]), np.abs(ref - times[hi])).sum())
+        d_r = float(dist_to_sorted(ref, times).sum())
         t_stats.append(d_r / (d_r + d_disg))
     t_mean = float(np.mean(t_stats))
     return abs(0.5 - t_mean), t_mean, t_stats

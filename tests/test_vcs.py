@@ -316,6 +316,50 @@ class TestSortSkip:
                 assert trial.t_stat == t_statistic(trial.d_r, trial.d_disg)
 
 
+@st.composite
+def lookup_cases(draw):
+    """Sorted times with ties, a period and whether the times form one cluster.
+
+    The periods hold the times, exclude them, have zero length or span
+    nearly the float range. A cluster puts K distinct times in one cell.
+    """
+    k_total = draw(st.sampled_from([2, 3]) | st.integers(2, 300))
+    scale = draw(st.sampled_from([1.0, 1e3, 5e306]))
+    period = draw(st.sampled_from([(0.0, 10 * scale), (-5 * scale, -scale), (scale, scale),
+                                   (-0.85e308, 0.9e308)]))
+    t_start, t_end = period
+    clustered = t_start < t_end and draw(st.booleans())
+    if clustered:
+        span = t_end - t_start
+        times = t_start + 0.3 * span + np.arange(k_total) * (span * 1e-9)
+    else:
+        steps = draw(st.lists(st.integers(0, 10), min_size=k_total, max_size=k_total))
+        times = np.array(steps, dtype=np.float64) * scale
+    return np.sort(times), period, clustered, draw(st.integers(0, 2**32 - 1))
+
+
+class TestCellLookup:
+    """The cell table's reference distances equal the binary-search oracle's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lookup_cases())
+    def test_matches_searchsorted_bit_for_bit(self, case):
+        sorted_times, (t_start, t_end), clustered, seed = case
+        span = t_end - t_start
+        with np.errstate(over="ignore"):
+            table = vcs_module._cell_table(sorted_times, t_start, span)
+            cells = table.starts.size - 1
+            edges = np.arange(cells) / cells
+            # every cell edge, the draw just below each, the largest draw and random draws
+            u = np.concatenate((edges, np.nextafter(edges[1:], 0.0), [np.nextafter(1.0, 0.0)],
+                                np.random.default_rng(seed).random(200)))
+            got = vcs_module._ref_distances(u, table)
+            want = oracles.dist_to_sorted(t_start + u * span, sorted_times)
+        assert got.tobytes() == want.tobytes()
+        if clustered:
+            assert table.halvings == sorted_times.size.bit_length()
+
+
 def outcome(times, period, config):
     """vcs's result, or the type and message of the error it raises."""
     try:
@@ -331,7 +375,8 @@ def trial_cases(draw):
     steps = draw(st.lists(st.integers(0, 10), min_size=2, max_size=60))
     times = np.array(steps, dtype=np.float64) * scale
     period = draw(st.sampled_from([(0.0, 10 * scale), (0.0, 0.0), (times[0], times[0]),
-                                   (0.0, 1.7e308)]))
+                                   (0.0, 1.7e308), (-10 * scale, 10 * scale),
+                                   (-5 * scale, -scale)]))
     config = VcsConfig(tau=draw(st.integers(1, 6)),
                        subsample_fraction=draw(st.sampled_from([0.01, 0.3, 0.5, 0.9])),
                        seed=draw(st.integers(0, 2**64 - 1)))
@@ -375,15 +420,15 @@ class TestThreadedTrials:
             times, (0.0, 5000.0), tau=6, seed=31)[2]
 
         threads = set()
-        lookup = vcs_module._dist_to_sorted
+        lookup = vcs_module._ref_distances
 
-        def slow_lookup(points, sorted_times):
+        def slow_lookup(u, table):
             # the pause lets every thread take a trial before the others finish
             threads.add(threading.get_ident())
             time.sleep(0.01)
-            return lookup(points, sorted_times)
+            return lookup(u, table)
 
-        monkeypatch.setattr(vcs_module, "_dist_to_sorted", slow_lookup)
+        monkeypatch.setattr(vcs_module, "_ref_distances", slow_lookup)
         assert vcs(times, (0.0, 5000.0), config) == got
         assert len(threads) == min(config.tau, vcs_module._usable_cpus(),
                                    vcs_module.MAX_WORKERS)
@@ -399,7 +444,10 @@ class TestThreadedTrials:
         ([-0.9e308] + [0.0] * 10 + [0.9e308], (0.0, 0.0), 3, "distance sums overflow float64"),
         # trial 0 overflows and trial 1 has zero sums; trial 0 is reported
         ([-0.9e308] + [0.0] * 6 + [0.9e308], (0.0, 0.0), 3, "distance sums overflow float64"),
-    ], ids=["zero-sums", "overflow", "later-trial-fails", "first-of-two-fails"])
+        # the period's length overflows, so every reference draw lies at inf
+        (np.arange(40.0), (-1e308, 1e308), 0, "distance sums overflow float64"),
+    ], ids=["zero-sums", "overflow", "later-trial-fails", "first-of-two-fails",
+            "period-length-overflows"])
     def test_failing_trial_raises_the_same_error(self, times, period, seed, message,
                                                  monkeypatch):
         config = VcsConfig(tau=6, seed=seed)
@@ -443,7 +491,9 @@ def test_import_gradcheck_and_threaded_vcs_load_no_thread_pool():
             "from vcseval.report_cli import main\n"
             "assert main(['gradcheck', '--trials', '2']) == 0\n"
             "assert 'concurrent.futures' not in sys.modules, 'loaded by gradcheck'\n"
-            "vcseval.vcs(np.arange(20000.0), (0.0, 20000.0), vcseval.VcsConfig(tau=4))\n"
+            # K = 2 * PARALLEL_MIN_K, so that the trials run on threads
+            f"big_k = {2 * vcs_module.PARALLEL_MIN_K}\n"
+            "vcseval.vcs(np.arange(big_k * 1.0), (0.0, big_k), vcseval.VcsConfig(tau=4))\n"
             "assert 'concurrent.futures' not in sys.modules, 'loaded by vcs'\n")
     src = str(pathlib.Path(vcseval.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
