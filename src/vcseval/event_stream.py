@@ -100,6 +100,19 @@ def _value_problem(t, y, p):
     return None
 
 
+class _FileDecodeError(UnicodeDecodeError):
+    """A bad byte of one piece, at its offset in the whole file. object holds
+    only the bad bytes, so that the error does not grow with the offset; start,
+    end and the message are those of decoding the whole file."""
+
+    def __str__(self):
+        if self.end - self.start == 1:
+            return (f"'{self.encoding}' codec can't decode byte 0x{self.object[0]:02x} "
+                    f"in position {self.start}: {self.reason}")
+        return (f"'{self.encoding}' codec can't decode bytes in position "
+                f"{self.start}-{self.end - 1}: {self.reason}")
+
+
 def _pieces(data):
     """Yield a str, or a file opened for reading, in pieces of about _CHUNK_CHARS
     characters that end just after a line feed or at the end: read(_CHUNK_CHARS)
@@ -119,10 +132,8 @@ def _pieces(data):
             try:
                 text = piece.decode("utf-8")
             except UnicodeDecodeError as exc:
-                # the message shows the bad byte only if the error's object holds
-                # its position, so the bytes before this piece are padded as zeros
-                raise UnicodeDecodeError(exc.encoding, bytes(offset) + piece, offset + exc.start,
-                                         offset + exc.end, exc.reason) from None
+                raise _FileDecodeError(exc.encoding, piece[exc.start:exc.end], offset + exc.start,
+                                       offset + exc.end, exc.reason) from None
             offset += len(piece)
             piece = text
         yield piece

@@ -75,27 +75,19 @@ def average_precision(stream):
     n_pos = int(y.sum())
     if n_pos == 0:
         raise NoPositives("average precision needs at least one positive label")
-    order = np.argsort(-stream.p, kind="stable")
-    hits = y[order] == 1
-    ranks = np.arange(1, y.size + 1)
-    precision_at = np.cumsum(hits) / ranks
-    return float(precision_at[hits].sum() / n_pos)
+    # the 1-based ranks of the positives; the j-th of them has precision j / rank
+    ranks = np.flatnonzero(y[np.argsort(-stream.p, kind="stable")]) + 1.0
+    return float(np.divide(np.arange(1, n_pos + 1), ranks, out=ranks).sum() / n_pos)
 
 
 def auroc(stream):
     """Mann-Whitney AU-ROC with 0.5 credit for tied scores."""
     y = stream.y
-    p = stream.p
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise OneClassOnly("AU-ROC needs both a positive and a negative label")
-    order = np.argsort(p, kind="stable")
-    # Each tie group [start, stop) of sorted scores shares its mean rank.
-    boundaries = np.flatnonzero(np.diff(p[order]) != 0) + 1
-    starts = np.concatenate(([0], boundaries))
-    stops = np.concatenate((boundaries, [y.size]))
-    ranks = np.empty(y.size, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (starts + 1 + stops), stops - starts)
-    u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    pos, neg = np.sort(stream.p[y == 1]), np.sort(stream.p[y == 0])
+    # 2U: each positive counts the negatives below it twice and those tied with it once
+    twice_u = np.searchsorted(neg, pos, "left").sum() + np.searchsorted(neg, pos, "right").sum()
+    return float(twice_u / 2.0 / (n_pos * n_neg))

@@ -30,6 +30,20 @@ def _integers(*values):
     return all(isinstance(value, (int, np.integer)) for value in values)
 
 
+def _period(period):
+    """The spec's (start, end), a finite pair of positive length."""
+    try:
+        t_start, t_end = period
+        ok = t_start < t_end and math.isfinite(t_end - t_start)
+    except OverflowError:  # an int difference past the float range
+        ok = False
+    except (TypeError, ValueError):
+        raise SpecViolation("period must be a (start, end) pair") from None
+    if not ok:
+        raise SpecViolation("period must be finite and have positive length")
+    return t_start, t_end
+
+
 @dataclass(frozen=True)
 class PatternSpec:
     kind: str
@@ -47,9 +61,7 @@ class PatternSpec:
             raise SpecViolation("n_events and n_errors must be integers")
         if not 2 <= self.n_errors <= self.n_events:
             raise SpecViolation("need 2 <= n_errors <= n_events")
-        t_start, t_end = self.period
-        if not (t_start < t_end and math.isfinite(t_end - t_start)):
-            raise SpecViolation("period must be finite and have positive length")
+        t_start, t_end = _period(self.period)
         if t_start < 0:
             raise SpecViolation("period must start at t >= 0, as parsed timestamps do")
         overflow = not math.isfinite((self.n_errors - 0.5) * (t_end - t_start))
@@ -92,9 +104,7 @@ class DriftSpec:
             raise SpecViolation("drift_onset must lie in (0, 1)")
         if self.feature_dim < 1:
             raise SpecViolation("feature_dim must be at least 1")
-        t_start, t_end = self.period
-        if not (t_start < t_end and math.isfinite(t_end - t_start)):
-            raise SpecViolation("period must be finite and have positive length")
+        _period(self.period)
         if not 0.0 <= self.burst_fraction < 1.0:
             raise SpecViolation("burst_fraction must lie in [0, 1)")
         if not 0.0 <= self.post_class1_rate <= 1.0:

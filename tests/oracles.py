@@ -9,7 +9,9 @@ exception is one_point_combined_loss, the trainer's loss one parameter
 row at a time: the stacked loss must match it bit for bit, so it calls
 the package's public one-row soft-T functions. jsonl_rows, csv_rows and
 record_values raise the package's public MalformedRecord and EmptyInput,
-whose messages they must match.
+whose messages they must match. average_precision_ranks and auroc_ranks
+are the rank-array formulas that the package's counting average_precision
+and auroc must match bit for bit.
 """
 
 import csv
@@ -372,6 +374,34 @@ def auroc_direct(y, p):
             elif a == b:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def average_precision_ranks(stream):
+    """AP from the precision at every rank: a cumsum of hits over a stable
+    descending sort, divided by the ranks, summed where the hits are."""
+    y = stream.y
+    order = np.argsort(-stream.p, kind="stable")
+    hits = y[order] == 1
+    ranks = np.arange(1, y.size + 1)
+    precision_at = np.cumsum(hits) / ranks
+    return float(precision_at[hits].sum() / int(y.sum()))
+
+
+def auroc_ranks(stream):
+    """AU-ROC from the Mann-Whitney rank sum, each tie group sharing its mean rank."""
+    y = stream.y
+    p = stream.p
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    order = np.argsort(p, kind="stable")
+    # Each tie group [start, stop) of sorted scores shares its mean rank.
+    boundaries = np.flatnonzero(np.diff(p[order]) != 0) + 1
+    starts = np.concatenate(([0], boundaries))
+    stops = np.concatenate((boundaries, [y.size]))
+    ranks = np.empty(y.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + stops), stops - starts)
+    u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
 
 
 def jsonl_rows(text):

@@ -715,6 +715,29 @@ class TestStreaming:
         assert stream.ids is None and len(stream) == n
         assert peak / n <= 96
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_bad_byte_error_does_not_grow_with_its_offset(self, fmt, tmp_path, monkeypatch):
+        """The error of a bad byte past 40 pieces holds no copy of the bytes
+        before it: the traced peak is no higher than the clean parse's."""
+        monkeypatch.setattr(event_stream, "_CHUNK_CHARS", 4096)
+        data = serialize_records(random_stream(6000), fmt).encode()
+        assert len(data) > 40 * event_stream._CHUNK_CHARS
+        peaks = []
+        for tail in (b"", b"\xe9\n"):
+            path = tmp_path / "log"
+            path.write_bytes(data + tail)
+            tracemalloc.start()
+            try:
+                with open(path, "rb") as log:
+                    parse_records(log, fmt)
+            except UnicodeDecodeError as err:
+                assert (err.start, err.end) == (len(data), len(data) + 1)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+        clean, bad = peaks
+        assert bad <= clean
+
     @pytest.mark.parametrize("sort", [False, True], ids=["as-written", "sorted"])
     @pytest.mark.parametrize("with_ids", [False, True], ids=["index-ids", "own-ids"])
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])

@@ -152,6 +152,21 @@ class TestDriftDataset:
                 DriftSpec(n_events=10, **{field: value})
 
 
+@pytest.mark.parametrize("make", [lambda period: PatternSpec("random", 10, 5, period=period),
+                                  lambda period: DriftSpec(n_events=10, period=period)],
+                         ids=["pattern", "drift"])
+def test_period_must_be_a_pair(make):
+    for period in ((0.0,), (0.0, 1.0, 2.0), 5.0, None, (), ("a", "b")):
+        with pytest.raises(SpecViolation, match=r"^period must be a \(start, end\) pair$"):
+            make(period)
+    for period in ((5.0, 5.0), (1.0, 0.0), (0.0, np.inf), (np.nan, 1.0), (0, 10**400)):
+        with pytest.raises(SpecViolation,
+                           match="^period must be finite and have positive length$"):
+            make(period)
+    for period in ([0.0, 1.0], np.array([0.0, 1.0])):
+        assert tuple(make(period).period) == (0.0, 1.0)
+
+
 def fit_early_eval_late(spec, train_frac=0.7):
     """Train on the chronological head, return VCS inputs from the tail."""
     ds = generate_drift_dataset(spec)
