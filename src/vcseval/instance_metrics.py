@@ -87,7 +87,17 @@ def auroc(stream):
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise OneClassOnly("AU-ROC needs both a positive and a negative label")
-    pos, neg = np.sort(stream.p[y == 1]), np.sort(stream.p[y == 0])
-    # 2U: each positive counts the negatives below it twice and those tied with it once
-    twice_u = np.searchsorted(neg, pos, "left").sum() + np.searchsorted(neg, pos, "right").sum()
+    # the masks make copies, so each class is sorted in place
+    pos, neg = stream.p[y == 1], stream.p[y == 0]
+    pos.sort()
+    neg.sort()
+    # 2U: each positive counts the negatives below it twice and those tied
+    # with it once. Only the smaller class is searched, so the index arrays
+    # have its length; from the negatives' side, 2U is 2 * n_pos * n_neg
+    # less the positives below each negative twice and those tied once.
+    if n_pos <= n_neg:
+        twice_u = np.searchsorted(neg, pos, "left").sum() + np.searchsorted(neg, pos, "right").sum()
+    else:
+        twice_u = (2 * n_pos * n_neg - np.searchsorted(pos, neg, "left").sum()
+                   - np.searchsorted(pos, neg, "right").sum())
     return float(twice_u / 2.0 / (n_pos * n_neg))

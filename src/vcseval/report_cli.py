@@ -155,7 +155,7 @@ def _gradcheck_soft_nn(rng, step, beta):
     n = int(rng.integers(4, 13))
     times = _tie_free_times(rng, n)
     return soft_vca.finite_difference_check(
-        lambda points: [soft_vca.soft_nn_distance(point, 0, beta) for point in points],
+        lambda points: soft_vca.soft_nn_distance(points, 0, beta),
         soft_vca.soft_nn_gradient(times, 0, beta), times, step)
 
 

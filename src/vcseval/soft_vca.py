@@ -98,15 +98,16 @@ def _exclusive_logsum(gaps, ell):
 def _self_excluded_logsum(gaps, ell):
     """log sum_{j != k} exp(ell[j] - beta * |t_k - t_j|) down each column.
 
-    ell: (m, c) log-weights of m points in time order; gaps: (m - 1,),
-    beta times the gaps between neighbours. The sum over j < k is a
-    forward scan, the sum over j > k the same scan over the reversed
-    sequence.
+    ell: (m, c) log-weights of m points in time order; gaps: beta times
+    the gaps between neighbours, (m - 1, 1) when every column shares one
+    sequence of points, or (m - 1, c) with one sequence per column. The
+    sum over j < k is a forward scan, the sum over j > k the same scan
+    over the reversed sequence.
     """
     m, c = ell.shape
     both_gaps = np.empty((m - 1, 2 * c))
-    both_gaps[:, :c] = gaps[:, None]
-    both_gaps[:, c:] = gaps[::-1, None]
+    both_gaps[:, :c] = gaps
+    both_gaps[:, c:] = gaps[::-1]
     both = np.empty((m, 2 * c))
     both[:, :c] = ell
     both[:, c:] = ell[::-1]
@@ -124,23 +125,34 @@ def soft_nn_distance(times, index, beta):
     _self_excluded_logsum with unit weights. Raises ValueError when a
     time is not finite, or when beta is so large or so small against
     the gaps that the soft minimum is not finite.
+
+    times is one (n,) set of points, giving a float, or a (c, n) stack
+    of sets, giving one distance per row. Each row has its own sort and
+    its own scan column, so the rows need not share an order; every
+    entry is bit-identical to the one-row call, and a stack with an
+    invalid row raises what that row raises alone.
     """
     t = np.asarray(times, dtype=np.float64)
-    if t.size < 2:
+    if t.ndim > 2:
+        raise ValueError("times must be (n,) or (c, n)")
+    if t.ndim == 0 or t.shape[-1] < 2:
         raise InsufficientSet("soft distance needs at least one other entry")
     if not np.isfinite(t).all():
         raise ValueError("times must be finite")
     if not 0 < beta < math.inf:
         raise ValueError("beta must be positive and finite")
-    order = np.argsort(t, kind="stable")
-    ts = t[order]
-    log_s = np.empty(t.size)
+    rows = np.atleast_2d(t)
+    order = np.argsort(rows, axis=1, kind="stable")
+    ts = np.take_along_axis(rows, order, axis=1)
+    log_s = np.empty_like(rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        log_s[order] = _self_excluded_logsum((ts[1:] - ts[:-1]) * beta, np.zeros((t.size, 1)))[:, 0]
-        d = -log_s[index] / beta
-    if not math.isfinite(d):
+        # column r of the scan is row r in time order
+        scan = _self_excluded_logsum(((ts[:, 1:] - ts[:, :-1]) * beta).T, np.zeros(ts.shape[::-1]))
+        np.put_along_axis(log_s, order, scan.T, axis=1)
+        d = -log_s[:, index] / beta
+    if not np.isfinite(d).all():
         raise ValueError("soft minimum is not finite at this beta")
-    return float(d)
+    return float(d[0]) if t.ndim == 1 else d
 
 
 def soft_nn_gradient(times, index, beta):
@@ -220,7 +232,7 @@ def weighted_soft_t(timestamps, weights, random_times, beta):
     order = np.argsort(merged, kind="stable")
     times = merged[order]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        gaps = (times[1:] - times[:-1]) * beta
+        gaps = ((times[1:] - times[:-1]) * beta)[:, None]
         log_w = np.log(np.concatenate((rows, np.zeros((c, r.size))), axis=1)[:, order].T)
         log_s = _self_excluded_logsum(gaps, log_w)
 

@@ -107,51 +107,55 @@ def combined_losses(thetas, batch, config, step):
     # an overflow or NaN here fails the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         # one matrix-vector product per row: x @ thetas.T rounds some
-        # entries differently from the one-row product
-        probs = [_sigmoid(x @ theta) for theta in thetas]
-        weights, slot = [], {}
+        # entries differently from the one-row product. Each row of a
+        # C-contiguous (c, n) array is reduced with the pairwise sum of
+        # the one-row call, so the rest runs on all rows at once.
+        p = _sigmoid(np.array([x @ theta for theta in thetas]))
+        p_safe = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
+        ces = -(y * np.log(p_safe) + (1.0 - y) * np.log(1.0 - p_safe)).sum(axis=1) / n
+        n_clamped = (p != p_safe).sum(axis=1)
+        unclamped = (p > P_CLAMP) & (p < 1.0 - P_CLAMP)
+        gz = np.where(unclamped, p - y, 0.0) / n
+        rows = []
         if config.gamma > 0:
-            for i, p in enumerate(probs):
-                w = np.abs(p - y)
-                # a weight that is not finite, from a NaN logit, would fail the
-                # stack; its row fails its own finiteness check below
-                if np.count_nonzero(w > WEIGHT_FLOOR) >= 2 and np.isfinite(w).all():
-                    slot[i] = len(weights)
-                    weights.append(w)
-        if weights:
+            w = np.abs(p - y)
+            # a weight that is not finite, from a NaN logit, would fail the
+            # stack; its row fails its own finiteness check below
+            eligible = ((w > WEIGHT_FLOOR).sum(axis=1) >= 2) & np.isfinite(w).all(axis=1)
+            rows = eligible.nonzero()[0].tolist()
+        if rows:
             beta = effective_beta(batch.t)
             rng = np.random.default_rng((config.seed, step))
             n_ref = max(2, n // 2)
             t_lo, t_hi = float(batch.t.min()), float(batch.t.max())
             ref_times = t_lo + rng.random(n_ref) * (t_hi - t_lo)
             try:
-                trial = weighted_soft_t(batch.t, np.array(weights), ref_times, beta)
+                trial = weighted_soft_t(batch.t, w[rows], ref_times, beta)
             except (NonFiniteGradient, ValueError) as exc:
                 raise NonFiniteLoss(step, str(exc)) from exc
             penalties, d_pens = vca_penalty(trial.t_soft, config.gamma)
+            p_pen = p[rows]
+            gz_pen = d_pens[:, None] * trial.weight_gradient * np.sign(p_pen - y) * p_pen * (1.0 - p_pen)
+        slot = {i: j for j, i in enumerate(rows)}
 
         out = []
-        for i, p in enumerate(probs):
-            p_safe = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
-            ce = float(-np.mean(y * np.log(p_safe) + (1.0 - y) * np.log(1.0 - p_safe)))
-            unclamped = (p > P_CLAMP) & (p < 1.0 - P_CLAMP)
-            gradient = x.T @ (np.where(unclamped, p - y, 0.0) / n)
+        for i in range(thetas.shape[0]):
+            gradient = x.T @ gz[i]
             penalty = 0.0
             j = slot.get(i)
             if j is not None:
                 penalty = penalties[j]
-                gz_pen = d_pens[j] * trial.weight_gradient[j] * np.sign(p - y) * p * (1.0 - p)
-                gradient = gradient + x.T @ gz_pen
-            total = ce + penalty
-            if not np.isfinite(total) or not np.all(np.isfinite(gradient)):
+                gradient = gradient + x.T @ gz_pen[j]
+            total = ces[i] + penalty
+            if not (np.isfinite(total) and np.isfinite(gradient).all()):
                 raise NonFiniteLoss(step, "loss or gradient is not finite")
             out.append(LossBreakdown(
-                cross_entropy=ce,
+                cross_entropy=float(ces[i]),
                 penalty=float(penalty),
                 total=float(total),
                 gradient=gradient,
                 penalty_skipped=config.gamma > 0 and j is None,
-                n_clamped=int(np.count_nonzero(p != p_safe)),
+                n_clamped=int(n_clamped[i]),
             ))
     return out
 

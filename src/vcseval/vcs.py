@@ -229,6 +229,14 @@ def _map_in_threads(fn, n, workers):
     return results
 
 
+def _finite(x):
+    """math.isfinite, False for an int past the float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def vcs(times, period, config=VcsConfig()):
     """VCS = |0.5 - mean(t_stat)| over tau trials on the disagreement timestamps.
 
@@ -259,12 +267,12 @@ def vcs(times, period, config=VcsConfig()):
     if np.shape(period) != (2,):
         raise ValueError("period must be a (start, end) pair with start <= end")
     t_start, t_end = period
-    if not (math.isfinite(t_start) and math.isfinite(t_end)):
+    if not (_finite(t_start) and _finite(t_end)):
         raise ValueError("period must be finite")
     if t_start > t_end:
         raise ValueError("period must be a (start, end) pair with start <= end")
     span = t_end - t_start
-    if not math.isfinite(span):
+    if not _finite(span):
         # every reference draw t_start + u * span then lies at inf, so
         # every d_r overflows and trial 0 fails as t_statistic fails it
         raise DegenerateDistances("distance sums overflow float64")

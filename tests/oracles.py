@@ -7,7 +7,10 @@ uniform-pattern band sampler uses a faster sorted-gap route that is
 itself validated against the brute-force one in the unit tests. The
 exception is one_point_combined_loss, the trainer's loss one parameter
 row at a time: the stacked loss must match it bit for bit, so it calls
-the package's public one-row soft-T functions. jsonl_rows, csv_rows and
+the package's public one-row soft-T functions. So is
+one_point_soft_nn_distance, the soft minimum for one set of points,
+which the stacked soft_nn_distance must match bit for bit: it runs the
+package's own scan on one column. jsonl_rows, csv_rows and
 record_values raise the package's public MalformedRecord and EmptyInput,
 whose messages they must match. average_precision_ranks and auroc_ranks
 are the rank-array formulas that the package's counting average_precision
@@ -22,8 +25,10 @@ from collections import namedtuple
 
 import numpy as np
 
-from vcseval import (EmptyInput, LossBreakdown, MalformedRecord, NonFiniteGradient,
-                     NonFiniteLoss, effective_beta, vca_penalty, weighted_soft_t)
+from vcseval import (EmptyInput, InsufficientSet, LossBreakdown, MalformedRecord,
+                     NonFiniteGradient, NonFiniteLoss, effective_beta, vca_penalty,
+                     weighted_soft_t)
+from vcseval.soft_vca import _self_excluded_logsum
 from vcseval.toy_trainer import P_CLAMP, WEIGHT_FLOOR
 
 
@@ -161,6 +166,32 @@ def mask_soft_nn_distance(times, index, beta):
     exponents = -beta * np.abs(t[mask] - t[index])
     m = exponents.max()
     return float(-(m + np.log(np.exp(exponents - m).sum())) / beta)
+
+
+def one_point_soft_nn_distance(times, index, beta):
+    """soft_nn_distance for one (n,) set of points, one call per set.
+
+    Entry index of the self-excluded scan over a one-column stack with
+    unit weights, in the set's own stable sort order. Raises as
+    soft_nn_distance does.
+    """
+    t = np.asarray(times, dtype=np.float64)
+    if t.size < 2:
+        raise InsufficientSet("soft distance needs at least one other entry")
+    if not np.isfinite(t).all():
+        raise ValueError("times must be finite")
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
+    order = np.argsort(t, kind="stable")
+    ts = t[order]
+    log_s = np.empty(t.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = ((ts[1:] - ts[:-1]) * beta)[:, None]
+        log_s[order] = _self_excluded_logsum(gaps, np.zeros((t.size, 1)))[:, 0]
+        d = -log_s[index] / beta
+    if not math.isfinite(d):
+        raise ValueError("soft minimum is not finite at this beta")
+    return float(d)
 
 
 def mask_soft_nn_gradient(times, index, beta):

@@ -224,6 +224,26 @@ class TestCountingMatchesRanks:
             assert peak / n <= 20, metric.__name__
 
 
+    @pytest.mark.parametrize("positive_rate", [0.9, 0.1], ids=["9:1", "1:9"])
+    def test_unbalanced_classes(self, positive_rate):
+        """Each class is sorted in its masked copy and the smaller class is
+        searched in the larger, so with 9:1 classes either way AU-ROC peaks
+        at about 9 bytes per event; a second, sorted copy of each class and
+        index arrays as long as the larger class took 15.2."""
+        n = 200_000
+        rng = np.random.default_rng(6)
+        stream = stream_from(list((rng.random(n) < positive_rate).astype(int)),
+                             list(np.round(rng.random(n), 3)))
+        tracemalloc.start()
+        try:
+            got = auroc(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == oracles.auroc_ranks(stream)
+        assert peak / n <= 10
+
+
 class TestTimeBlindness:
     def test_metrics_ignore_timestamps(self):
         y = [1, 0, 1, 0, 1]

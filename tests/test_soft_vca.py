@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from vcseval import (
@@ -124,6 +124,65 @@ class TestScanMatchesMaskOracle:
                 want_self, want = oracles.mask_soft_nn_gradient(times, i, beta)
                 want[i] = want_self
                 assert np.abs(soft_nn_gradient(times, i, beta) - want).max() <= 1e-10
+
+
+class TestStackedSoftNn:
+    """A (c, n) stack of point sets gives one soft minimum per row, each
+    with the bits of the one-point call on that row, also where a row has
+    ties, where a step reorders its points and where the soft minimum is
+    not finite."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        c=st.integers(1, 9),
+        decimals=st.sampled_from([0, 1, 15]),
+        step=st.sampled_from([1e-6, 1e-2]) | st.floats(0.1, 20.0),
+        beta=st.floats(1e-2, 1e3) | st.sampled_from([1e300, 1e308]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_one_point_calls(self, n, c, decimals, step, beta, seed):
+        rng = np.random.default_rng(seed)
+        # a coarse grid gives ties
+        base = np.round(rng.random(n) * 10, decimals)
+        # each row moves one point by +-step, as a finite difference does
+        stack = np.tile(base, (c, 1))
+        stack[np.arange(c), rng.integers(0, n, c)] += step * rng.choice([-1.0, 1.0], c)
+        index = int(rng.integers(0, n))
+        base_order = np.argsort(base, kind="stable")
+        event("ties" if np.unique(base).size < n else "no ties")
+        if any((np.argsort(row, kind="stable") != base_order).any() for row in stack):
+            event("a row is reordered")
+
+        want, first_error = [], None
+        for row in stack:
+            try:
+                want.append(oracles.one_point_soft_nn_distance(row, index, beta).hex())
+            except ValueError as exc:
+                first_error = exc
+                break
+        if first_error is not None:
+            event("raises")
+            with pytest.raises(type(first_error), match=str(first_error)):
+                soft_nn_distance(stack, index, beta)
+            return
+        got = soft_nn_distance(stack, index, beta)
+        assert got.shape == (c,)
+        assert [float(d).hex() for d in got] == want
+        one = soft_nn_distance(stack[0], index, beta)
+        assert type(one) is float and one.hex() == want[0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_row_raises(self, bad):
+        stack = np.array([[0.0, 1.0, 3.0], [0.0, bad, 3.0], [2.0, 1.0, 0.5]])
+        with pytest.raises(ValueError, match="times must be finite"):
+            soft_nn_distance(stack, 0, 1.0)
+
+    def test_shapes(self):
+        with pytest.raises(InsufficientSet):
+            soft_nn_distance(np.zeros((3, 1)), 0, 1.0)
+        with pytest.raises(ValueError, match=r"\(n,\) or \(c, n\)"):
+            soft_nn_distance(np.zeros((2, 2, 3)), 0, 1.0)
 
 
 class TestWeightedSoftT:

@@ -198,6 +198,31 @@ class TestCombinedLosses:
         got = combined_losses(thetas, ds, config, step)
         assert [loss_bits(g) for g in got] == [loss_bits(w) for w in want]
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_mixed_stack_matches_one_row_calls(self, gamma):
+        # well-separated classes: the steep row drives every |p - y| below
+        # WEIGHT_FLOOR and the reversed one every |p - y| near 1, and both
+        # clamp some probabilities
+        ds = small_dataset(class_separation=8.0, drift_shift=0.0)
+        steep = np.array([50.0, 50.0, 50.0, 50.0, 0.0])
+        thetas = np.array([[0.3, -0.2, 0.1, 0.4, 0.05], steep, -steep])
+        config = TrainConfig(gamma=gamma, seed=7)
+        got = combined_losses(thetas, ds, config, step=2)
+        for theta, row in zip(thetas, got):
+            assert loss_bits(row) == loss_bits(combined_losses(theta[None], ds, config, step=2)[0])
+            assert loss_bits(row) == loss_bits(oracles.one_point_combined_loss(theta, ds, config, 2))
+        penalized, skipped, clamped = got
+        assert [row.penalty_skipped for row in got] == [False, gamma > 0, False]
+        assert (penalized.penalty > 0) == (gamma > 0) and penalized.n_clamped == 0
+        assert skipped.penalty == 0.0 and skipped.n_clamped > 0
+        assert (clamped.penalty > 0) == (gamma > 0) and clamped.n_clamped > 0
+
+        # a NaN row stays out of the penalty stack and fails its own check
+        nan_row = np.full(5, np.nan)
+        combined_losses(thetas[:1], ds, config, step=2)
+        with pytest.raises(NonFiniteLoss, match="^epoch 2: loss or gradient is not finite$"):
+            combined_losses(np.array([thetas[0], nan_row, thetas[2]]), ds, config, step=2)
+
     @pytest.mark.parametrize("thetas", [np.zeros(5), np.zeros((2, 4)), np.zeros((1, 2, 5))])
     def test_stack_shape_checked(self, thetas):
         with pytest.raises(ValueError, match="thetas"):

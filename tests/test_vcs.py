@@ -204,6 +204,18 @@ class TestVcs:
             with pytest.raises(ValueError, match="period must be finite"):
                 vcs([1.0, 2.0, 3.0], period)
 
+    @pytest.mark.parametrize("period", [(0, 10**400), (-10**400, 0)])
+    def test_int_period_past_the_float_range_named(self, period):
+        with pytest.raises(ValueError, match="period must be finite"):
+            vcs(np.arange(10.0), period)
+
+    def test_int_period_whose_length_overflows(self):
+        # each end fits a float but their int difference does not; float
+        # ends give an inf length and fail the same way
+        for period in ((-10**308, 10**308), (-1e308, 1e308)):
+            with pytest.raises(DegenerateDistances, match="overflow"):
+                vcs(np.arange(10.0), period)
+
     @pytest.mark.parametrize("period", [(5.0, 0.0), (0.0, 5.0, 10.0), (1.0,), 3.0],
                              ids=["reversed", "three-values", "one-value", "scalar"])
     def test_period_must_be_an_ordered_pair(self, period):
