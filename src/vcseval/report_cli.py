@@ -188,12 +188,10 @@ def _gradcheck_combined(rng, step):
     ds = generate_drift_dataset(spec)
     theta0 = 0.5 * rng.standard_normal(spec.feature_dim + 1)
     config = TrainConfig(gamma=0.1, seed=int(rng.integers(0, 2**31)))
-
-    def totals(thetas):
-        return [row.total for row in toy_trainer.combined_losses(thetas, ds, config, step=0)]
-
     gradient = toy_trainer.combined_loss(toy_trainer.ToyModel(theta0), ds, config, step=0).gradient
-    return soft_vca.finite_difference_check(totals, gradient, theta0, step)
+    return soft_vca.finite_difference_check(
+        lambda thetas: toy_trainer.combined_losses(thetas, ds, config, step=0).total,
+        gradient, theta0, step)
 
 
 def cmd_gradcheck(args):

@@ -38,7 +38,10 @@ def effective_beta(timestamps):
     Ties sharpness to the time scale of the reference timestamps so
     the soft-min bound log(n-1)/beta stays small regardless of units.
     """
-    ts = np.sort(np.asarray(timestamps, dtype=np.float64))
+    ts = np.asarray(timestamps, dtype=np.float64)
+    if ts.ndim != 1:
+        raise ValueError("timestamps must be 1-d")
+    ts = np.sort(ts)
     if not np.isfinite(ts).all():
         raise ValueError("timestamps must be finite")
     with np.errstate(over="ignore"):
@@ -161,11 +164,14 @@ def soft_nn_gradient(times, index, beta):
     Entry j != index is -w_j * sign(t_j - t_index), with w the softmax
     of -beta*|dt|, exp(-beta*|dt| - log S) and log S = -beta *
     soft_nn_distance, so its magnitude is at most 1. Entry index is
-    minus the sum of the others. Raises ValueError as soft_nn_distance
-    does, and NonFiniteGradient when an entry overflows float64.
+    minus the sum of the others. times must be one (n,) set of points.
+    Raises ValueError as soft_nn_distance does, and NonFiniteGradient
+    when an entry overflows float64.
     """
-    d = soft_nn_distance(times, index, beta)
     t = np.asarray(times, dtype=np.float64)
+    if t.ndim != 1:
+        raise ValueError("times must be 1-d")
+    d = soft_nn_distance(t, index, beta)
     dist = np.abs(t - t[index])
     dist[index] = np.inf
     with np.errstate(over="ignore", invalid="ignore"):

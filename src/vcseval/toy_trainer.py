@@ -43,6 +43,10 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LossBreakdown:
+    """combined_losses' result: floats, a bool and an int for one
+    parameter row (gradient (d,)), or arrays with one entry per row
+    (gradient (c, d)) for a stack."""
+
     cross_entropy: float
     penalty: float
     total: float
@@ -77,23 +81,24 @@ def _sigmoid(z):
 
 def combined_losses(thetas, batch, config, step):
     """Cross-entropy plus clustering penalty, with the full parameter
-    gradient, for each row of a (c, d) stack of parameter rows.
+    gradient, for one (d,) parameter row or each row of a (c, d) stack.
 
-    Returns one LossBreakdown per row, bit-identical to the row's
-    one-row stack. The penalty path chains d total / d t_soft through
-    the weight gradient of the soft statistic, then through
-    w_i = |p_i - y_i| and the logistic derivative, back to the
-    parameters. Events whose probability hit the clamp bound contribute
-    no cross-entropy gradient. A row with fewer than 2 weights above
-    WEIGHT_FLOOR, or with a weight that is not finite, skips the penalty;
-    the other rows share one beta, one draw of reference times from the
-    (seed, step) substream and one stacked weighted_soft_t call.
+    A (d,) row gives a LossBreakdown of floats, a bool and an int; a
+    stack gives one LossBreakdown whose fields hold one entry per row
+    (gradient (c, d)), each bit-identical to that row's own call. The
+    penalty path chains d total / d t_soft through the weight gradient
+    of the soft statistic, then through w_i = |p_i - y_i| and the
+    logistic derivative, back to the parameters. Events whose
+    probability hit the clamp bound contribute no cross-entropy
+    gradient. A row with fewer than 2 weights above WEIGHT_FLOOR, or
+    with a weight that is not finite, skips the penalty; the other rows
+    share one beta, one draw of reference times from the (seed, step)
+    substream and one stacked weighted_soft_t call.
 
-    Raises NonFiniteLoss(step) at the first row whose loss or gradient
-    is not finite. The work the penalty rows share runs before that
-    check and may fail first, also on a later row: effective_beta raises
-    its ValueError, and a weighted_soft_t failure becomes
-    NonFiniteLoss(step).
+    Raises NonFiniteLoss(step) when any row's loss or gradient is not
+    finite. The work the penalty rows share runs before that check and
+    may fail first: effective_beta raises its ValueError, and a
+    weighted_soft_t failure becomes NonFiniteLoss(step).
     """
     x = _augment(batch.features)
     y = batch.y.astype(np.float64)
@@ -101,8 +106,9 @@ def combined_losses(thetas, batch, config, step):
     if n == 0:
         raise ValueError("batch must be non-empty")
     thetas = np.asarray(thetas, dtype=np.float64)
-    if thetas.ndim != 2 or thetas.shape[1] != x.shape[1]:
-        raise ValueError("thetas must be (c, d) with d the feature count + 1")
+    if thetas.ndim not in (1, 2) or thetas.shape[-1] != x.shape[1]:
+        raise ValueError("thetas must be (d,) or (c, d) with d the feature count + 1")
+    stack = np.atleast_2d(thetas)
 
     # an overflow or NaN here fails the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -110,20 +116,22 @@ def combined_losses(thetas, batch, config, step):
         # entries differently from the one-row product. Each row of a
         # C-contiguous (c, n) array is reduced with the pairwise sum of
         # the one-row call, so the rest runs on all rows at once.
-        p = _sigmoid(np.array([x @ theta for theta in thetas]))
+        p = _sigmoid(np.array([x @ theta for theta in stack]))
         p_safe = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
         ces = -(y * np.log(p_safe) + (1.0 - y) * np.log(1.0 - p_safe)).sum(axis=1) / n
         n_clamped = (p != p_safe).sum(axis=1)
         unclamped = (p > P_CLAMP) & (p < 1.0 - P_CLAMP)
         gz = np.where(unclamped, p - y, 0.0) / n
-        rows = []
+        gradient = np.array([x.T @ g for g in gz])
+        penalty = np.zeros(stack.shape[0])
+        eligible = np.zeros(stack.shape[0], dtype=bool)
         if config.gamma > 0:
             w = np.abs(p - y)
             # a weight that is not finite, from a NaN logit, would fail the
-            # stack; its row fails its own finiteness check below
+            # stack; its row fails the finiteness check below
             eligible = ((w > WEIGHT_FLOOR).sum(axis=1) >= 2) & np.isfinite(w).all(axis=1)
-            rows = eligible.nonzero()[0].tolist()
-        if rows:
+        rows = eligible.nonzero()[0]
+        if rows.size:
             beta = effective_beta(batch.t)
             rng = np.random.default_rng((config.seed, step))
             n_ref = max(2, n // 2)
@@ -133,36 +141,23 @@ def combined_losses(thetas, batch, config, step):
                 trial = weighted_soft_t(batch.t, w[rows], ref_times, beta)
             except (NonFiniteGradient, ValueError) as exc:
                 raise NonFiniteLoss(step, str(exc)) from exc
-            penalties, d_pens = vca_penalty(trial.t_soft, config.gamma)
+            penalty[rows], d_pens = vca_penalty(trial.t_soft, config.gamma)
             p_pen = p[rows]
             gz_pen = d_pens[:, None] * trial.weight_gradient * np.sign(p_pen - y) * p_pen * (1.0 - p_pen)
-        slot = {i: j for j, i in enumerate(rows)}
-
-        out = []
-        for i in range(thetas.shape[0]):
-            gradient = x.T @ gz[i]
-            penalty = 0.0
-            j = slot.get(i)
-            if j is not None:
-                penalty = penalties[j]
-                gradient = gradient + x.T @ gz_pen[j]
-            total = ces[i] + penalty
-            if not (np.isfinite(total) and np.isfinite(gradient).all()):
-                raise NonFiniteLoss(step, "loss or gradient is not finite")
-            out.append(LossBreakdown(
-                cross_entropy=float(ces[i]),
-                penalty=float(penalty),
-                total=float(total),
-                gradient=gradient,
-                penalty_skipped=config.gamma > 0 and j is None,
-                n_clamped=int(n_clamped[i]),
-            ))
-    return out
+            gradient[rows] += [x.T @ g for g in gz_pen]
+        total = ces + penalty
+    if not (np.isfinite(total).all() and np.isfinite(gradient).all()):
+        raise NonFiniteLoss(step, "loss or gradient is not finite")
+    skipped = (config.gamma > 0) & ~eligible
+    if thetas.ndim == 1:
+        return LossBreakdown(float(ces[0]), float(penalty[0]), float(total[0]), gradient[0],
+                             bool(skipped[0]), int(n_clamped[0]))
+    return LossBreakdown(ces, penalty, total, gradient, skipped, n_clamped)
 
 
 def combined_loss(model, batch, config, step):
     """combined_losses for the one parameter row model.weights."""
-    return combined_losses(model.weights[None], batch, config, step)[0]
+    return combined_losses(model.weights, batch, config, step)
 
 
 def train(dataset, config=TrainConfig()):

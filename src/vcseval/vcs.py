@@ -94,7 +94,8 @@ class VcsResult:
 
 def t_statistic(d_r, d_disg):
     """d_r / (d_r + d_disg), the per-trial clustering ratio."""
-    if d_r < 0 or d_disg < 0:
+    # NaN fails every comparison
+    if not (d_r >= 0 and d_disg >= 0):
         raise ValueError("distance sums must be non-negative")
     total = d_r + d_disg
     if total == 0:
@@ -256,6 +257,8 @@ def vcs(times, period, config=VcsConfig()):
     times one cell holds.
     """
     times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1:
+        raise ValueError("times must be 1-d")
     k_total = times.size
     if k_total < 2:
         raise TooFewDisagreements(

@@ -37,6 +37,9 @@ def test_python_blocks_run(demo_dir):
         exec(compile(block, "README.md", "exec"), namespace)
     # the direct vcs call and evaluate_stream score the same timestamps
     assert namespace["result"].vcs == namespace["summary"].vcs_result.vcs
+    # the one-row loss gives floats, and its stack of rows passes gradcheck
+    assert type(namespace["loss"].total) is float
+    assert namespace["loss_err"] <= 1e-4
 
 
 def agrees(shown, actual):

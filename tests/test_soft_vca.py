@@ -551,7 +551,8 @@ NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
 class TestNonFiniteInput:
-    """Each soft entry point names a NaN or infinite argument in a ValueError."""
+    """Each soft entry point names a NaN or infinite argument, or one of
+    the wrong shape, in a ValueError."""
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_effective_beta(self, bad):
@@ -563,6 +564,18 @@ class TestNonFiniteInput:
         for fn in (soft_nn_distance, soft_nn_gradient):
             with pytest.raises(ValueError, match="times must be finite"):
                 fn([0.0, bad, 2.0], 0, 1.0)
+
+    def test_soft_nn_gradient_rejects_a_stack(self):
+        # soft_nn_distance scores a (c, n) stack; its gradient takes one set
+        times = np.random.default_rng(0).random((3, 5))
+        with pytest.raises(ValueError, match="^times must be 1-d$"):
+            soft_nn_gradient(times, 0, 2.0)
+
+    @pytest.mark.parametrize("timestamps", [[[0.0, 10.0], [0.0, 1.0]], 3.0], ids=["2x2", "scalar"])
+    def test_effective_beta_rejects_other_shapes(self, timestamps):
+        # row-wise gaps of the 2x2 input would give 0.909 against 1.0 flat
+        with pytest.raises(ValueError, match="^timestamps must be 1-d$"):
+            effective_beta(timestamps)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_weighted_soft_t(self, bad):

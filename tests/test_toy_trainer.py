@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from vcseval import (
     DriftSpec,
+    LossBreakdown,
     NonFiniteGradient,
     NonFiniteLoss,
     TrainConfig,
@@ -149,6 +151,27 @@ def loss_bits(breakdown):
             breakdown.gradient.tobytes(), breakdown.penalty_skipped, breakdown.n_clamped)
 
 
+def row_bits(stacked, i):
+    """loss_bits of row i of a stacked LossBreakdown."""
+    return loss_bits(LossBreakdown(*(np.asarray(getattr(stacked, f.name))[i]
+                                     for f in dataclasses.fields(LossBreakdown))))
+
+
+def assert_one_row_types(breakdown, d):
+    assert [type(v) for v in (breakdown.cross_entropy, breakdown.penalty, breakdown.total,
+                              breakdown.penalty_skipped, breakdown.n_clamped)] == [
+        float, float, float, bool, int]
+    assert breakdown.gradient.shape == (d,)
+
+
+def assert_stack_shapes(stacked, c, d):
+    for name in ("cross_entropy", "penalty", "total"):
+        assert getattr(stacked, name).shape == (c,) and getattr(stacked, name).dtype == np.float64
+    assert stacked.gradient.shape == (c, d)
+    assert stacked.penalty_skipped.shape == (c,) and stacked.penalty_skipped.dtype == bool
+    assert stacked.n_clamped.shape == (c,) and stacked.n_clamped.dtype.kind == "i"
+
+
 class TestCombinedLosses:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -196,7 +219,8 @@ class TestCombinedLosses:
             return
         event(f"penalty skipped in {sum(w.penalty_skipped for w in want)} rows")
         got = combined_losses(thetas, ds, config, step)
-        assert [loss_bits(g) for g in got] == [loss_bits(w) for w in want]
+        assert_stack_shapes(got, len(thetas), 5)
+        assert [row_bits(got, i) for i in range(len(thetas))] == [loss_bits(w) for w in want]
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1])
     def test_mixed_stack_matches_one_row_calls(self, gamma):
@@ -208,14 +232,18 @@ class TestCombinedLosses:
         thetas = np.array([[0.3, -0.2, 0.1, 0.4, 0.05], steep, -steep])
         config = TrainConfig(gamma=gamma, seed=7)
         got = combined_losses(thetas, ds, config, step=2)
-        for theta, row in zip(thetas, got):
-            assert loss_bits(row) == loss_bits(combined_losses(theta[None], ds, config, step=2)[0])
-            assert loss_bits(row) == loss_bits(oracles.one_point_combined_loss(theta, ds, config, 2))
-        penalized, skipped, clamped = got
-        assert [row.penalty_skipped for row in got] == [False, gamma > 0, False]
-        assert (penalized.penalty > 0) == (gamma > 0) and penalized.n_clamped == 0
-        assert skipped.penalty == 0.0 and skipped.n_clamped > 0
-        assert (clamped.penalty > 0) == (gamma > 0) and clamped.n_clamped > 0
+        assert_stack_shapes(got, 3, 5)
+        for i, theta in enumerate(thetas):
+            one = combined_losses(theta, ds, config, step=2)
+            assert_one_row_types(one, 5)
+            assert row_bits(got, i) == loss_bits(one)
+            assert row_bits(got, i) == row_bits(combined_losses(theta[None], ds, config, step=2), 0)
+            assert row_bits(got, i) == loss_bits(oracles.one_point_combined_loss(theta, ds, config, 2))
+            assert loss_bits(combined_loss(ToyModel(theta), ds, config, step=2)) == loss_bits(one)
+        assert got.penalty_skipped.tolist() == [False, gamma > 0, False]
+        assert (got.penalty[[0, 2]] > 0).tolist() == [gamma > 0] * 2
+        assert got.penalty[1] == 0.0
+        assert got.n_clamped[0] == 0 and (got.n_clamped[1:] > 0).all()
 
         # a NaN row stays out of the penalty stack and fails its own check
         nan_row = np.full(5, np.nan)
@@ -223,7 +251,8 @@ class TestCombinedLosses:
         with pytest.raises(NonFiniteLoss, match="^epoch 2: loss or gradient is not finite$"):
             combined_losses(np.array([thetas[0], nan_row, thetas[2]]), ds, config, step=2)
 
-    @pytest.mark.parametrize("thetas", [np.zeros(5), np.zeros((2, 4)), np.zeros((1, 2, 5))])
+    @pytest.mark.parametrize("thetas", [np.zeros((2, 4)), np.zeros((2, 6)), np.zeros(4),
+                                        np.zeros((1, 2, 5)), np.zeros(())])
     def test_stack_shape_checked(self, thetas):
         with pytest.raises(ValueError, match="thetas"):
             combined_losses(thetas, small_dataset(), TrainConfig(), step=0)
@@ -294,6 +323,10 @@ class TestHistoryCsv:
         assert len(lines) == 4
         epoch, ce, pen, total = lines[1].split(",")
         assert epoch == "0"
+        # Python floats, so each field is written as its shortest round-trip repr
+        first = history[0]
+        assert all(type(v) is float for v in (first.cross_entropy, first.penalty, first.total))
+        assert lines[1] == f"0,{first.cross_entropy!r},{first.penalty!r},{first.total!r}"
         assert float(ce) + float(pen) == pytest.approx(float(total), abs=1e-12)
 
 

@@ -159,8 +159,10 @@ class TestTStatistic:
             t_statistic(1e308, 1e308)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            t_statistic(-1.0, 2.0)
+        # a NaN sum fails the sign check too, rather than being named an overflow
+        for sums in ((-1.0, 2.0), (np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan)):
+            with pytest.raises(ValueError, match="^distance sums must be non-negative$"):
+                t_statistic(*sums)
 
 
 class TestVcsConfig:
@@ -203,6 +205,12 @@ class TestVcs:
         for period in ((bad, 10.0), (0.0, bad)):
             with pytest.raises(ValueError, match="period must be finite"):
                 vcs([1.0, 2.0, 3.0], period)
+
+    @pytest.mark.parametrize("times", [np.arange(9.0).reshape(3, 3), np.zeros((1, 1)), 5.0],
+                             ids=["3x3", "1x1", "scalar"])
+    def test_times_must_be_1d(self, times):
+        with pytest.raises(ValueError, match="^times must be 1-d$"):
+            vcs(times, (0, 10))
 
     @pytest.mark.parametrize("period", [(0, 10**400), (-10**400, 0)])
     def test_int_period_past_the_float_range_named(self, period):
