@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import re
+import sys
 
 import numpy as np
 
@@ -38,6 +39,33 @@ _CSV_HEADERS = (["t", "y", "p"], ["t", "y", "p", "id"])
 # so that no list holds every line or number; much larger chunks raise peak memory
 _CHUNK_CHARS = 1 << 16
 _CHUNK_ROWS = 2048
+# The layout serialize_records writes, line by line: JSON numbers without a
+# minus sign (json reads "-0" as the int 0, loadtxt as -0.0) and ids that
+# spell out a row index. A piece that is nothing else is read by np.loadtxt.
+# Digits with no leading zero match as 0|[1-9][0-9]* does, but faster.
+_INDEX = r"(?!0[0-9])[0-9]+"
+_NUMBER = _INDEX + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+
+
+def _layout(line):
+    """A regex of one or more lines like line, where N stands for a number and
+    I for an index, each ended by a line feed or by the end of the piece.
+
+    Each line is matched atomically, so that the regex keeps no state to
+    backtrack into a line it has matched: a plain repeat kept about 2 KB a
+    line, which raised peak memory, and fullmatch went back through every
+    line before an odd one. Python 3.11 has possessive repeats; before it, a
+    lookahead and a backreference to what it matched do the same."""
+    line = line.replace("N", _NUMBER).replace("I", _INDEX) + r"(?:\n|\Z)"
+    if sys.version_info >= (3, 11):
+        return re.compile(f"(?:{line})++")
+    return re.compile(rf"(?:(?=({line}))\1)+")
+
+
+_JSONL_LAYOUT = _layout(r'\{"t": N, "y": N, "p": N(?:, "id": "I")?\}')
+_CSV_LAYOUTS = {"t,y,p": _layout("N,N,N"), "t,y,p,id": _layout("N,N,N,I")}
+# deletes the keys, quotes and braces of a JSONL piece in _JSONL_LAYOUT, so that N,N,N[,I] is left
+_JSONL_KEYS = str.maketrans("", "", '{}"typid: ')
 
 
 class EvalStream:
@@ -61,6 +89,17 @@ class EvalStream:
         if t.size == 0:
             raise EmptyInput("stream must contain at least one record")
         _check_values(t, y, p, ids)
+        self._fill(t, y, p, ids)
+
+    @classmethod
+    def _of_checked(cls, t, y, p, ids):
+        """A stream of float64 columns whose values and ids parse_records has
+        checked; only their order is checked here."""
+        stream = cls.__new__(cls)
+        stream._fill(t, y, p, ids)
+        return stream
+
+    def _fill(self, t, y, p, ids):
         if np.any(np.diff(t) < 0):
             raise UnsortedInput("timestamps must be nondecreasing")
         self.t, self.y, self.p = t, y.astype(np.int64), p
@@ -75,7 +114,7 @@ class EvalStream:
 def _check_values(t, y, p, ids=None):
     """Raise InvalidValue at the first row with a value _value_problem names
     or, when ids are given, an id that is not a string."""
-    bad = ~(np.isfinite(t) & (t >= 0)) | ((y != 0) & (y != 1)) | ~((p >= 0) & (p <= 1))
+    bad = _bad_values(t, y, p)
     if ids is not None and not all(issubclass(kind, str) for kind in set(map(type, ids))):
         bad |= [not isinstance(i, str) for i in ids]
     if bad.any():
@@ -83,6 +122,11 @@ def _check_values(t, y, p, ids=None):
         if ids is not None and not isinstance(ids[row], str):
             raise InvalidValue(row, "id must be a string")
         raise InvalidValue(row, _value_problem(t[row], y[row], p[row]))
+
+
+def _bad_values(t, y, p):
+    """Where t, y or p holds a value _value_problem names, as a bool array."""
+    return ~(np.isfinite(t) & (t >= 0)) | ((y != 0) & (y != 1)) | ~((p >= 0) & (p <= 1))
 
 
 def _value_problem(t, y, p):
@@ -139,18 +183,41 @@ def _pieces(data):
         yield piece
 
 
+def _index_columns(lines, rows):
+    """Float64 t, y and p of lines of N,N,N or N,N,N,I read by np.loadtxt, or
+    None unless every line has as many fields, every value passes the value
+    checks and every I is its row index, counted from rows."""
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:  # lines with and without an id
+        return None
+    # an I past 2**53 reads as another float, but then not as an index
+    if table.shape[1] == 4 and not np.array_equal(table[:, 3], np.arange(rows, rows + len(table))):
+        return None
+    columns = [table[:, i].copy() for i in range(3)]
+    return None if _bad_values(*columns).any() else columns
+
+
 def _jsonl_chunks(pieces):
-    """Yield (line numbers, [JSON values]) of the JSONL lines of each text
-    piece, each value as json.loads reads its line.
+    """Yield (line numbers, [JSON values], None) of the JSONL lines of each
+    text piece, each value as json.loads reads its line, or (line numbers,
+    None, [t, y, p]) of a piece in _JSONL_LAYOUT that _index_columns reads.
 
     Each piece ends just after a line feed, so its lines are lines of the
-    whole text's splitlines(). A piece whose every line is one JSON value
-    alone is scanned. In any other, json.loads reads each line that is not
-    blank. At a line it rejects, the values before it are yielded, then
-    MalformedRecord is raised."""
+    whole text's splitlines(). Of the pieces _index_columns declines, one
+    whose every line is one JSON value alone is scanned. In any other,
+    json.loads reads each line that is not blank. At a line it rejects, the
+    values before it are yielded, then MalformedRecord is raised."""
     scan = json.JSONDecoder().scan_once
-    first = 1
+    first, rows = 1, 0
     for piece in pieces:
+        if _JSONL_LAYOUT.fullmatch(piece):
+            columns = _index_columns(piece.translate(_JSONL_KEYS).splitlines(), rows)
+            if columns is not None:
+                n = len(columns[0])
+                yield range(first, first + n), None, columns
+                first, rows = first + n, rows + n
+                continue
         lines = piece.splitlines()
         linenos, values = range(first, first + len(lines)), []
         try:
@@ -169,12 +236,12 @@ def _jsonl_chunks(pieces):
                 try:
                     values.append(json.loads(line))
                 except (ValueError, RecursionError) as exc:  # also an int past 4300 digits
-                    yield linenos, [values]
+                    yield linenos, [values], None
                     msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
                     raise MalformedRecord(lineno, f"invalid JSON: {msg}") from None
                 linenos.append(lineno)
-        yield linenos, [values]
-        first += len(lines)
+        yield linenos, [values], None
+        first, rows = first + len(lines), rows + len(values)
 
 
 def _jsonl_columns(objs):
@@ -206,7 +273,33 @@ def _jsonl_problem(obj):
 
 
 def _csv_chunks(pieces):
-    """Yield (line numbers, field columns) of csv.reader, _CHUNK_ROWS rows at a time.
+    """Yield (line numbers, None, [t, y, p]) of each piece that _index_columns
+    reads, while the header is "t,y,p" or "t,y,p,id" and each piece is in its
+    _CSV_LAYOUTS layout; from the first piece that is not, _csv_reader_chunks
+    reads the rest, its line numbers carried on."""
+    pieces = iter(pieces)
+    first = next(pieces, "")
+    header, newline, body = first.partition("\n")
+    layout = _CSV_LAYOUTS.get(header) if newline else None
+    if layout is None:
+        yield from _csv_reader_chunks(itertools.chain([first], pieces))
+        return
+    line, rows = 1, 0
+    for piece in itertools.chain([body] if body else [], pieces):
+        columns = _index_columns(piece.splitlines(), rows) if layout.fullmatch(piece) else None
+        if columns is None:
+            yield from _csv_reader_chunks(itertools.chain([piece], pieces),
+                                          len(header.split(",")), line)
+            return
+        n = len(columns[0])
+        yield range(line + 1, line + n + 1), None, columns
+        line, rows = line + n, rows + n
+
+
+def _csv_reader_chunks(pieces, width=None, lines_before=0):
+    """Yield (line numbers, field columns, None) of csv.reader, _CHUNK_ROWS rows
+    at a time; the pieces start with the header unless its width is given,
+    and lines_before lines precede them.
 
     csv.reader reads the lines of each text piece, split at line feeds only
     as io.StringIO splits them, so a quoted id may hold a carriage return
@@ -216,32 +309,33 @@ def _csv_chunks(pieces):
     reader = csv.reader(itertools.chain.from_iterable(map(io.StringIO, pieces)))
     linenos, fields, problem = [], [], None
     try:
-        header = next(reader, None)
-        if header is None:
-            raise EmptyInput("no CSV header")
-        header = [h.strip() for h in header]
-        if header not in _CSV_HEADERS:
-            raise MalformedRecord(
-                1, f"header must be 't,y,p' or 't,y,p,id', got {','.join(header)!r}")
-        width = len(header)
+        if width is None:
+            header = next(reader, None)
+            if header is None:
+                raise EmptyInput("no CSV header")
+            header = [h.strip() for h in header]
+            if header not in _CSV_HEADERS:
+                raise MalformedRecord(
+                    1, f"header must be 't,y,p' or 't,y,p,id', got {','.join(header)!r}")
+            width = len(header)
         for row in reader:
             if not row:
                 continue
             if len(row) != width:
                 problem = f"expected {width} fields, got {len(row)}"
                 break
-            linenos.append(reader.line_num)
+            linenos.append(lines_before + reader.line_num)
             # only strings outlive the row, and the garbage collector tracks none
             fields += row
             if len(linenos) == _CHUNK_ROWS:
-                yield linenos, [fields[i::width] for i in range(width)]
+                yield linenos, [fields[i::width] for i in range(width)], None
                 linenos, fields = [], []
     except csv.Error as exc:
         problem = f"invalid CSV: {exc}"
     if linenos:
-        yield linenos, [fields[i::width] for i in range(width)]
+        yield linenos, [fields[i::width] for i in range(width)], None
     if problem:
-        raise MalformedRecord(reader.line_num, problem)
+        raise MalformedRecord(lines_before + reader.line_num, problem)
 
 
 def _csv_columns(t, y, p, ids=None):
@@ -268,11 +362,20 @@ def parse_records(data, format, sort=False):
     """Parse bytes, text or an open file in the given format into an EvalStream.
 
     The input is read once, in pieces of about _CHUNK_CHARS characters that
-    end at a line feed, and parsed a chunk at a time: a piece of whole JSONL
-    lines, or _CHUNK_ROWS rows of csv.reader. A JSONL chunk whose every line
+    end at a line feed, and parsed a chunk at a time. A piece in the layout
+    serialize_records writes is one chunk, read by np.loadtxt: each line
+    '{"t": N, "y": N, "p": N, "id": "I"}' or, after a "t,y,p,id" header,
+    'N,N,N,I', the id optional (with a "t,y,p" header, absent), where N is a
+    JSON number without a minus sign and I a row index without leading
+    zeros. It is taken only when every value is valid and every id spells
+    out its row index; a piece that is not is declined and read as if there
+    were no such path, with the same values, errors and line numbers. A
+    declined JSONL piece is a chunk of whole lines: one whose every line
     holds one JSON value and nothing else is scanned; the lines of any other,
     such as one with a blank line or a space around a value, are decoded one
-    by one. Each chunk's columns are checked before the next chunk is read;
+    by one. From a declined CSV piece on, the rest of the log is read by
+    csv.reader, _CHUNK_ROWS rows a chunk, since a quoted id may span pieces.
+    Each chunk's columns are checked before the next chunk is read;
     a chunk that fails is searched once, record by record, so an error names
     the line of the first bad record. A line that only a reader rejects, such
     as invalid JSON, is named after the records before it are checked, and a
@@ -300,17 +403,20 @@ def parse_records(data, format, sort=False):
     else:
         raise ValueError(f"unknown format {format!r}")
     parts, ids, rows = [], None, 0
-    for lines, raw in chunks:
-        try:
-            *fields, chunk_ids = columns(*raw)
-            values = [_floats(column) for column in fields]
-            _check_values(*values)
-        except (KeyError, TypeError, ValueError, OverflowError, InvalidValue):
-            line, message = next((line, m) for line, m in zip(lines, map(problem, *raw)) if m)
-            raise MalformedRecord(line, message) from None
+    for lines, raw, values in chunks:
+        if values is None:
+            try:
+                *fields, chunk_ids = columns(*raw)
+                values = [_floats(column) for column in fields]
+                _check_values(*values)
+            except (KeyError, TypeError, ValueError, OverflowError, InvalidValue):
+                line, message = next((line, m) for line, m in zip(lines, map(problem, *raw)) if m)
+                raise MalformedRecord(line, message) from None
+            if ids is None and not _index_ids(chunk_ids, rows):
+                ids = list(map(str, range(rows)))  # the first chunk with ids of its own
+        else:  # read and checked by _index_columns, ids spelling out row indices
+            chunk_ids = map(str, range(rows, rows + len(lines)))
         parts.append(values)
-        if ids is None and not _index_ids(chunk_ids, rows):
-            ids = list(map(str, range(rows)))  # the first chunk with ids of its own
         if ids is not None:
             ids.extend(chunk_ids)
         rows += len(lines)
@@ -325,7 +431,7 @@ def parse_records(data, format, sort=False):
         order = np.argsort(t, kind="stable")
         t, y, p = t[order], y[order], p[order]
         ids = [str(i) if ids is None else ids[i] for i in order]
-    return EvalStream(t, y, p, ids)
+    return EvalStream._of_checked(t, y, p, ids)
 
 
 def _csv_field(text):

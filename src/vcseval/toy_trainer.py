@@ -108,6 +108,8 @@ def combined_losses(thetas, batch, config, step):
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim not in (1, 2) or thetas.shape[-1] != x.shape[1]:
         raise ValueError("thetas must be (d,) or (c, d) with d the feature count + 1")
+    if thetas.size == 0:
+        raise ValueError("thetas must hold at least one row")
     stack = np.atleast_2d(thetas)
 
     # an overflow or NaN here fails the finiteness check below

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -757,6 +758,192 @@ class TestStreaming:
         assert path.read_bytes() == text.encode()
         assert len(text.splitlines()) == n + (fmt == "csv")
         assert_same_stream(parse_records(text, fmt), stream)
+
+
+# Lines of a record at row i, in serialize_records' layout or near it. Each
+# takes t, y, p and i as the writer spells them, and next = i + 1.
+JSONL_LINES = {
+    "canonical": '{{"t": {t}, "y": {y}, "p": {p}, "id": "{i}"}}',
+    "no-id": '{{"t": {t}, "y": {y}, "p": {p}}}',
+    "zero-padded-id": '{{"t": {t}, "y": {y}, "p": {p}, "id": "0{i}"}}',
+    "next-rows-id": '{{"t": {t}, "y": {y}, "p": {p}, "id": "{next}"}}',
+    "own-id": '{{"t": {t}, "y": {y}, "p": {p}, "id": "e{i}"}}',
+    "numeric-id": '{{"t": {t}, "y": {y}, "p": {p}, "id": {i}}}',
+    "underscore": '{{"t": 1_0, "y": {y}, "p": {p}, "id": "{i}"}}',
+    "hash-in-a-field": '{{"t": {t}#, "y": {y}, "p": {p}, "id": "#{i}"}}',
+    "hash-id": '{{"t": {t}, "y": {y}, "p": {p}, "id": "#{i}"}}',
+    "non-ascii-digit": '{{"t": ١, "y": {y}, "p": {p}, "id": "{i}"}}',
+    "non-ascii-id": '{{"t": {t}, "y": {y}, "p": {p}, "id": "١{i}"}}',
+    "reordered-keys": '{{"y": {y}, "t": {t}, "p": {p}, "id": "{i}"}}',
+    "extra-key": '{{"t": {t}, "y": {y}, "p": {p}, "id": "{i}", "x": 1}}',
+    "5000-digit-int": '{{"t": 1%s, "y": {y}, "p": {p}, "id": "{i}"}}' % ("0" * 5000),
+    "minus-zero": '{{"t": -0.0, "y": {y}, "p": -0.0, "id": "{i}"}}',
+    "minus-zero-int": '{{"t": -0, "y": -0, "p": -0, "id": "{i}"}}',
+    "upper-exponent": '{{"t": 1E5, "y": 1E0, "p": 1E-1, "id": "{i}"}}',
+    "float-y": '{{"t": {t}, "y": {y}.0, "p": {p}, "id": "{i}"}}',
+    "overflowing-float": '{{"t": 1e400, "y": {y}, "p": {p}, "id": "{i}"}}',
+}
+CSV_LINES = {
+    "canonical": "{t},{y},{p},{i}",
+    "zero-padded-id": "{t},{y},{p},0{i}",
+    "next-rows-id": "{t},{y},{p},{next}",
+    "own-id": "{t},{y},{p},e{i}",
+    "quoted-id": '{t},{y},{p},"{i}"',
+    "underscore": "1_0,{y},{p},{i}",
+    "hash-in-a-field": "{t}#,{y},{p},{i}",
+    "hash-id": "{t},{y},{p},#{i}",
+    "fifth-field": "{t},{y},{p},{i},x",
+    "non-ascii-digit": "١,{y},{p},{i}",
+    "5000-digit-int": "1%s,{y},{p},{i}" % ("0" * 5000),
+    "minus-zero": "-0.0,{y},-0,{i}",
+    "upper-exponent": "1E5,1E0,1E-1,{i}",
+    "float-y": "{t},{y}.0,{p},{i}",
+    "spaces": " {t},{y},{p} ,{i}",
+}
+
+
+@st.composite
+def near_canonical_texts(draw, fmt):
+    """A log of mostly canonical lines with near-canonical ones among them;
+    a CSV log without an id column drops each line's last field."""
+    layouts = JSONL_LINES if fmt == "jsonl" else CSV_LINES
+    kinds = draw(st.lists(st.sampled_from(["canonical"] * 16 + sorted(layouts)), max_size=30))
+    times = sorted(draw(st.lists(st.floats(0, 1e3), min_size=len(kinds), max_size=len(kinds))))
+    lines = []
+    for i, (kind, t) in enumerate(zip(kinds, times)):
+        fields = {"t": repr(t), "y": draw(st.sampled_from("01")),
+                  "p": repr(draw(st.floats(0, 1))), "i": i, "next": i + 1}
+        lines.append(layouts[kind].format(**fields))
+    if fmt == "csv":
+        with_ids = draw(st.booleans())
+        if not with_ids:
+            lines = [line.rsplit(",", 1)[0] for line in lines]
+        lines.insert(0, "t,y,p,id" if with_ids else "t,y,p")
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestLayoutFastPath:
+    """Pieces in serialize_records' layout are read by np.loadtxt; any other
+    piece, and for CSV the rest of the log after it, by today's readers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(["jsonl", "csv"]),
+           st.sampled_from([1, 200, event_stream._CHUNK_CHARS]))
+    def test_near_canonical_lines_match_the_row_path(self, data, fmt, chunk_chars):
+        text = data.draw(near_canonical_texts(fmt))
+        read, fast = event_stream._index_columns, []
+
+        def counting_read(lines, rows):
+            columns = read(lines, rows)
+            fast.append(columns is not None)
+            return columns
+
+        with mock.patch.object(event_stream, "_CHUNK_CHARS", chunk_chars), \
+                mock.patch.object(event_stream, "_index_columns", counting_read):
+            got = parsed(text, fmt)
+        assert got == outcome(lambda: row_path(text, fmt))
+        event(f"{fmt} ok={isinstance(got[0], bytes)} pieces read fast: {min(sum(fast), 2)}")
+
+    @pytest.mark.parametrize("at", [0, 3], ids=["first", "fourth"])
+    @pytest.mark.parametrize("fmt,kind", [("jsonl", kind) for kind in JSONL_LINES]
+                             + [("csv", kind) for kind in CSV_LINES])
+    def test_one_near_canonical_line_among_canonical_ones(self, fmt, kind, at, tmp_path):
+        """First, a line whose t is out of the others' order is read as a
+        record; fourth, it shares a piece with canonical lines before it."""
+        layouts = JSONL_LINES if fmt == "jsonl" else CSV_LINES
+        lines = [layouts[kind if row == at else "canonical"].format(
+            t=repr(2e5 + row), y=row % 2, p=repr(row / 8), i=row, next=row + 1)
+            for row in range(6)]
+        if fmt == "csv":
+            lines.insert(0, "t,y,p,id")
+        assert_same_as_row_path("\n".join(lines) + "\n", fmt, path=tmp_path / "log")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(["jsonl", "csv"]))
+    def test_layout_before_python_311_accepts_the_same_pieces(self, data, fmt):
+        text = data.draw(near_canonical_texts(fmt))
+        if fmt == "jsonl":
+            line = r'\{"t": N, "y": N, "p": N(?:, "id": "I")?\}'
+        else:
+            header, _, text = text.partition("\n")
+            line = "N,N,N,I" if header.endswith("id") else "N,N,N"
+        with mock.patch.object(sys, "version_info", (3, 10)):
+            lookahead = event_stream._layout(line)
+        possessive = event_stream._layout(line)
+        for piece in [text, *text.splitlines(keepends=True)]:
+            assert bool(lookahead.fullmatch(piece)) == bool(possessive.fullmatch(piece))
+
+    @pytest.mark.parametrize("with_ids", [True, False], ids=["index-ids", "no-ids"])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_canonical_log_never_reaches_todays_readers(self, fmt, with_ids, monkeypatch):
+        n = 5000
+        stream = random_stream(n)
+        ids = list(map(str, range(n))) if with_ids else None
+        text = records_text(stream.t, stream.y, stream.p, ids, fmt)
+        assert len(text) > 3 * event_stream._CHUNK_CHARS
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a canonical log reached today's reader")
+
+        class Scanner:
+            scan_once = staticmethod(fail)
+
+        for module, name, stub in [(event_stream, "_jsonl_problem", fail),
+                                   (event_stream, "_value_problem", fail), (csv, "reader", fail),
+                                   (json, "loads", fail), (json, "JSONDecoder", Scanner)]:
+            monkeypatch.setattr(module, name, stub)
+        got = parse_records(text, fmt)
+        assert_same_stream(got, stream)
+        assert got.ids is None
+
+    def test_quoted_id_across_a_piece_boundary_after_fast_pieces(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(event_stream, "_CHUNK_CHARS", 256)
+        n = 200
+        lines = ["t,y,p,id"] + [f"{i}.5,{i % 2},0.25,{i}" for i in range(n)]
+        quoted = "\n".join(["x" * 10] * 60)
+        lines[120] = f'119.5,1,0.25,"{quoted}"'
+        lines[150] = "149.5,0,2,149"
+        text = "\n".join(lines) + "\n"
+        # a piece of the text ends inside the quoted id
+        quote_start = text.index('"')
+        ends = list(itertools.accumulate(map(len, event_stream._pieces(text))))
+        assert any(quote_start < end < quote_start + len(quoted) for end in ends)
+        bad_line = 150 + quoted.count("\n") + 1
+        read, fast, reads = event_stream._index_columns, [], []
+
+        def counting_read(lines, rows):
+            columns = read(lines, rows)
+            fast.append(columns is not None)
+            return columns
+
+        def counting_reader(*args, **kwargs):
+            reads.append("reader")
+            return reader(*args, **kwargs)
+
+        reader = csv.reader
+        monkeypatch.setattr(event_stream, "_index_columns", counting_read)
+        monkeypatch.setattr(csv, "reader", counting_reader)
+        with pytest.raises(MalformedRecord, match=rf"^line {bad_line}: p must be in \[0,1\], got 2\.0$"):
+            parse_records(text, "csv")
+        # the pieces before the quoted id are read fast; it and the rest by csv.reader
+        assert len(fast) >= 3 and all(fast)
+        assert reads == ["reader"]
+        assert_same_as_row_path(text, "csv", path=tmp_path / "quoted.csv")
+
+    def test_parsed_columns_are_checked_once(self, monkeypatch):
+        n = 3 * event_stream._CHUNK_ROWS
+        stream = random_stream(n, [f"e{i}" for i in range(n)])
+        sizes, check = [], event_stream._check_values
+
+        def recording_check(t, y, p, ids=None):
+            sizes.append(len(t))
+            return check(t, y, p, ids)
+
+        monkeypatch.setattr(event_stream, "_check_values", recording_check)
+        for fmt in ("jsonl", "csv"):
+            sizes.clear()
+            assert_same_stream(parse_records(serialize_records(stream, fmt), fmt), stream)
+            assert sum(sizes) == n and max(sizes) < n
 
 
 def parsed_or_raise(source, fmt):

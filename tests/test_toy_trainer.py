@@ -257,6 +257,10 @@ class TestCombinedLosses:
         with pytest.raises(ValueError, match="thetas"):
             combined_losses(thetas, small_dataset(), TrainConfig(), step=0)
 
+    def test_empty_stack_is_named(self):
+        with pytest.raises(ValueError, match="^thetas must hold at least one row$"):
+            combined_losses(np.zeros((0, 5)), small_dataset(), TrainConfig(), step=0)
+
 
 class TestTrain:
     def test_ce_strictly_decreases_early(self):
