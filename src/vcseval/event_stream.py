@@ -55,7 +55,9 @@ def _layout(line):
     backtrack into a line it has matched: a plain repeat kept about 2 KB a
     line, which raised peak memory, and fullmatch went back through every
     line before an odd one. Python 3.11 has possessive repeats; before it, a
-    lookahead and a backreference to what it matched do the same."""
+    lookahead and a backreference to what it matched do the same, but each
+    line is matched twice and the repeat still keeps a little state per
+    line, so that spelling is used only where the possessive one is not."""
     line = line.replace("N", _NUMBER).replace("I", _INDEX) + r"(?:\n|\Z)"
     if sys.version_info >= (3, 11):
         return re.compile(f"(?:{line})++")
