@@ -22,7 +22,6 @@ import itertools
 import json
 import math
 import re
-import sys
 
 import numpy as np
 
@@ -51,17 +50,12 @@ def _layout(line):
     """A regex of one or more lines like line, where N stands for a number and
     I for an index, each ended by a line feed or by the end of the piece.
 
-    Each line is matched atomically, so that the regex keeps no state to
-    backtrack into a line it has matched: a plain repeat kept about 2 KB a
-    line, which raised peak memory, and fullmatch went back through every
-    line before an odd one. Python 3.11 has possessive repeats; before it, a
-    lookahead and a backreference to what it matched do the same, but each
-    line is matched twice and the repeat still keeps a little state per
-    line, so that spelling is used only where the possessive one is not."""
+    Each line is matched atomically, by a possessive repeat, so that the
+    regex keeps no state to backtrack into a line it has matched: a plain
+    repeat kept about 2 KB a line, which raised peak memory, and fullmatch
+    went back through every line before an odd one."""
     line = line.replace("N", _NUMBER).replace("I", _INDEX) + r"(?:\n|\Z)"
-    if sys.version_info >= (3, 11):
-        return re.compile(f"(?:{line})++")
-    return re.compile(rf"(?:(?=({line}))\1)+")
+    return re.compile(f"(?:{line})++")
 
 
 _JSONL_LAYOUT = _layout(r'\{"t": N, "y": N, "p": N(?:, "id": "I")?\}')
@@ -206,10 +200,10 @@ def _jsonl_chunks(pieces):
     None, [t, y, p]) of a piece in _JSONL_LAYOUT that _index_columns reads.
 
     Each piece ends just after a line feed, so its lines are lines of the
-    whole text's splitlines(). Of the pieces _index_columns declines, one
-    whose every line is one JSON value alone is scanned. In any other,
-    json.loads reads each line that is not blank. At a line it rejects, the
-    values before it are yielded, then MalformedRecord is raised."""
+    whole text's splitlines(). In a piece _index_columns declines, each line
+    is scanned once; a line the scan does not take whole is skipped if it
+    is blank, and read by json.loads if not. At a line json.loads rejects,
+    the values before it are yielded, then MalformedRecord is raised."""
     scan = json.JSONDecoder().scan_once
     first, rows = 1, 0
     for piece in pieces:
@@ -221,27 +215,23 @@ def _jsonl_chunks(pieces):
                 first, rows = first + n, rows + n
                 continue
         lines = piece.splitlines()
-        linenos, values = range(first, first + len(lines)), []
-        try:
-            for line in lines:
+        linenos, values = [], []
+        for lineno, line in enumerate(lines, start=first):
+            try:
                 value, end = scan(line, 0)
-                if end != len(line):
-                    break
-                values.append(value)
-        except (StopIteration, ValueError, RecursionError):
-            pass  # a blank line, a space before the value, invalid JSON
-        if len(values) < len(lines):
-            linenos, values = [], []
-            for lineno, line in enumerate(lines, start=first):
+            except (StopIteration, ValueError, RecursionError):
+                end = None  # a blank line, a space before the value, invalid JSON
+            if end != len(line):
                 if not line.strip():
                     continue
                 try:
-                    values.append(json.loads(line))
+                    value = json.loads(line)
                 except (ValueError, RecursionError) as exc:  # also an int past 4300 digits
                     yield linenos, [values], None
                     msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
                     raise MalformedRecord(lineno, f"invalid JSON: {msg}") from None
-                linenos.append(lineno)
+            linenos.append(lineno)
+            values.append(value)
         yield linenos, [values], None
         first, rows = first + len(lines), rows + len(values)
 
@@ -372,11 +362,11 @@ def parse_records(data, format, sort=False):
     zeros. It is taken only when every value is valid and every id spells
     out its row index; a piece that is not is declined and read as if there
     were no such path, with the same values, errors and line numbers. A
-    declined JSONL piece is a chunk of whole lines: one whose every line
-    holds one JSON value and nothing else is scanned; the lines of any other,
-    such as one with a blank line or a space around a value, are decoded one
-    by one. From a declined CSV piece on, the rest of the log is read by
-    csv.reader, _CHUNK_ROWS rows a chunk, since a quoted id may span pieces.
+    declined JSONL piece is a chunk of whole lines, each scanned once; a
+    line the scan does not take whole is skipped if blank and otherwise
+    decoded alone, such as one with a space around its value. From a
+    declined CSV piece on, the rest of the log is read by csv.reader,
+    _CHUNK_ROWS rows a chunk, since a quoted id may span pieces.
     Each chunk's columns are checked before the next chunk is read;
     a chunk that fails is searched once, record by record, so an error names
     the line of the first bad record. A line that only a reader rejects, such
