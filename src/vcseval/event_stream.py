@@ -33,7 +33,6 @@ from .errors import (
 )
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
-_CSV_HEADERS = (["t", "y", "p"], ["t", "y", "p", "id"])
 # JSONL is read about this many characters, and CSV this many rows, at a time,
 # so that no list holds every line or number; much larger chunks raise peak memory
 _CHUNK_CHARS = 1 << 16
@@ -266,57 +265,54 @@ def _jsonl_problem(obj):
 
 def _csv_chunks(pieces):
     """Yield (line numbers, None, [t, y, p]) of each piece that _index_columns
-    reads, while the header is "t,y,p" or "t,y,p,id" and each piece is in its
-    _CSV_LAYOUTS layout; from the first piece that is not, _csv_reader_chunks
-    reads the rest, its line numbers carried on."""
+    reads, while the header is a _CSV_LAYOUTS key and each piece is in its
+    layout; from the first piece that is not, or from the start when the first
+    line is no key, (line numbers, field columns, None) of one csv.reader,
+    _CHUNK_ROWS rows at a time, with one line count across both.
+
+    csv.reader reads the lines of each text piece, split at line feeds only
+    as io.StringIO splits them, so a quoted id may hold a carriage return
+    and line numbers count line feeds. Read from the start, its header's
+    names, stripped, must be those of a key. At a row with the wrong number
+    of fields, or text csv.reader rejects, the rows before it are yielded,
+    then MalformedRecord is raised."""
     pieces = iter(pieces)
     first = next(pieces, "")
     header, newline, body = first.partition("\n")
     layout = _CSV_LAYOUTS.get(header) if newline else None
-    if layout is None:
-        yield from _csv_reader_chunks(itertools.chain([first], pieces))
-        return
-    line, rows = 1, 0
-    for piece in itertools.chain([body] if body else [], pieces):
-        columns = _index_columns(piece.splitlines(), rows) if layout.fullmatch(piece) else None
-        if columns is None:
-            yield from _csv_reader_chunks(itertools.chain([piece], pieces),
-                                          len(header.split(",")), line)
+    line = rows = 0
+    if layout is not None:
+        line, header = 1, header.split(",")
+        for piece in itertools.chain([body] if body else [], pieces):
+            columns = _index_columns(piece.splitlines(), rows) if layout.fullmatch(piece) else None
+            if columns is None:
+                first = piece  # csv.reader reads it and the rest
+                break
+            n = len(columns[0])
+            yield range(line + 1, line + n + 1), None, columns
+            line, rows = line + n, rows + n
+        else:
             return
-        n = len(columns[0])
-        yield range(line + 1, line + n + 1), None, columns
-        line, rows = line + n, rows + n
-
-
-def _csv_reader_chunks(pieces, width=None, lines_before=0):
-    """Yield (line numbers, field columns, None) of csv.reader, _CHUNK_ROWS rows
-    at a time; the pieces start with the header unless its width is given,
-    and lines_before lines precede them.
-
-    csv.reader reads the lines of each text piece, split at line feeds only
-    as io.StringIO splits them, so a quoted id may hold a carriage return
-    and line numbers count line feeds. At a row with the wrong number of
-    fields, or text csv.reader rejects, the rows before it are yielded, then
-    MalformedRecord is raised."""
-    reader = csv.reader(itertools.chain.from_iterable(map(io.StringIO, pieces)))
+    texts = map(io.StringIO, itertools.chain([first], pieces))
+    reader = csv.reader(itertools.chain.from_iterable(texts))
     linenos, fields, problem = [], [], None
     try:
-        if width is None:
+        if layout is None:
             header = next(reader, None)
             if header is None:
                 raise EmptyInput("no CSV header")
             header = [h.strip() for h in header]
-            if header not in _CSV_HEADERS:
+            if header not in [key.split(",") for key in _CSV_LAYOUTS]:
                 raise MalformedRecord(
                     1, f"header must be 't,y,p' or 't,y,p,id', got {','.join(header)!r}")
-            width = len(header)
+        width = len(header)
         for row in reader:
             if not row:
                 continue
             if len(row) != width:
                 problem = f"expected {width} fields, got {len(row)}"
                 break
-            linenos.append(lines_before + reader.line_num)
+            linenos.append(line + reader.line_num)
             # only strings outlive the row, and the garbage collector tracks none
             fields += row
             if len(linenos) == _CHUNK_ROWS:
@@ -327,7 +323,7 @@ def _csv_reader_chunks(pieces, width=None, lines_before=0):
     if linenos:
         yield linenos, [fields[i::width] for i in range(width)], None
     if problem:
-        raise MalformedRecord(lines_before + reader.line_num, problem)
+        raise MalformedRecord(line + reader.line_num, problem)
 
 
 def _csv_columns(t, y, p, ids=None):

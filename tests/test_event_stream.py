@@ -140,6 +140,8 @@ class TestParse:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             parse_records(JSONL, "xml")
+        with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+            serialize_records(parse_records(JSONL, "jsonl"), "xml")
 
     def test_unsorted_rejected_by_default(self):
         data = '{"t": 2, "y": 0, "p": 0.5}\n{"t": 1, "y": 0, "p": 0.5}\n'
@@ -253,6 +255,20 @@ class TestStream:
                                          ["a", 8, None]), fmt)
         with pytest.raises(InvalidValue, match=r"^row 0: p must be in \[0,1\], got 2.0$"):
             serialize_records(EvalStream([0.0, 1.0], [0, 1], [2.0, 0.5], ["a", 8]), fmt)
+
+    @pytest.mark.parametrize(
+        "columns,ids,message",
+        [
+            (([0.0, 1.0], [0, 1], [0.5]), None, "^t, y and p must be 1-d and of equal length$"),
+            (([[0.0, 1.0]], [[0, 1]], [[0.5, 0.5]]), None,
+             "^t, y and p must be 1-d and of equal length$"),
+            (([0.0, 1.0], [0, 1], [0.5, 0.5]), ["a"], "^ids must have one entry per row$"),
+        ],
+        ids=["unequal-lengths", "2-d", "short-ids"],
+    )
+    def test_bad_shape_rejected(self, columns, ids, message):
+        with pytest.raises(ValueError, match=message):
+            EvalStream(*columns, ids)
 
     def test_y_kept_as_int(self):
         stream = EvalStream([0.0, 1.0], [0.0, True], [0.5, 0.5])
@@ -619,6 +635,17 @@ class TestBulkMatchesRowPath:
             pytest.param("t,y,p,id\n1,0,0.5,%s\n" % ("x" * (csv.field_size_limit() + 1)),
                          "line 2: invalid CSV: field larger than field limit",
                          id="id-beyond-field-limit"),
+            # header names are compared one by one, not as joined text
+            pytest.param('"t,y",p\n1,0,0.5\n',
+                         "line 1: header must be 't,y,p' or 't,y,p,id', got 't,y,p'",
+                         id="header-name-holding-a-comma"),
+            pytest.param('"t","y","p"\n1,0,0.5\n2,1,0.5\n', None, id="quoted-header-names"),
+            pytest.param(" t , y , p , id \n1,0,0.5,a\n2,1,0.5,1\n", None,
+                         id="spaced-header-names"),
+            pytest.param("t,y,p,id,x\n1,0,0.5,a,b\n",
+                         "line 1: header must be 't,y,p' or 't,y,p,id', got 't,y,p,id,x'",
+                         id="header-with-an-extra-name"),
+            pytest.param("t,y,p,id\n", "no records in input", id="header-without-records"),
         ],
     )
     def test_csv_case(self, text, want, tmp_path):

@@ -63,6 +63,11 @@ class TestHamming:
             with pytest.raises(ValueError, match=f"^{name} entries must be 0 or 1$"):
                 call()
 
+    @pytest.mark.parametrize("y", [[], [[0, 1], [1, 0]]], ids=["empty", "2-d"])
+    def test_empty_or_2d_label_list_rejected(self, y):
+        with pytest.raises(ValueError, match="^y must be a nonempty 1-d label list$"):
+            hamming_disagreement(y, y)
+
     def test_float_and_bool_labels_count_as_ints(self):
         assert hamming_disagreement([0.0, 1.0, True], np.array([1, 1, 1], np.int8)) == 1
 

@@ -150,6 +150,9 @@ class TestDriftDataset:
                              ("class_separation", np.nan), ("class_separation", np.inf)]:
             with pytest.raises(SpecViolation, match=f"^{field} must be finite"):
                 DriftSpec(n_events=10, **{field: value})
+        for rate in (1.5, np.nan):
+            with pytest.raises(SpecViolation, match=r"^post_class1_rate must lie in \[0, 1\]$"):
+                DriftSpec(n_events=10, post_class1_rate=rate)
 
 
 @pytest.mark.parametrize("make", [lambda period: PatternSpec("random", 10, 5, period=period),

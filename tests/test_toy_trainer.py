@@ -261,6 +261,12 @@ class TestCombinedLosses:
         with pytest.raises(ValueError, match="^thetas must hold at least one row$"):
             combined_losses(np.zeros((0, 5)), small_dataset(), TrainConfig(), step=0)
 
+    def test_empty_batch_is_named(self):
+        ds = small_dataset()
+        empty = DriftDataset(ds.t[:0], ds.features[:0], ds.y[:0])
+        with pytest.raises(ValueError, match="^batch must be non-empty$"):
+            combined_losses(np.zeros(5), empty, TrainConfig(), step=0)
+
 
 class TestTrain:
     def test_ce_strictly_decreases_early(self):
