@@ -1,8 +1,11 @@
 """Error taxonomy and process exit codes.
 
-Every failure mode raised by this package derives from VcsEvalError so
-callers can catch one base class. The CLI maps error classes onto the
-documented exit codes: 0 ok, 1 check/compute failure, 2 input error,
+The failures this package finds in data and results derive from
+VcsEvalError, so callers can catch them by one base class. Two kinds do
+not: argument checks raise ValueError, and OSError, UnicodeDecodeError and
+MemoryError pass through from reading, decoding and allocating. The CLI's
+main maps these onto the documented exit codes: 0 ok, 1 check/compute
+failure or MemoryError, 2 input error, OSError or UnicodeDecodeError,
 3 undefined statistic.
 """
 

@@ -194,15 +194,16 @@ def _index_columns(lines, rows):
 
 
 def _jsonl_chunks(pieces):
-    """Yield (line numbers, [JSON values], None) of the JSONL lines of each
-    text piece, each value as json.loads reads its line, or (line numbers,
+    """Yield (line numbers, [t, y, p, ids], None) of the JSONL lines of each
+    text piece, built of their JSON values by _jsonl_columns, or (line numbers,
     None, [t, y, p]) of a piece in _JSONL_LAYOUT that _index_columns reads.
 
     Each piece ends just after a line feed, so its lines are lines of the
     whole text's splitlines(). In a piece _index_columns declines, each line
     is scanned once; a line the scan does not take whole is skipped if it
     is blank, and read by json.loads if not. At a line json.loads rejects,
-    the values before it are yielded, then MalformedRecord is raised."""
+    the values before it are yielded, then MalformedRecord is raised; values
+    that are not all records raise it in _jsonl_columns, none yielded."""
     scan = json.JSONDecoder().scan_once
     first, rows = 1, 0
     for piece in pieces:
@@ -226,26 +227,30 @@ def _jsonl_chunks(pieces):
                 try:
                     value = json.loads(line)
                 except (ValueError, RecursionError) as exc:  # also an int past 4300 digits
-                    yield linenos, [values], None
+                    yield linenos, _jsonl_columns(linenos, values), None
                     msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
                     raise MalformedRecord(lineno, f"invalid JSON: {msg}") from None
             linenos.append(lineno)
             values.append(value)
-        yield linenos, [values], None
+        yield linenos, _jsonl_columns(linenos, values), None
         first, rows = first + len(lines), rows + len(values)
 
 
-def _jsonl_columns(objs):
-    """t, y, p and ids of the JSON values as lists; KeyError, TypeError or ValueError
-    unless each is an object with numeric t, y and p and a string id, if any."""
-    t = [o["t"] for o in objs]
-    y = [o["y"] for o in objs]
-    p = [o["p"] for o in objs]
-    ids = [o.get("id") for o in objs]
-    # json loads numbers as exact int or float; bool is its own type
-    if not (set(map(type, t + y + p)) <= {int, float} and set(map(type, ids)) <= {str, type(None)}):
-        raise ValueError("not every JSON value is a record")
-    return t, y, p, ids
+def _jsonl_columns(linenos, objs):
+    """[t, y, p, ids] of the JSON values as lists, an id None where missing, or
+    MalformedRecord at the first of their lines that _jsonl_problem names."""
+    try:
+        t = [o["t"] for o in objs]
+        y = [o["y"] for o in objs]
+        p = [o["p"] for o in objs]
+        ids = [o.get("id") for o in objs]
+        # json loads numbers as exact int or float; bool is its own type
+        if set(map(type, t + y + p)) <= {int, float} and set(map(type, ids)) <= {str, type(None)}:
+            return [t, y, p, ids]
+    except (KeyError, TypeError):
+        pass
+    line, message = next((line, m) for line, m in zip(linenos, map(_jsonl_problem, objs)) if m)
+    raise MalformedRecord(line, message)
 
 
 def _jsonl_problem(obj):
@@ -267,7 +272,7 @@ def _csv_chunks(pieces):
     """Yield (line numbers, None, [t, y, p]) of each piece that _index_columns
     reads, while the header is a _CSV_LAYOUTS key and each piece is in its
     layout; from the first piece that is not, or from the start when the first
-    line is no key, (line numbers, field columns, None) of one csv.reader,
+    line is no key, (line numbers, [t, y, p[, ids]], None) of one csv.reader,
     _CHUNK_ROWS rows at a time, with one line count across both.
 
     csv.reader reads the lines of each text piece, split at line feeds only
@@ -326,24 +331,14 @@ def _csv_chunks(pieces):
         raise MalformedRecord(line + reader.line_num, problem)
 
 
-def _csv_columns(t, y, p, ids=None):
-    """t, y, p and ids of the field columns; ids None without an id column."""
-    return t, y, p, [None] * len(t) if ids is None else ids
-
-
-def _csv_problem(t, y, p, i=None):
-    """What keeps one CSV row from being a valid record, or None."""
-    return _value_problem(t, y, p)
-
-
 def _floats(fields):
     return np.fromiter(map(float, fields), np.float64, len(fields))
 
 
 def _index_ids(ids, first):
-    """Whether every id is missing, or every id spells out its row index from first on."""
-    n = len(ids)
-    return ids.count(None) == n or list(ids) == list(map(str, range(first, first + n)))
+    """Whether every id is missing or spells out its row index, counted from first."""
+    return ids.count(None) == len(ids) or all(
+        i is None or i == str(row) for row, i in enumerate(ids, first))
 
 
 def parse_records(data, format, sort=False):
@@ -363,13 +358,15 @@ def parse_records(data, format, sort=False):
     decoded alone, such as one with a space around its value. From a
     declined CSV piece on, the rest of the log is read by csv.reader,
     _CHUNK_ROWS rows a chunk, since a quoted id may span pieces.
-    Each chunk's columns are checked before the next chunk is read;
+    Each reader hands over a chunk's field columns t, y, p[, ids]; the JSONL
+    reader names the first bad line itself when its values are not all
+    records. A chunk's t, y and p are checked before the next chunk is read;
     a chunk that fails is searched once, record by record, so an error names
     the line of the first bad record. A line that only a reader rejects, such
     as invalid JSON, is named after the records before it are checked, and a
     byte that is not UTF-8 when its piece is read. A record without an id
-    gets its index. When every id of a chunk is missing or spells out its
-    row index, none is kept, so ids is None when every chunk's are.
+    gets its index. ids is None when each id is missing or spells out its
+    row index, one id at a time however the chunks fall; such ids are not kept.
 
     Parameters
     ----------
@@ -384,22 +381,20 @@ def parse_records(data, format, sort=False):
     """
     if isinstance(data, bytes):
         data = io.BytesIO(data)
-    if format == "jsonl":
-        chunks, columns, problem = _jsonl_chunks(_pieces(data)), _jsonl_columns, _jsonl_problem
-    elif format == "csv":
-        chunks, columns, problem = _csv_chunks(_pieces(data)), _csv_columns, _csv_problem
-    else:
+    if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}")
+    chunks = (_jsonl_chunks if format == "jsonl" else _csv_chunks)(_pieces(data))
     parts, ids, rows = [], None, 0
-    for lines, raw, values in chunks:
+    for lines, fields, values in chunks:
         if values is None:
             try:
-                *fields, chunk_ids = columns(*raw)
-                values = [_floats(column) for column in fields]
+                values = [_floats(column) for column in fields[:3]]
                 _check_values(*values)
-            except (KeyError, TypeError, ValueError, OverflowError, InvalidValue):
-                line, message = next((line, m) for line, m in zip(lines, map(problem, *raw)) if m)
+            except (ValueError, OverflowError, InvalidValue):
+                problems = zip(lines, map(_value_problem, *fields[:3]))
+                line, message = next((line, m) for line, m in problems if m)
                 raise MalformedRecord(line, message) from None
+            chunk_ids = fields[3] if len(fields) > 3 else ()
             if ids is None and not _index_ids(chunk_ids, rows):
                 ids = list(map(str, range(rows)))  # the first chunk with ids of its own
         else:  # read and checked by _index_columns, ids spelling out row indices
@@ -408,7 +403,7 @@ def parse_records(data, format, sort=False):
         if ids is not None:
             ids.extend(chunk_ids)
         rows += len(lines)
-        del raw  # so that the next chunk is read with one chunk of records alive
+        del fields  # so that the next chunk is read with one chunk of records alive
     if not rows:
         raise EmptyInput("no records in input")
     t, y, p = (np.concatenate(column) for column in zip(*parts))

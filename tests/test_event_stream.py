@@ -697,6 +697,21 @@ class TestStreaming:
         assert parse_records(text, fmt, sort=True).ids is None  # already in order
         assert parse_records(records_text(stream.t, stream.y, stream.p, None, fmt), fmt).ids is None
 
+    @pytest.mark.parametrize("chunk_chars", [event_stream._CHUNK_CHARS, 1],
+                             ids=["whole", "one-line-pieces"])
+    @pytest.mark.parametrize("ids", [[None, "1"], ["0", None, None, "3", None, "5"]],
+                             ids=["two", "six"])
+    def test_missing_and_index_ids_mixed_are_not_kept(self, ids, chunk_chars, monkeypatch):
+        """Each id is missing or its row index, however they fall into chunks."""
+        monkeypatch.setattr(event_stream, "_CHUNK_CHARS", chunk_chars)
+        stream = random_stream(len(ids))
+        text = records_text(stream.t, stream.y, stream.p, ids, "jsonl")
+        # canonical lines, and compact ones that the loadtxt path declines
+        for log in [text, text.replace(": ", ":")]:
+            got = parse_records(log, "jsonl")
+            assert_same_stream(got, stream)
+            assert got.ids is None
+
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_ids_of_their_own_after_index_chunks(self, fmt, monkeypatch):
         # one line per JSONL piece, two rows per CSV chunk
