@@ -154,9 +154,12 @@ def cmd_synth(args):
 def _gradcheck_soft_nn(rng, step, beta):
     n = int(rng.integers(4, 13))
     times = _tie_free_times(rng, n)
-    return soft_vca.finite_difference_check(
-        lambda points: soft_vca.soft_nn_distance(points, 0, beta),
-        soft_vca.soft_nn_gradient(times, 0, beta), times, step)
+
+    def value(points):
+        d = soft_vca.soft_nn_distance(points, 0, beta)
+        return d, soft_vca._soft_nn_gradient_at(points[0], 0, beta, d[0])
+
+    return soft_vca.finite_difference_check(value, times, step)
 
 
 def _tie_free_times(rng, n):
@@ -173,14 +176,13 @@ def _gradcheck_weighted(rng, step, beta, compose_penalty):
     w0 = 0.1 + 0.8 * rng.random(n)
 
     def value(weight_rows):
-        t_soft = soft_vca.weighted_soft_t(times, weight_rows, ref, beta).t_soft
-        return soft_vca.vca_penalty(t_soft, 0.1)[0] if compose_penalty else t_soft
+        trial = soft_vca.weighted_soft_t(times, weight_rows, ref, beta)
+        if not compose_penalty:
+            return trial.t_soft, trial.weight_gradient[0]
+        penalty, slope = soft_vca.vca_penalty(trial.t_soft, 0.1)
+        return penalty, slope[0] * trial.weight_gradient[0]
 
-    trial = soft_vca.weighted_soft_t(times, w0, ref, beta)
-    gradient = trial.weight_gradient
-    if compose_penalty:
-        gradient = soft_vca.vca_penalty(trial.t_soft, 0.1)[1] * gradient
-    return soft_vca.finite_difference_check(value, gradient, w0, step)
+    return soft_vca.finite_difference_check(value, w0, step)
 
 
 def _gradcheck_combined(rng, step):
@@ -188,10 +190,13 @@ def _gradcheck_combined(rng, step):
     ds = generate_drift_dataset(spec)
     theta0 = 0.5 * rng.standard_normal(spec.feature_dim + 1)
     config = TrainConfig(gamma=0.1, seed=int(rng.integers(0, 2**31)))
-    gradient = toy_trainer.combined_loss(toy_trainer.ToyModel(theta0), ds, config, step=0).gradient
-    return soft_vca.finite_difference_check(
-        lambda thetas: toy_trainer.combined_losses(thetas, ds, config, step=0).total,
-        gradient, theta0, step)
+
+    def value(thetas):
+        point = toy_trainer.combined_loss(toy_trainer.ToyModel(thetas[0]), ds, config, step=0)
+        rest = toy_trainer.combined_losses(thetas[1:], ds, config, step=0).total
+        return np.concatenate(([point.total], rest)), point.gradient
+
+    return soft_vca.finite_difference_check(value, theta0, step)
 
 
 def cmd_gradcheck(args):

@@ -171,7 +171,12 @@ def soft_nn_gradient(times, index, beta):
     t = np.asarray(times, dtype=np.float64)
     if t.ndim != 1:
         raise ValueError("times must be 1-d")
-    d = soft_nn_distance(t, index, beta)
+    return _soft_nn_gradient_at(t, index, beta, soft_nn_distance(t, index, beta))
+
+
+def _soft_nn_gradient_at(t, index, beta, d):
+    """soft_nn_gradient of the (n,) float64 points t, given their soft
+    minimum d = soft_nn_distance(t, index, beta)."""
     dist = np.abs(t - t[index])
     dist[index] = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -297,32 +302,36 @@ def vca_penalty(t_soft, gamma):
     return gamma * gap * gap, -2.0 * gamma * gap
 
 
-def finite_difference_check(value, gradient, point, step=1e-6):
+def finite_difference_check(value, point, step=1e-6):
     """Max relative error between an analytic gradient and central differences.
 
-    point is a 1-d point x of d coordinates and gradient the analytic
-    gradient there. value is called once, on the (2d, d) stack of rows
-    x + step * e_i for i < d, then x - step * e_i, and returns their 2d
-    values. The relative error per coordinate is |fd - analytic| /
-    max(1, |fd|, |analytic|), so near-zero gradients are compared
-    absolutely. A coordinate whose difference quotient or analytic entry
-    is not finite has error inf. An empty point has error 0.0, and value
-    is not called.
+    point is a 1-d point x of d coordinates. value is called once, on
+    the (2d + 1, d) stack of rows x, then x + step * e_i for i < d, then
+    x - step * e_i, and returns two things: the 2d + 1 values of the
+    rows and the analytic gradient at row 0. The relative error per
+    coordinate is |fd - analytic| / max(1, |fd|, |analytic|), so
+    near-zero gradients are compared absolutely. A coordinate whose
+    difference quotient or analytic entry is not finite has error inf.
+    An empty point has error 0.0, and value is not called.
     """
-    if not step > 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
     x = np.asarray(point, dtype=np.float64)
-    grad = np.asarray(gradient, dtype=np.float64)
-    if x.ndim != 1 or grad.shape != x.shape:
-        raise ValueError("point must be 1-d and gradient of the same shape")
+    if x.ndim != 1:
+        raise ValueError("point must be 1-d")
     if x.size == 0:
         return 0.0
-    shift = np.diag(np.full(x.size, step))
-    values = np.asarray(value(np.concatenate((x + shift, x - shift))), dtype=np.float64)
-    if values.shape != (2 * x.size,):
+    d = x.size
+    shift = np.diag(np.full(d, step))
+    values, grad = value(np.concatenate((x[None], x + shift, x - shift)))
+    values = np.asarray(values, dtype=np.float64)
+    grad = np.asarray(grad, dtype=np.float64)
+    if values.shape != (2 * d + 1,):
         raise ValueError("value must return one value per row of the stack")
+    if grad.shape != x.shape:
+        raise ValueError("value must return a gradient of the point's shape")
     with np.errstate(over="ignore", invalid="ignore"):
-        fd = (values[:x.size] - values[x.size:]) / (2.0 * step)
+        fd = (values[1:d + 1] - values[d + 1:]) / (2.0 * step)
         err = np.abs(fd - grad) / np.maximum(1.0, np.maximum(np.abs(fd), np.abs(grad)))
     err[~(np.isfinite(fd) & np.isfinite(grad))] = np.inf
     return float(err.max())

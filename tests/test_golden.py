@@ -19,7 +19,9 @@ still had its own per-entry log-sum-exp, and gradcheck's stdout after it
 became one entry of the weighted_soft_t scan. The gradcheck configurations
 in GRADCHECK were recorded while finite_difference_check still called its
 value function once per perturbed point, and while combined_loss was still
-called once per point rather than on the stack of points.
+called once per point rather than on the stack of points. They were also
+recorded before each soft family scored its unperturbed point as row 0 of
+its one stacked call.
 """
 
 import hashlib

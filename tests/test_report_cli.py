@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from vcseval import NonFiniteGradient, VcsConfig, parse_records, toy_trainer
+from vcseval import NonFiniteGradient, VcsConfig, parse_records, soft_vca, toy_trainer
 from vcseval.report_cli import (
     build_eval_report,
     density_csv,
@@ -403,6 +403,19 @@ class TestGradcheckCommand:
             "gradcheck: FAIL",
         ]
         assert captured.err == ""
+
+    def test_each_soft_trial_is_one_stacked_call(self, monkeypatch, capsys):
+        # the unperturbed point is row 0 of the stack, so no trial scores
+        # it in a call of its own or takes a second soft minimum
+        calls = dict.fromkeys(("weighted_soft_t", "soft_nn_distance", "soft_nn_gradient"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(soft_vca, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(soft_vca, name, counted)
+        assert main(["gradcheck", "--trials", "3"]) == 0
+        assert calls == {"weighted_soft_t": 6, "soft_nn_distance": 3, "soft_nn_gradient": 0}
 
     @pytest.mark.parametrize("flags", [
         ["--beta", "0"], ["--beta", "-1"], ["--beta", "nan"],

@@ -100,8 +100,8 @@ class TestSoftNnGradient:
             n = int(rng.integers(3, 10))
             times = np.cumsum(0.3 + rng.random(n))  # spacing keeps points tie-free
             err = finite_difference_check(
-                lambda points: [soft_nn_distance(point, 0, 5.0) for point in points],
-                soft_nn_gradient(times, 0, 5.0), times, 1e-6)
+                lambda points: ([soft_nn_distance(point, 0, 5.0) for point in points],
+                                soft_nn_gradient(points[0], 0, 5.0)), times, 1e-6)
             assert err <= 1e-5
 
 
@@ -223,8 +223,9 @@ class TestWeightedSoftT:
             beta = float(rng.uniform(1, 8))
             w0 = 0.1 + 0.8 * rng.random(n)
             err = finite_difference_check(
-                lambda rows: weighted_soft_t(times, rows, ref, beta).t_soft,
-                weighted_soft_t(times, w0, ref, beta).weight_gradient, w0, 1e-6)
+                lambda rows: (weighted_soft_t(times, rows, ref, beta).t_soft,
+                              weighted_soft_t(times, rows[0], ref, beta).weight_gradient),
+                w0, 1e-6)
             assert err <= 1e-5
 
     def test_errors(self):
@@ -493,32 +494,37 @@ class TestEffectiveBeta:
 class TestFiniteDifferenceCheck:
     @staticmethod
     def square(points):
-        return (points * points).sum(axis=1)
+        return (points * points).sum(axis=1), 2.0 * points[0]
+
+    @staticmethod
+    def with_gradient(values, gradient):
+        """A value function returning values(points) and a fixed gradient."""
+        return lambda points: (values(points), gradient)
 
     def test_quadratic_is_nearly_exact(self):
         x = np.array([1.0, -2.0, 0.5])
-        assert finite_difference_check(self.square, 2.0 * x, x, 1e-6) <= 1e-9
+        assert finite_difference_check(self.square, x, 1e-6) <= 1e-9
 
     def test_detects_wrong_gradient(self):
         x = np.array([1.0, 2.0])
         # deliberately wrong scale
-        assert finite_difference_check(self.square, 3.0 * x, x, 1e-6) > 1e-2
+        value = self.with_gradient(lambda points: (points * points).sum(axis=1), 3.0 * x)
+        assert finite_difference_check(value, x, 1e-6) > 1e-2
 
     def test_nan_gradient_is_infinite_error(self):
-        err = finite_difference_check(
-            lambda points: np.full(len(points), math.nan), [math.nan, math.nan], [1.0, 2.0], 1e-6)
-        assert err == math.inf
+        value = self.with_gradient(lambda points: np.full(len(points), math.nan),
+                                   [math.nan, math.nan])
+        assert finite_difference_check(value, [1.0, 2.0], 1e-6) == math.inf
 
     def test_non_finite_difference_is_infinite_error(self):
-        def value(points):
-            return np.where(points[:, 0] > 1.0, math.inf, 0.0)
+        value = self.with_gradient(lambda points: np.where(points[:, 0] > 1.0, math.inf, 0.0),
+                                   [0.0])
+        assert finite_difference_check(value, [1.0], 1e-6) == math.inf
 
-        assert finite_difference_check(value, [0.0], [1.0], 1e-6) == math.inf
-
-    def test_non_positive_step_rejected(self):
-        for step in (0.0, -1e-6):
-            with pytest.raises(ValueError):
-                finite_difference_check(self.square, [2.0], [1.0], step)
+    @pytest.mark.parametrize("step", (0.0, -1e-6, math.inf, math.nan))
+    def test_step_not_positive_and_finite_rejected(self, step):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            finite_difference_check(self.square, [1.0], step)
 
     def test_value_called_once_on_the_stack(self):
         x = np.array([1.0, -2.0, 0.5])
@@ -528,23 +534,35 @@ class TestFiniteDifferenceCheck:
             stacks.append(points.copy())
             return self.square(points)
 
-        finite_difference_check(value, 2.0 * x, x, 0.25)
+        finite_difference_check(value, x, 0.25)
         (stack,) = stacks
         shift = np.diag(np.full(3, 0.25))
-        assert np.array_equal(stack, np.concatenate((x + shift, x - shift)))
+        assert np.array_equal(stack, np.concatenate((x[None], x + shift, x - shift)))
 
-    def test_mismatched_shapes_rejected(self):
+    def test_point_must_be_1d(self):
+        with pytest.raises(ValueError, match="point must be 1-d"):
+            finite_difference_check(self.square, [[1.0, 2.0]], 1e-6)
+
+    def test_wrong_value_count_rejected(self):
         x = np.array([1.0, 2.0])
-        with pytest.raises(ValueError, match="gradient of the same shape"):
-            finite_difference_check(self.square, [2.0], x, 1e-6)
-        with pytest.raises(ValueError, match="one value per row"):
-            finite_difference_check(lambda points: 0.0, 2.0 * x, x, 1e-6)
+        for values in (lambda points: 0.0,
+                       lambda points: (points * points).sum(axis=1)[1:],
+                       lambda points: np.zeros((len(points), 1))):
+            with pytest.raises(ValueError, match="one value per row"):
+                finite_difference_check(self.with_gradient(values, 2.0 * x), x, 1e-6)
+
+    def test_wrong_gradient_shape_rejected(self):
+        x = np.array([1.0, 2.0])
+        for gradient in ([2.0], np.zeros((1, 2)), 2.0):
+            value = self.with_gradient(lambda points: (points * points).sum(axis=1), gradient)
+            with pytest.raises(ValueError, match="gradient of the point's shape"):
+                finite_difference_check(value, x, 1e-6)
 
     def test_empty_point_is_zero_error(self):
         def value(points):
             raise AssertionError("value is not called for an empty point")
 
-        assert finite_difference_check(value, [], [], 1e-6) == 0.0
+        assert finite_difference_check(value, [], 1e-6) == 0.0
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)

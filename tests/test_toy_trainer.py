@@ -77,8 +77,8 @@ class TestCombinedLoss:
         for _ in range(5):
             theta0 = 0.5 * rng.standard_normal(5)
             err = finite_difference_check(
-                lambda thetas: [loss(theta).total for theta in thetas],
-                loss(theta0).gradient, theta0, 1e-6)
+                lambda thetas: ([loss(theta).total for theta in thetas], loss(thetas[0]).gradient),
+                theta0, 1e-6)
             assert err <= 1e-4
 
     def test_non_finite_raises_with_step(self):
