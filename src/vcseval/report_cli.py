@@ -193,7 +193,8 @@ def _gradcheck_combined(rng, step):
 
     def value(thetas):
         point = toy_trainer.combined_loss(toy_trainer.ToyModel(thetas[0]), ds, config, step=0)
-        rest = toy_trainer.combined_losses(thetas[1:], ds, config, step=0).total
+        # the perturbed rows' values alone: only row 0's gradient is read
+        rest = toy_trainer._loss_values(thetas[1:], ds, config, 0).total
         return np.concatenate(([point.total], rest)), point.gradient
 
     return soft_vca.finite_difference_check(value, theta0, step)

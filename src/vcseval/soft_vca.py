@@ -210,6 +210,35 @@ def weighted_soft_t(timestamps, weights, random_times, beta):
     but has a zero-weight event close by, the derivative for the
     zero-weight event grows like exp(beta * gap) and overflows float64.
     """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        trial, scan = _soft_t_scan(timestamps, weights, random_times, beta)
+        gradient = _soft_t_gradient(*scan)
+    return SoftTrial(trial.d_r_soft, trial.d_disg_soft, trial.t_soft,
+                     gradient[0] if type(trial.t_soft) is float else gradient)
+
+
+def _soft_t_values(timestamps, weights, random_times, beta):
+    """weighted_soft_t's value stage: its SoftTrial, bit for bit, with
+    weight_gradient None.
+
+    Raises what weighted_soft_t raises, except that a gradient entry
+    that is not finite raises nothing unless d_disg_soft or t_soft is
+    not finite too.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        trial, scan = _soft_t_scan(timestamps, weights, random_times, beta)
+    # t_soft = a / (a + b) is NaN where a is not finite, but 0 where only
+    # b is. a or b not finite, or a + b = 0, makes every gradient entry
+    # of its row inf or NaN, so weighted_soft_t raises here too.
+    if not (np.isfinite(trial.d_disg_soft) & np.isfinite(trial.t_soft)).all():
+        raise _soft_t_error(d=scan[0])
+    return trial
+
+
+def _soft_t_scan(timestamps, weights, random_times, beta):
+    """The values of weighted_soft_t, with weight_gradient None, and the
+    scan that _soft_t_gradient reads. Runs under np.errstate with divide,
+    over and invalid ignored."""
     t = np.asarray(timestamps, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     r = np.asarray(random_times, dtype=np.float64)
@@ -242,47 +271,59 @@ def weighted_soft_t(timestamps, weights, random_times, beta):
     merged = np.concatenate((t, r))
     order = np.argsort(merged, kind="stable")
     times = merged[order]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        gaps = ((times[1:] - times[:-1]) * beta)[:, None]
-        log_w = np.log(np.concatenate((rows, np.zeros((c, r.size))), axis=1)[:, order].T)
-        log_s = _self_excluded_logsum(gaps, log_w)
+    gaps = ((times[1:] - times[:-1]) * beta)[:, None]
+    log_w = np.log(np.concatenate((rows, np.zeros((c, r.size))), axis=1)[:, order].T)
+    log_s = _self_excluded_logsum(gaps, log_w)
 
-        # d d_k / d w_j = -exp(-beta*|t_k - t_j| - log S_k) / beta, so the
-        # weighted sum over events k and the mean over reference times k
-        # are kernel sums with log-weights log(w_k / beta) - log S_k and
-        # -log(beta * r) - log S_k. The 1/beta inside the exponent keeps
-        # exp from overflowing where the divided value fits.
-        ell = np.empty((merged.size, 2 * c))
-        ell[:, :c] = log_w - (log_s + math.log(beta))
-        ell[:, c:] = np.where((order >= n)[:, None], -(log_s + math.log(beta * r.size)), -np.inf)
-        sums = np.exp(_self_excluded_logsum(gaps, ell))
+    # soft distances -log S / beta, one row per weight row, in input order
+    d = np.empty((c, merged.size))
+    d[:, order] = log_s.T
+    d /= -beta
+    w_total = rows.sum(axis=1, keepdims=True)
+    b = (rows * d[:, :n]).sum(axis=1, keepdims=True) / w_total
+    a = d[:, n:].sum(axis=1, keepdims=True) / r.size
+    denom = a + b
+    t_soft = a / denom
+    if w.ndim == 1:
+        trial = SoftTrial(float(a[0, 0]), float(b[0, 0]), float(t_soft[0, 0]), None)
+    else:
+        trial = SoftTrial(d_r_soft=a[:, 0], d_disg_soft=b[:, 0], t_soft=t_soft[:, 0],
+                          weight_gradient=None)
+    return trial, (d, gaps, order, log_w, log_s, rows, w_total, a, b, denom, r.size, beta)
 
-        # rows [log S, event sums, reference sums] per weight row, in input order
-        by_input = np.empty((3 * c, merged.size))
-        by_input[:c, order] = log_s.T
-        by_input[c:, order] = sums.T
-        d = by_input[:c] / -beta
-        d_ev = d[:, :n]
-        w_total = rows.sum(axis=1, keepdims=True)
-        b = (rows * d_ev).sum(axis=1, keepdims=True) / w_total
-        a = d[:, n:].sum(axis=1, keepdims=True) / r.size
 
-        db = (d_ev - by_input[c:2 * c, :n] - b) / w_total
-        da = -by_input[2 * c:, :n]
-        denom = a + b
-        dt = (da * b - a * db) / (denom * denom)
+def _soft_t_gradient(d, gaps, order, log_w, log_s, rows, w_total, a, b, denom, n_ref, beta):
+    """weighted_soft_t's gradient stage: d t_soft / d weights, (c, n),
+    from the scan of _soft_t_scan, under the same np.errstate."""
+    c, n = rows.shape
+    # d d_k / d w_j = -exp(-beta*|t_k - t_j| - log S_k) / beta, so the
+    # weighted sum over events k and the mean over reference times k are
+    # kernel sums with log-weights log(w_k / beta) - log S_k and
+    # -log(beta * r) - log S_k. The 1/beta inside the exponent keeps exp
+    # from overflowing where the divided value fits.
+    ell = np.empty((order.size, 2 * c))
+    ell[:, :c] = log_w - (log_s + math.log(beta))
+    ell[:, c:] = np.where((order >= n)[:, None], -(log_s + math.log(beta * n_ref)), -np.inf)
+
+    # rows [event sums, reference sums] per weight row, in input order
+    sums = np.empty((2 * c, order.size))
+    sums[:, order] = np.exp(_self_excluded_logsum(gaps, ell)).T
+    db = (d[:, :n] - sums[:c, :n] - b) / w_total
+    da = -sums[c:, :n]
+    dt = (da * b - a * db) / (denom * denom)
     if not np.isfinite(dt).all():
         # a soft distance that is not finite makes a or b, and with it
         # every gradient entry of its row, inf or NaN
-        if not np.isfinite(d).all():
-            raise ValueError("soft distances are not finite at this beta")
-        raise NonFiniteGradient("weighted soft T weight gradient is not finite")
+        raise _soft_t_error(d)
+    return dt
 
-    t_soft = a / denom
-    if w.ndim == 1:
-        return SoftTrial(float(a[0, 0]), float(b[0, 0]), float(t_soft[0, 0]), dt[0])
-    return SoftTrial(d_r_soft=a[:, 0], d_disg_soft=b[:, 0], t_soft=t_soft[:, 0],
-                     weight_gradient=dt)
+
+def _soft_t_error(d):
+    """What weighted_soft_t raises when a gradient entry is not finite:
+    ValueError when a soft distance d is not finite either."""
+    if not np.isfinite(d).all():
+        return ValueError("soft distances are not finite at this beta")
+    return NonFiniteGradient("weighted soft T weight gradient is not finite")
 
 
 def soft_t(timestamps, random_times, beta):

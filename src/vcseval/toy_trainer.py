@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NonFiniteGradient, NonFiniteLoss
 from .event_stream import EvalStream
-from .soft_vca import effective_beta, vca_penalty, weighted_soft_t
+from .soft_vca import _soft_t_values, effective_beta, vca_penalty, weighted_soft_t
 from .vcs import evaluate_stream
 
 P_CLAMP = 1e-7
@@ -100,6 +100,45 @@ def combined_losses(thetas, batch, config, step):
     may fail first: effective_beta raises its ValueError, and a
     weighted_soft_t failure becomes NonFiniteLoss(step).
     """
+    # an overflow or NaN fails the check of every total and gradient entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses, (x, y, p, rows, trial, d_pens) = _losses(thetas, batch, config, step,
+                                                         weighted_soft_t)
+        unclamped = (p > P_CLAMP) & (p < 1.0 - P_CLAMP)
+        gz = np.where(unclamped, p - y, 0.0) / y.size
+        gradient = np.array([x.T @ g for g in gz])
+        if rows.size:
+            p_pen = p[rows]
+            gz_pen = d_pens[:, None] * trial.weight_gradient * np.sign(p_pen - y) * p_pen * (1.0 - p_pen)
+            gradient[rows] += [x.T @ g for g in gz_pen]
+    if not (np.isfinite(losses.total).all() and np.isfinite(gradient).all()):
+        raise NonFiniteLoss(step, "loss or gradient is not finite")
+    if type(losses.total) is float:
+        gradient = gradient[0]
+    return LossBreakdown(losses.cross_entropy, losses.penalty, losses.total, gradient,
+                         losses.penalty_skipped, losses.n_clamped)
+
+
+def _loss_values(thetas, batch, config, step):
+    """combined_losses' value stage: its LossBreakdown, with gradient None.
+
+    Every field is bit-identical to combined_losses', and it raises what
+    combined_losses raises, except that a gradient that is not finite
+    raises nothing: the penalty rows go through weighted_soft_t's value
+    stage, and no parameter gradient is formed.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = _losses(thetas, batch, config, step, _soft_t_values)[0]
+    if not np.isfinite(losses.total).all():
+        raise NonFiniteLoss(step, "loss or gradient is not finite")
+    return losses
+
+
+def _losses(thetas, batch, config, step, soft_t):
+    """The values of combined_losses, with soft_t(batch.t, weights,
+    reference times, beta) the soft statistic of the penalty rows, and
+    what the gradient reads of them. Runs under np.errstate with over
+    and invalid ignored."""
     x = _augment(batch.features)
     y = batch.y.astype(np.float64)
     n = y.size
@@ -112,49 +151,43 @@ def combined_losses(thetas, batch, config, step):
         raise ValueError("thetas must hold at least one row")
     stack = np.atleast_2d(thetas)
 
-    # an overflow or NaN here fails the finiteness check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        # one matrix-vector product per row: x @ thetas.T rounds some
-        # entries differently from the one-row product. Each row of a
-        # C-contiguous (c, n) array is reduced with the pairwise sum of
-        # the one-row call, so the rest runs on all rows at once.
-        p = _sigmoid(np.array([x @ theta for theta in stack]))
-        p_safe = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
-        ces = -(y * np.log(p_safe) + (1.0 - y) * np.log(1.0 - p_safe)).sum(axis=1) / n
-        n_clamped = (p != p_safe).sum(axis=1)
-        unclamped = (p > P_CLAMP) & (p < 1.0 - P_CLAMP)
-        gz = np.where(unclamped, p - y, 0.0) / n
-        gradient = np.array([x.T @ g for g in gz])
-        penalty = np.zeros(stack.shape[0])
-        eligible = np.zeros(stack.shape[0], dtype=bool)
-        if config.gamma > 0:
-            w = np.abs(p - y)
-            # a weight that is not finite, from a NaN logit, would fail the
-            # stack; its row fails the finiteness check below
-            eligible = ((w > WEIGHT_FLOOR).sum(axis=1) >= 2) & np.isfinite(w).all(axis=1)
-        rows = eligible.nonzero()[0]
-        if rows.size:
-            beta = effective_beta(batch.t)
-            rng = np.random.default_rng((config.seed, step))
-            n_ref = max(2, n // 2)
-            t_lo, t_hi = float(batch.t.min()), float(batch.t.max())
-            ref_times = t_lo + rng.random(n_ref) * (t_hi - t_lo)
-            try:
-                trial = weighted_soft_t(batch.t, w[rows], ref_times, beta)
-            except (NonFiniteGradient, ValueError) as exc:
-                raise NonFiniteLoss(step, str(exc)) from exc
-            penalty[rows], d_pens = vca_penalty(trial.t_soft, config.gamma)
-            p_pen = p[rows]
-            gz_pen = d_pens[:, None] * trial.weight_gradient * np.sign(p_pen - y) * p_pen * (1.0 - p_pen)
-            gradient[rows] += [x.T @ g for g in gz_pen]
-        total = ces + penalty
-    if not (np.isfinite(total).all() and np.isfinite(gradient).all()):
-        raise NonFiniteLoss(step, "loss or gradient is not finite")
+    # an overflow or NaN here fails the callers' check of the totals.
+    # One matrix-vector product per row: x @ thetas.T rounds some
+    # entries differently from the one-row product. Each row of a
+    # C-contiguous (c, n) array is reduced with the pairwise sum of
+    # the one-row call, so the rest runs on all rows at once.
+    p = _sigmoid(np.array([x @ theta for theta in stack]))
+    p_safe = np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
+    ces = -(y * np.log(p_safe) + (1.0 - y) * np.log(1.0 - p_safe)).sum(axis=1) / n
+    n_clamped = (p != p_safe).sum(axis=1)
+    penalty = np.zeros(stack.shape[0])
+    eligible = np.zeros(stack.shape[0], dtype=bool)
+    if config.gamma > 0:
+        w = np.abs(p - y)
+        # a weight that is not finite, from a NaN logit, would fail the
+        # stack; its row fails the callers' check of the totals
+        eligible = ((w > WEIGHT_FLOOR).sum(axis=1) >= 2) & np.isfinite(w).all(axis=1)
+    rows = eligible.nonzero()[0]
+    trial = d_pens = None
+    if rows.size:
+        beta = effective_beta(batch.t)
+        rng = np.random.default_rng((config.seed, step))
+        n_ref = max(2, n // 2)
+        t_lo, t_hi = float(batch.t.min()), float(batch.t.max())
+        ref_times = t_lo + rng.random(n_ref) * (t_hi - t_lo)
+        try:
+            trial = soft_t(batch.t, w[rows], ref_times, beta)
+        except (NonFiniteGradient, ValueError) as exc:
+            raise NonFiniteLoss(step, str(exc)) from exc
+        penalty[rows], d_pens = vca_penalty(trial.t_soft, config.gamma)
+    total = ces + penalty
     skipped = (config.gamma > 0) & ~eligible
     if thetas.ndim == 1:
-        return LossBreakdown(float(ces[0]), float(penalty[0]), float(total[0]), gradient[0],
-                             bool(skipped[0]), int(n_clamped[0]))
-    return LossBreakdown(ces, penalty, total, gradient, skipped, n_clamped)
+        losses = LossBreakdown(float(ces[0]), float(penalty[0]), float(total[0]), None,
+                               bool(skipped[0]), int(n_clamped[0]))
+    else:
+        losses = LossBreakdown(ces, penalty, total, None, skipped, n_clamped)
+    return losses, (x, y, p, rows, trial, d_pens)
 
 
 def combined_loss(model, batch, config, step):

@@ -21,7 +21,9 @@ in GRADCHECK were recorded while finite_difference_check still called its
 value function once per perturbed point, and while combined_loss was still
 called once per point rather than on the stack of points. They were also
 recorded before each soft family scored its unperturbed point as row 0 of
-its one stacked call.
+its one stacked call. The last two were recorded while combined_loss's
+perturbed rows still computed their gradients, before they went through
+the value stage alone.
 """
 
 import hashlib
@@ -148,6 +150,11 @@ GRADCHECK = {
     ("--step", "1.0"): (1, "a15d588ab62857e71d2e31d293a7202c1b7f0dd77caae4dc2df784004cf5e200"),
     ("--beta", "1e308", "--trials", "2"):
         (1, "35e460ce5c0afcccfd9f744bedd8fc10c6bad726daa23e3a25d670a88c02cec6"),
+    ("--trials", "250", "--seed", "7"):
+        (0, "adafb24da13371b0f9050f9a4645e8cbb0b3a5c9384ddb989c0c4d91f52acc32"),
+    # perturbed rows far from row 0
+    ("--step", "30", "--trials", "50"):
+        (1, "0da28886689860f0f63357ce9bec378c730d4a661642de85391f03e8a04f7e88"),
 }
 
 

@@ -417,6 +417,20 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--trials", "3"]) == 0
         assert calls == {"weighted_soft_t": 6, "soft_nn_distance": 3, "soft_nn_gradient": 0}
 
+    def test_each_combined_trial_takes_one_gradient(self, monkeypatch, capsys):
+        # row 0's one-row call computes the only gradient of a trial; the
+        # perturbed rows go through the value stage, not weighted_soft_t
+        calls = []
+
+        def counted(*args, _fn=toy_trainer.weighted_soft_t):
+            calls.append(np.shape(args[1]))
+            return _fn(*args)
+
+        monkeypatch.setattr(toy_trainer, "weighted_soft_t", counted)
+        assert main(["gradcheck", "--trials", "3"]) == 0
+        # one call of one weight row per trial
+        assert [shape[0] for shape in calls] == [1, 1, 1]
+
     @pytest.mark.parametrize("flags", [
         ["--beta", "0"], ["--beta", "-1"], ["--beta", "nan"],
         ["--step", "0"], ["--step", "-1e-6"], ["--trials", "0"],

@@ -19,7 +19,7 @@ from vcseval import (
     vca_penalty,
     weighted_soft_t,
 )
-from vcseval.soft_vca import FALLBACK_BETA, TARGET_SHARPNESS
+from vcseval.soft_vca import FALLBACK_BETA, TARGET_SHARPNESS, _soft_t_values
 
 from . import oracles
 
@@ -380,11 +380,43 @@ def weight_stacks(draw):
     return times, rows, ref, beta
 
 
-def _outcome(times, weights, ref, beta):
+def _call(fn, *args):
     try:
-        return weighted_soft_t(times, weights, ref, beta)
-    except VcsEvalError as exc:
-        return type(exc)
+        return fn(*args)
+    except (ValueError, VcsEvalError) as exc:
+        return exc
+
+
+def _stages_agree(times, weights, ref, beta):
+    """weighted_soft_t's SoftTrial or error, once its value stage gave the
+    same values bit for bit, or the same error class and message. The
+    value stage alone may succeed only where the weight gradient is not
+    finite. Neither call may emit a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full = _call(weighted_soft_t, times, weights, ref, beta)
+        values = _call(_soft_t_values, times, weights, ref, beta)
+    if isinstance(values, Exception):
+        assert (type(values), str(values)) == (type(full), str(full))
+    elif isinstance(full, Exception):
+        assert type(full) is NonFiniteGradient
+        event("only the weight gradient is not finite")
+    else:
+        assert values.weight_gradient is None
+        for name in ("t_soft", "d_r_soft", "d_disg_soft"):
+            got, want = getattr(values, name), getattr(full, name)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    return full
+
+
+def _outcome(times, weights, ref, beta):
+    got = _stages_agree(times, weights, ref, beta)
+    if isinstance(got, VcsEvalError):
+        return type(got)
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 class TestStackedRows:
@@ -428,6 +460,39 @@ class TestStackedRows:
             with pytest.raises(want) as err:
                 weighted_soft_t(times, weights, ref, beta)
             assert type(err.value) is want
+            assert type(_stages_agree(times, weights, ref, beta)) is want
+
+    @pytest.mark.parametrize("times, weights, ref, beta", [
+        # weights outside [0, 1], too few positive, or of the wrong shape
+        ([1.0, 2.0, 3.0], [0.5, 0.5, 1.5], [1.5], 1.0),
+        ([1.0, 2.0, 3.0], [[0.5, 0.5, 0.5], [0.5, -0.1, 0.5]], [1.5], 1.0),
+        ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1.5], 1.0),
+        ([1.0, 2.0, 3.0], [[0.5, 0.5, 0.5], [1.0, 0.0, 0.0]], [1.5], 1.0),
+        ([1.0, 2.0, 3.0], [0.5, 0.5], [1.5], 1.0),
+        # times, reference times or beta not finite, or no reference time
+        ([1.0, math.nan, 3.0], [0.5, 0.5, 0.5], [1.5], 1.0),
+        ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5], [math.inf], 1.0),
+        ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5], [], 1.0),
+        ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5], [1.5], math.nan),
+        ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5], [1.5], math.inf),
+        # beta times every gap underflows: the soft distances overflow
+        ([0.0, 1.0, 3.0], [[0.5, 0.5, 1.0], [1.0, 0.2, 0.0]], [2.0], 5e-324),
+        # finite soft distances near 1.5e308 whose mean overflows, so
+        # d_disg_soft, and with it every gradient entry, is not finite
+        ([0.0, 1.5e308], [1.0, 1.0], [0.0, 1.5e308], 1e-300),
+    ])
+    def test_value_stage_fails_as_the_full_call(self, times, weights, ref, beta):
+        assert isinstance(_stages_agree(times, weights, ref, beta), Exception)
+
+    def test_value_stage_succeeds_where_only_the_gradient_overflows(self):
+        # test_overflowing_gradient_raises's case, as one row and in a stack
+        times, weights, ref = [0.0, 1.0, 200.0, 201.0], [1.0, 0.0, 1.0, 1.0], [100.0]
+        for stack in (weights, [[0.5, 0.5, 0.5, 0.5], weights]):
+            with pytest.raises(NonFiniteGradient):
+                weighted_soft_t(times, stack, ref, 5.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.isfinite(_soft_t_values(times, stack, ref, 5.0).t_soft).all()
 
 
 class TestVcaPenalty:

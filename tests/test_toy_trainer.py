@@ -20,7 +20,7 @@ from vcseval import (
     train,
 )
 from vcseval.pattern_gen import DriftDataset
-from vcseval.toy_trainer import LEARNING_RATE, ToyModel, _augment, _sigmoid
+from vcseval.toy_trainer import LEARNING_RATE, ToyModel, _augment, _loss_values, _sigmoid
 
 from . import oracles
 
@@ -172,6 +172,34 @@ def assert_stack_shapes(stacked, c, d):
     assert stacked.n_clamped.shape == (c,) and stacked.n_clamped.dtype.kind == "i"
 
 
+def value_bits(breakdown):
+    """Every field of a LossBreakdown but its gradient, as bytes."""
+    return [np.asarray(getattr(breakdown, f.name)).tobytes()
+            for f in dataclasses.fields(LossBreakdown) if f.name != "gradient"]
+
+
+def assert_value_stage_fails_alike(thetas, ds, config, step, full_error):
+    """The value stage raises full_error's class and message, unless the
+    full call failed on a gradient that is not finite: then the value
+    stage gives finite totals, or fails on a loss that is not finite,
+    which the full call checks only after the gradients."""
+    gradient_failure = f"epoch {step}: weighted soft T weight gradient is not finite"
+    try:
+        values = _loss_values(thetas, ds, config, step)
+    except Exception as exc:
+        if str(full_error) == gradient_failure and str(exc) != gradient_failure:
+            event("a gradient and a loss are not finite")
+            assert type(exc) is NonFiniteLoss
+            assert str(exc) == f"epoch {step}: loss or gradient is not finite"
+        else:
+            assert (type(exc), str(exc)) == (type(full_error), str(full_error))
+        return
+    event("only a gradient is not finite")
+    assert type(full_error) is NonFiniteLoss
+    assert str(full_error) in (gradient_failure, f"epoch {step}: loss or gradient is not finite")
+    assert np.isfinite(values.total).all()
+
+
 class TestCombinedLosses:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -216,11 +244,15 @@ class TestCombinedLosses:
             with pytest.raises(Exception) as err:
                 combined_losses(thetas, ds, config, step)
             assert type(err.value) is type(first_error)
+            assert_value_stage_fails_alike(thetas, ds, config, step, err.value)
             return
         event(f"penalty skipped in {sum(w.penalty_skipped for w in want)} rows")
         got = combined_losses(thetas, ds, config, step)
         assert_stack_shapes(got, len(thetas), 5)
         assert [row_bits(got, i) for i in range(len(thetas))] == [loss_bits(w) for w in want]
+        values = _loss_values(thetas, ds, config, step)
+        assert values.gradient is None
+        assert value_bits(values) == value_bits(got)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1])
     def test_mixed_stack_matches_one_row_calls(self, gamma):
