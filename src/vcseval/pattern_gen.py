@@ -24,6 +24,7 @@ from .errors import SpecViolation
 from .event_stream import EvalStream
 
 PATTERN_KINDS = ("random", "clustered", "regular")
+_MAX_COUNT = np.iinfo(np.intp).max // 8  # the most float64 elements numpy can size
 
 
 def _integers(*values):
@@ -59,8 +60,8 @@ class PatternSpec:
             raise SpecViolation(f"kind must be one of {PATTERN_KINDS}")
         if not _integers(self.n_events, self.n_errors):
             raise SpecViolation("n_events and n_errors must be integers")
-        if not 2 <= self.n_errors <= self.n_events:
-            raise SpecViolation("need 2 <= n_errors <= n_events")
+        if not 2 <= self.n_errors <= self.n_events <= _MAX_COUNT:
+            raise SpecViolation(f"need 2 <= n_errors <= n_events <= {_MAX_COUNT}")
         t_start, t_end = _period(self.period)
         if t_start < 0:
             raise SpecViolation("period must start at t >= 0, as parsed timestamps do")
@@ -98,8 +99,8 @@ class DriftSpec:
     def __post_init__(self):
         if not _integers(self.n_events, self.feature_dim):
             raise SpecViolation("n_events and feature_dim must be integers")
-        if self.n_events < 2:
-            raise SpecViolation("n_events must be at least 2")
+        if not 2 <= self.n_events <= _MAX_COUNT:
+            raise SpecViolation(f"n_events must lie in [2, {_MAX_COUNT}]")
         if not 0.0 < self.drift_onset < 1.0:
             raise SpecViolation("drift_onset must lie in (0, 1)")
         if self.feature_dim < 1:

@@ -18,8 +18,8 @@ from . import soft_vca, toy_trainer
 from .errors import (EXIT_FAILURE, EXIT_INPUT, EXIT_OK, EXIT_UNDEFINED, NonFiniteGradient,
                      NonFiniteLoss, VcsEvalError)
 from .event_stream import parse_records, serialize_records
-from .pattern_gen import (DriftDataset, DriftSpec, PatternSpec, generate_drift_dataset,
-                          generate_pattern)
+from .pattern_gen import (_MAX_COUNT, DriftDataset, DriftSpec, PatternSpec,
+                          generate_drift_dataset, generate_pattern)
 from .toy_trainer import TrainConfig, train
 # vcs itself is not called here; perfbench's tests trace it through this binding
 from .vcs import VcsConfig, evaluate_stream, vcs  # noqa: F401
@@ -313,7 +313,11 @@ def build_parser():
     p.add_argument("--tau", type=POSITIVE_INT, default=5)
     p.add_argument("--subsample", type=OPEN_UNIT, default=0.5)
     p.add_argument("--seed", type=SEED_64, default=42)
-    p.add_argument("--density-bins", type=POSITIVE_INT, default=100)
+    # np.linspace sizes its density_bins + 1 edges from a float64 count,
+    # and float64 counts are 128 apart just below 2**60 = _MAX_COUNT + 1
+    p.add_argument("--density-bins", default=100, type=_checked(
+        int, lambda v: 1 <= v <= _MAX_COUNT - 128,
+        f"must be an integer in [1, {_MAX_COUNT - 128}]"))
     p.add_argument("--sort", action="store_true", help="stably sort unsorted input")
     p.add_argument("--report", help="write the JSON report to this path")
     p.add_argument("--svg", help="write a density strip SVG to this path")

@@ -210,35 +210,21 @@ def weighted_soft_t(timestamps, weights, random_times, beta):
     but has a zero-weight event close by, the derivative for the
     zero-weight event grows like exp(beta * gap) and overflows float64.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        trial, scan = _soft_t_scan(timestamps, weights, random_times, beta)
-        gradient = _soft_t_gradient(*scan)
+    trial, scan = _soft_t_values(timestamps, weights, random_times, beta)
+    gradient = _soft_t_gradient(*scan)
     return SoftTrial(trial.d_r_soft, trial.d_disg_soft, trial.t_soft,
                      gradient[0] if type(trial.t_soft) is float else gradient)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _soft_t_values(timestamps, weights, random_times, beta):
     """weighted_soft_t's value stage: its SoftTrial, bit for bit, with
-    weight_gradient None.
+    weight_gradient None, and the scan that _soft_t_gradient reads.
 
     Raises what weighted_soft_t raises, except that a gradient entry
     that is not finite raises nothing unless d_disg_soft or t_soft is
     not finite too.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        trial, scan = _soft_t_scan(timestamps, weights, random_times, beta)
-    # t_soft = a / (a + b) is NaN where a is not finite, but 0 where only
-    # b is. a or b not finite, or a + b = 0, makes every gradient entry
-    # of its row inf or NaN, so weighted_soft_t raises here too.
-    if not (np.isfinite(trial.d_disg_soft) & np.isfinite(trial.t_soft)).all():
-        raise _soft_t_error(d=scan[0])
-    return trial
-
-
-def _soft_t_scan(timestamps, weights, random_times, beta):
-    """The values of weighted_soft_t, with weight_gradient None, and the
-    scan that _soft_t_gradient reads. Runs under np.errstate with divide,
-    over and invalid ignored."""
     t = np.asarray(timestamps, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     r = np.asarray(random_times, dtype=np.float64)
@@ -284,6 +270,13 @@ def _soft_t_scan(timestamps, weights, random_times, beta):
     a = d[:, n:].sum(axis=1, keepdims=True) / r.size
     denom = a + b
     t_soft = a / denom
+    # t_soft is NaN where a is not finite, but 0 where only b is. A soft
+    # distance that is not finite makes a or b so, and a or b not finite,
+    # or a + b = 0, makes every gradient entry of its row inf or NaN.
+    if not (np.isfinite(b) & np.isfinite(t_soft)).all():
+        if not np.isfinite(d).all():
+            raise ValueError("soft distances are not finite at this beta")
+        raise NonFiniteGradient("weighted soft T weight gradient is not finite")
     if w.ndim == 1:
         trial = SoftTrial(float(a[0, 0]), float(b[0, 0]), float(t_soft[0, 0]), None)
     else:
@@ -292,9 +285,11 @@ def _soft_t_scan(timestamps, weights, random_times, beta):
     return trial, (d, gaps, order, log_w, log_s, rows, w_total, a, b, denom, r.size, beta)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _soft_t_gradient(d, gaps, order, log_w, log_s, rows, w_total, a, b, denom, n_ref, beta):
     """weighted_soft_t's gradient stage: d t_soft / d weights, (c, n),
-    from the scan of _soft_t_scan, under the same np.errstate."""
+    from the scan of _soft_t_values. Every soft distance is finite, or
+    the value stage has raised."""
     c, n = rows.shape
     # d d_k / d w_j = -exp(-beta*|t_k - t_j| - log S_k) / beta, so the
     # weighted sum over events k and the mean over reference times k are
@@ -312,18 +307,8 @@ def _soft_t_gradient(d, gaps, order, log_w, log_s, rows, w_total, a, b, denom, n
     da = -sums[c:, :n]
     dt = (da * b - a * db) / (denom * denom)
     if not np.isfinite(dt).all():
-        # a soft distance that is not finite makes a or b, and with it
-        # every gradient entry of its row, inf or NaN
-        raise _soft_t_error(d)
+        raise NonFiniteGradient("weighted soft T weight gradient is not finite")
     return dt
-
-
-def _soft_t_error(d):
-    """What weighted_soft_t raises when a gradient entry is not finite:
-    ValueError when a soft distance d is not finite either."""
-    if not np.isfinite(d).all():
-        return ValueError("soft distances are not finite at this beta")
-    return NonFiniteGradient("weighted soft T weight gradient is not finite")
 
 
 def soft_t(timestamps, random_times, beta):

@@ -100,10 +100,9 @@ def combined_losses(thetas, batch, config, step):
     may fail first: effective_beta raises its ValueError, and a
     weighted_soft_t failure becomes NonFiniteLoss(step).
     """
-    # an overflow or NaN fails the check of every total and gradient entry
+    losses, (x, y, p, rows, trial, d_pens) = _losses(thetas, batch, config, step, weighted_soft_t)
+    # an overflow or NaN fails the check of every gradient entry
     with np.errstate(over="ignore", invalid="ignore"):
-        losses, (x, y, p, rows, trial, d_pens) = _losses(thetas, batch, config, step,
-                                                         weighted_soft_t)
         unclamped = (p > P_CLAMP) & (p < 1.0 - P_CLAMP)
         gz = np.where(unclamped, p - y, 0.0) / y.size
         gradient = np.array([x.T @ g for g in gz])
@@ -111,7 +110,7 @@ def combined_losses(thetas, batch, config, step):
             p_pen = p[rows]
             gz_pen = d_pens[:, None] * trial.weight_gradient * np.sign(p_pen - y) * p_pen * (1.0 - p_pen)
             gradient[rows] += [x.T @ g for g in gz_pen]
-    if not (np.isfinite(losses.total).all() and np.isfinite(gradient).all()):
+    if not np.isfinite(gradient).all():
         raise NonFiniteLoss(step, "loss or gradient is not finite")
     if type(losses.total) is float:
         gradient = gradient[0]
@@ -127,18 +126,15 @@ def _loss_values(thetas, batch, config, step):
     raises nothing: the penalty rows go through weighted_soft_t's value
     stage, and no parameter gradient is formed.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        losses = _losses(thetas, batch, config, step, _soft_t_values)[0]
-    if not np.isfinite(losses.total).all():
-        raise NonFiniteLoss(step, "loss or gradient is not finite")
-    return losses
+    return _losses(thetas, batch, config, step, lambda *args: _soft_t_values(*args)[0])[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _losses(thetas, batch, config, step, soft_t):
     """The values of combined_losses, with soft_t(batch.t, weights,
     reference times, beta) the soft statistic of the penalty rows, and
-    what the gradient reads of them. Runs under np.errstate with over
-    and invalid ignored."""
+    what the gradient reads of them. Raises NonFiniteLoss(step) when a
+    total is not finite, after the soft_t call."""
     x = _augment(batch.features)
     y = batch.y.astype(np.float64)
     n = y.size
@@ -151,7 +147,7 @@ def _losses(thetas, batch, config, step, soft_t):
         raise ValueError("thetas must hold at least one row")
     stack = np.atleast_2d(thetas)
 
-    # an overflow or NaN here fails the callers' check of the totals.
+    # an overflow or NaN here fails the check of the totals below.
     # One matrix-vector product per row: x @ thetas.T rounds some
     # entries differently from the one-row product. Each row of a
     # C-contiguous (c, n) array is reduced with the pairwise sum of
@@ -165,7 +161,7 @@ def _losses(thetas, batch, config, step, soft_t):
     if config.gamma > 0:
         w = np.abs(p - y)
         # a weight that is not finite, from a NaN logit, would fail the
-        # stack; its row fails the callers' check of the totals
+        # stack; its row fails the check of the totals below
         eligible = ((w > WEIGHT_FLOOR).sum(axis=1) >= 2) & np.isfinite(w).all(axis=1)
     rows = eligible.nonzero()[0]
     trial = d_pens = None
@@ -181,6 +177,8 @@ def _losses(thetas, batch, config, step, soft_t):
             raise NonFiniteLoss(step, str(exc)) from exc
         penalty[rows], d_pens = vca_penalty(trial.t_soft, config.gamma)
     total = ces + penalty
+    if not np.isfinite(total).all():
+        raise NonFiniteLoss(step, "loss or gradient is not finite")
     skipped = (config.gamma > 0) & ~eligible
     if thetas.ndim == 1:
         losses = LossBreakdown(float(ces[0]), float(penalty[0]), float(total[0]), None,

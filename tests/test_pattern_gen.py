@@ -63,6 +63,10 @@ class TestPatterns:
             PatternSpec("random", 10, 1)
         with pytest.raises(SpecViolation):
             PatternSpec("random", 10, 11)
+        # more float64 elements than numpy can size
+        for n_events, n_errors in ((2**60, 2), (2**60, 2**60), (2**63, 2)):
+            with pytest.raises(SpecViolation, match="n_events <= 1152921504606846975$"):
+                PatternSpec("random", n_events, n_errors)
         with pytest.raises(SpecViolation):
             PatternSpec("random", 10, 5, period=(5.0, 5.0))
         for period in ((0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan), (-1e308, 1e308)):
@@ -127,6 +131,10 @@ class TestDriftDataset:
     def test_validation(self):
         with pytest.raises(SpecViolation):
             DriftSpec(n_events=1)
+        for n_events in (2**60, 2**63):
+            with pytest.raises(SpecViolation,
+                               match=r"^n_events must lie in \[2, 1152921504606846975\]$"):
+                DriftSpec(n_events=n_events)
         with pytest.raises(SpecViolation):
             DriftSpec(n_events=10, drift_onset=1.5)
         with pytest.raises(SpecViolation):

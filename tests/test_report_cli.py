@@ -327,6 +327,61 @@ class TestSynthCommand:
         assert reports["jsonl"]["vcs"] == reports["csv"]["vcs"]
 
 
+# the most float64 elements numpy can size; np.linspace counts the
+# density_bins + 1 edges in float64, so --density-bins stops 128 below
+MAX_COUNT = np.iinfo(np.intp).max // 8
+MAX_BINS = MAX_COUNT - 128
+
+
+def exit_code(argv):
+    """main's exit code, argparse's SystemExit(2) included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def sized_argv(tmp_path, flag, count):
+    """synth --events count, or evaluate --density-bins count, and the
+    output path it would write."""
+    out = tmp_path / "out"
+    if flag == "--events":
+        return ["synth", "--pattern", "random", "--events", str(count), "--errors", "2",
+                "--out", str(out)], out
+    log = tmp_path / "log.jsonl"
+    log.write_text(synthetic_jsonl())
+    return ["evaluate", "--input", str(log), "--density-bins", str(count),
+            "--report", str(out)], out
+
+
+class TestOversizedCounts:
+    """A count numpy cannot size as float64 elements is a bad input value,
+    exit 2, rejected before anything is allocated or written. The largest
+    count accepted fails its allocation at once, exit 1."""
+
+    @pytest.mark.parametrize("flag, count", [
+        ("--events", 2**63), ("--events", 2**63 - 1),
+        ("--density-bins", 2**62 - 1), ("--density-bins", 2**63 - 1),
+    ])
+    def test_exits_2(self, flag, count, tmp_path, capsys):
+        argv, out = sized_argv(tmp_path, flag, count)
+        assert exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err and "Traceback" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, last", [("--events", MAX_COUNT), ("--density-bins", MAX_BINS)])
+    def test_both_sides_of_the_bound(self, flag, last, tmp_path, capsys):
+        argv, _ = sized_argv(tmp_path, flag, last)
+        assert exit_code(argv) == 1
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
+        argv, out = sized_argv(tmp_path, flag, last + 1)
+        assert exit_code(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDensitySvg:
     def read_opacities(self, path):
         ns = {"svg": "http://www.w3.org/2000/svg"}
@@ -486,8 +541,11 @@ class TestTrainDemoCommand:
 
 
 # Fuzzed command lines: each flag value and input line is mostly valid,
-# sometimes not. Counts that size allocations (--events, --errors,
-# --density-bins, --tau) stay small: a count like 1e8 only exhausts memory.
+# sometimes not. Counts that size allocations stay small, as a count like
+# 1e8 only exhausts memory, or reach the count bound: --events, --errors
+# and --density-bins at the bound fail their allocation at once, exit 1,
+# and above it are bad values, exit 2. --tau gets no huge counts, since a
+# huge tau is a long run, not an error.
 BAD_NUMBER = st.one_of(
     st.floats().map(repr),
     st.integers(-2, 2**65).map(str),
@@ -502,6 +560,9 @@ def mostly(valid, bad):
 
 
 COUNT = mostly(st.integers(1, 40).map(str), BAD_COUNT)
+SIZE = mostly(st.integers(1, 40).map(str), BAD_COUNT | st.one_of(
+    st.sampled_from([MAX_BINS, MAX_BINS + 1, MAX_COUNT, MAX_COUNT + 1]),
+    st.integers(MAX_BINS, 2**64)).map(str))
 FRACTION = mostly(st.floats(0.01, 0.99).map(repr), BAD_NUMBER)
 SEED = mostly(st.integers(0, 2**64 + 2).map(str), BAD_NUMBER)
 TIME = st.one_of(st.floats(0, 1e3), st.floats(0, 1e308), st.sampled_from([0.0, 5.0, 1e16]))
@@ -562,14 +623,14 @@ def evaluate_argv(draw, workdir):
             "--report", str(workdir / "report.json"), "--svg", str(workdir / "d.svg")]
     argv += flag_args(draw, {"--threshold": FRACTION, "--tau": COUNT,
                              "--subsample": FRACTION, "--seed": SEED,
-                             "--density-bins": COUNT})
+                             "--density-bins": SIZE})
     return argv + (["--sort"] if draw(st.booleans()) else [])
 
 
 @st.composite
 def synth_argv(draw, workdir):
     argv = ["synth", "--pattern", draw(st.sampled_from(["random", "clustered", "regular"])),
-            "--events", draw(COUNT), "--errors", draw(COUNT), "--out", str(workdir / "out"),
+            "--events", draw(SIZE), "--errors", draw(SIZE), "--out", str(workdir / "out"),
             "--format", draw(st.sampled_from(["jsonl", "csv"]))]
     return argv + flag_args(draw, {"--period": mostly(TIME.map(repr), BAD_NUMBER),
                                    "--center": FRACTION, "--width": FRACTION,
@@ -577,7 +638,9 @@ def synth_argv(draw, workdir):
 
 
 class TestFuzzedMain:
-    """main() returns 0, 2 or 3 on any evaluate or synth input and flags.
+    """main() returns 0, 2 or 3 on any evaluate or synth input and flags,
+    or 1 for out of memory where --events, --errors or --density-bins is
+    at the count bound.
 
     The only exception it may raise is argparse's SystemExit(2).
     """
@@ -587,12 +650,18 @@ class TestFuzzedMain:
     def test_exit_codes(self, data, tmp_path_factory):
         workdir = tmp_path_factory.mktemp("fuzz", numbered=True)
         argv = data.draw(evaluate_argv(workdir) | synth_argv(workdir))
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:
                 rc = main(argv)
             except SystemExit as exc:
                 assert exc.code == 2
                 rc = "usage"
         event(f"{argv[0]} exit {rc}")
-        assert rc in (0, 2, 3, "usage")
+        if rc == 1:
+            sizes = [int(value) for flag, value in zip(argv, argv[1:])
+                     if flag in ("--events", "--errors", "--density-bins") and value.isdigit()]
+            assert max(sizes) >= MAX_BINS
+            assert err.getvalue().startswith("error: out of memory: ")
+        else:
+            assert rc in (0, 2, 3, "usage")
