@@ -105,6 +105,8 @@ class DriftSpec:
             raise SpecViolation("drift_onset must lie in (0, 1)")
         if self.feature_dim < 1:
             raise SpecViolation("feature_dim must be at least 1")
+        if int(self.n_events) * int(self.feature_dim) > _MAX_COUNT:
+            raise SpecViolation(f"n_events * feature_dim must be at most {_MAX_COUNT}")
         _period(self.period)
         if not 0.0 <= self.burst_fraction < 1.0:
             raise SpecViolation("burst_fraction must lie in [0, 1)")

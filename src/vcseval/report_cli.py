@@ -194,7 +194,7 @@ def _gradcheck_combined(rng, step):
     def value(thetas):
         point = toy_trainer.combined_loss(toy_trainer.ToyModel(thetas[0]), ds, config, step=0)
         # the perturbed rows' values alone: only row 0's gradient is read
-        rest = toy_trainer._loss_values(thetas[1:], ds, config, 0).total
+        rest = toy_trainer._losses(thetas[1:], ds, config, 0, gradient=False).total
         return np.concatenate(([point.total], rest)), point.gradient
 
     return soft_vca.finite_difference_check(value, theta0, step)

@@ -126,8 +126,9 @@ def soft_nn_distance(times, index, beta):
     neighbors exist: the inner sum then exceeds 1. Lower-bounded by
     hard_min - log(n-1)/beta. The log-sum is entry index of
     _self_excluded_logsum with unit weights. Raises ValueError when a
-    time is not finite, or when beta is so large or so small against
-    the gaps that the soft minimum is not finite.
+    time is not finite, when index is not an integer (a bool is not) in
+    [-n, n), or when beta is so large or so small against the gaps that
+    the soft minimum is not finite.
 
     times is one (n,) set of points, giving a float, or a (c, n) stack
     of sets, giving one distance per row. Each row has its own sort and
@@ -144,6 +145,9 @@ def soft_nn_distance(times, index, beta):
         raise ValueError("times must be finite")
     if not 0 < beta < math.inf:
         raise ValueError("beta must be positive and finite")
+    n = t.shape[-1]
+    if isinstance(index, bool) or not (isinstance(index, (int, np.integer)) and -n <= index < n):
+        raise ValueError("index must be an integer position in times")
     rows = np.atleast_2d(t)
     order = np.argsort(rows, axis=1, kind="stable")
     ts = np.take_along_axis(rows, order, axis=1)
@@ -203,25 +207,23 @@ def weighted_soft_t(timestamps, weights, random_times, beta):
     every entry is bit-identical to the one-row call, and a stack with
     an invalid row raises what that row raises alone.
 
-    Raises ValueError when beta is so small or so large against the
-    gaps that a soft distance is not finite. Raises NonFiniteGradient
-    when a gradient entry is not finite. For example, when a
-    positive-weight event is far from every other positive-weight event
-    but has a zero-weight event close by, the derivative for the
-    zero-weight event grows like exp(beta * gap) and overflows float64.
+    Raises ValueError when random_times is not 1-d, and when beta is so
+    small or so large against the gaps that a soft distance is not
+    finite. Raises NonFiniteGradient when a gradient entry is not
+    finite. For example, when a positive-weight event is far from every
+    other positive-weight event but has a zero-weight event close by,
+    the derivative for the zero-weight event grows like exp(beta * gap)
+    and overflows float64.
     """
-    trial, scan = _soft_t_values(timestamps, weights, random_times, beta)
-    gradient = _soft_t_gradient(*scan)
-    return SoftTrial(trial.d_r_soft, trial.d_disg_soft, trial.t_soft,
-                     gradient[0] if type(trial.t_soft) is float else gradient)
+    return _soft_t(timestamps, weights, random_times, beta, True)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _soft_t_values(timestamps, weights, random_times, beta):
-    """weighted_soft_t's value stage: its SoftTrial, bit for bit, with
-    weight_gradient None, and the scan that _soft_t_gradient reads.
+def _soft_t(timestamps, weights, random_times, beta, gradient):
+    """weighted_soft_t, whose weight_gradient is None unless gradient is set.
 
-    Raises what weighted_soft_t raises, except that a gradient entry
+    Without the gradient every other field is bit-identical, and it
+    raises what weighted_soft_t raises, except that a gradient entry
     that is not finite raises nothing unless d_disg_soft or t_soft is
     not finite too.
     """
@@ -248,6 +250,8 @@ def _soft_t_values(timestamps, weights, random_times, beta):
         raise ValueError("at least one random reference time is required")
     if not 0 < beta < math.inf:
         raise ValueError("beta must be positive and finite")
+    if r.ndim != 1:
+        raise ValueError("random_times must be 1-d")
 
     # Events and reference times share one sorted sequence. A point
     # that is not a source of a sum carries log-weight -inf in it, so
@@ -277,38 +281,30 @@ def _soft_t_values(timestamps, weights, random_times, beta):
         if not np.isfinite(d).all():
             raise ValueError("soft distances are not finite at this beta")
         raise NonFiniteGradient("weighted soft T weight gradient is not finite")
+
+    dt = None
+    if gradient:
+        # d d_k / d w_j = -exp(-beta*|t_k - t_j| - log S_k) / beta, so the
+        # weighted sum over events k and the mean over reference times k
+        # are kernel sums with log-weights log(w_k / beta) - log S_k and
+        # -log(beta * r) - log S_k. The 1/beta inside the exponent keeps
+        # exp from overflowing where the divided value fits.
+        ell = np.empty((order.size, 2 * c))
+        ell[:, :c] = log_w - (log_s + math.log(beta))
+        ell[:, c:] = np.where((order >= n)[:, None], -(log_s + math.log(beta * r.size)), -np.inf)
+
+        # rows [event sums, reference sums] per weight row, in input order
+        sums = np.empty((2 * c, order.size))
+        sums[:, order] = np.exp(_self_excluded_logsum(gaps, ell)).T
+        db = (d[:, :n] - sums[:c, :n] - b) / w_total
+        da = -sums[c:, :n]
+        dt = (da * b - a * db) / (denom * denom)
+        if not np.isfinite(dt).all():
+            raise NonFiniteGradient("weighted soft T weight gradient is not finite")
     if w.ndim == 1:
-        trial = SoftTrial(float(a[0, 0]), float(b[0, 0]), float(t_soft[0, 0]), None)
-    else:
-        trial = SoftTrial(d_r_soft=a[:, 0], d_disg_soft=b[:, 0], t_soft=t_soft[:, 0],
-                          weight_gradient=None)
-    return trial, (d, gaps, order, log_w, log_s, rows, w_total, a, b, denom, r.size, beta)
-
-
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _soft_t_gradient(d, gaps, order, log_w, log_s, rows, w_total, a, b, denom, n_ref, beta):
-    """weighted_soft_t's gradient stage: d t_soft / d weights, (c, n),
-    from the scan of _soft_t_values. Every soft distance is finite, or
-    the value stage has raised."""
-    c, n = rows.shape
-    # d d_k / d w_j = -exp(-beta*|t_k - t_j| - log S_k) / beta, so the
-    # weighted sum over events k and the mean over reference times k are
-    # kernel sums with log-weights log(w_k / beta) - log S_k and
-    # -log(beta * r) - log S_k. The 1/beta inside the exponent keeps exp
-    # from overflowing where the divided value fits.
-    ell = np.empty((order.size, 2 * c))
-    ell[:, :c] = log_w - (log_s + math.log(beta))
-    ell[:, c:] = np.where((order >= n)[:, None], -(log_s + math.log(beta * n_ref)), -np.inf)
-
-    # rows [event sums, reference sums] per weight row, in input order
-    sums = np.empty((2 * c, order.size))
-    sums[:, order] = np.exp(_self_excluded_logsum(gaps, ell)).T
-    db = (d[:, :n] - sums[:c, :n] - b) / w_total
-    da = -sums[c:, :n]
-    dt = (da * b - a * db) / (denom * denom)
-    if not np.isfinite(dt).all():
-        raise NonFiniteGradient("weighted soft T weight gradient is not finite")
-    return dt
+        return SoftTrial(float(a[0, 0]), float(b[0, 0]), float(t_soft[0, 0]),
+                         None if dt is None else dt[0])
+    return SoftTrial(a[:, 0], b[:, 0], t_soft[:, 0], dt)
 
 
 def soft_t(timestamps, random_times, beta):

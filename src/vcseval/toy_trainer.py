@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NonFiniteGradient, NonFiniteLoss
 from .event_stream import EvalStream
-from .soft_vca import _soft_t_values, effective_beta, vca_penalty, weighted_soft_t
+from .soft_vca import _soft_t, effective_beta, vca_penalty, weighted_soft_t
 from .vcs import evaluate_stream
 
 P_CLAMP = 1e-7
@@ -100,41 +100,18 @@ def combined_losses(thetas, batch, config, step):
     may fail first: effective_beta raises its ValueError, and a
     weighted_soft_t failure becomes NonFiniteLoss(step).
     """
-    losses, (x, y, p, rows, trial, d_pens) = _losses(thetas, batch, config, step, weighted_soft_t)
-    # an overflow or NaN fails the check of every gradient entry
-    with np.errstate(over="ignore", invalid="ignore"):
-        unclamped = (p > P_CLAMP) & (p < 1.0 - P_CLAMP)
-        gz = np.where(unclamped, p - y, 0.0) / y.size
-        gradient = np.array([x.T @ g for g in gz])
-        if rows.size:
-            p_pen = p[rows]
-            gz_pen = d_pens[:, None] * trial.weight_gradient * np.sign(p_pen - y) * p_pen * (1.0 - p_pen)
-            gradient[rows] += [x.T @ g for g in gz_pen]
-    if not np.isfinite(gradient).all():
-        raise NonFiniteLoss(step, "loss or gradient is not finite")
-    if type(losses.total) is float:
-        gradient = gradient[0]
-    return LossBreakdown(losses.cross_entropy, losses.penalty, losses.total, gradient,
-                         losses.penalty_skipped, losses.n_clamped)
-
-
-def _loss_values(thetas, batch, config, step):
-    """combined_losses' value stage: its LossBreakdown, with gradient None.
-
-    Every field is bit-identical to combined_losses', and it raises what
-    combined_losses raises, except that a gradient that is not finite
-    raises nothing: the penalty rows go through weighted_soft_t's value
-    stage, and no parameter gradient is formed.
-    """
-    return _losses(thetas, batch, config, step, lambda *args: _soft_t_values(*args)[0])[0]
+    return _losses(thetas, batch, config, step, True)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _losses(thetas, batch, config, step, soft_t):
-    """The values of combined_losses, with soft_t(batch.t, weights,
-    reference times, beta) the soft statistic of the penalty rows, and
-    what the gradient reads of them. Raises NonFiniteLoss(step) when a
-    total is not finite, after the soft_t call."""
+def _losses(thetas, batch, config, step, gradient):
+    """combined_losses, whose gradient is None unless gradient is set.
+
+    Without the gradient every other field is bit-identical, and it
+    raises what combined_losses raises, except that a gradient that is
+    not finite raises nothing: the penalty rows' soft statistic skips
+    its weight gradient, and no parameter gradient is formed.
+    """
     x = _augment(batch.features)
     y = batch.y.astype(np.float64)
     n = y.size
@@ -164,28 +141,39 @@ def _losses(thetas, batch, config, step, soft_t):
         # stack; its row fails the check of the totals below
         eligible = ((w > WEIGHT_FLOOR).sum(axis=1) >= 2) & np.isfinite(w).all(axis=1)
     rows = eligible.nonzero()[0]
-    trial = d_pens = None
     if rows.size:
         beta = effective_beta(batch.t)
         rng = np.random.default_rng((config.seed, step))
         n_ref = max(2, n // 2)
         t_lo, t_hi = float(batch.t.min()), float(batch.t.max())
         ref_times = t_lo + rng.random(n_ref) * (t_hi - t_lo)
+        args = (batch.t, w[rows], ref_times, beta)
         try:
-            trial = soft_t(batch.t, w[rows], ref_times, beta)
+            trial = weighted_soft_t(*args) if gradient else _soft_t(*args, gradient=False)
         except (NonFiniteGradient, ValueError) as exc:
             raise NonFiniteLoss(step, str(exc)) from exc
         penalty[rows], d_pens = vca_penalty(trial.t_soft, config.gamma)
     total = ces + penalty
     if not np.isfinite(total).all():
         raise NonFiniteLoss(step, "loss or gradient is not finite")
+    grad = None
+    if gradient:
+        unclamped = (p > P_CLAMP) & (p < 1.0 - P_CLAMP)
+        gz = np.where(unclamped, p - y, 0.0) / y.size
+        grad = np.array([x.T @ g for g in gz])
+        if rows.size:
+            p_pen = p[rows]
+            gz_pen = d_pens[:, None] * trial.weight_gradient * np.sign(p_pen - y) * p_pen * (1.0 - p_pen)
+            grad[rows] += [x.T @ g for g in gz_pen]
+        # an overflow or NaN fails this check of every gradient entry
+        if not np.isfinite(grad).all():
+            raise NonFiniteLoss(step, "loss or gradient is not finite")
     skipped = (config.gamma > 0) & ~eligible
     if thetas.ndim == 1:
-        losses = LossBreakdown(float(ces[0]), float(penalty[0]), float(total[0]), None,
-                               bool(skipped[0]), int(n_clamped[0]))
-    else:
-        losses = LossBreakdown(ces, penalty, total, None, skipped, n_clamped)
-    return losses, (x, y, p, rows, trial, d_pens)
+        return LossBreakdown(float(ces[0]), float(penalty[0]), float(total[0]),
+                             None if grad is None else grad[0], bool(skipped[0]),
+                             int(n_clamped[0]))
+    return LossBreakdown(ces, penalty, total, grad, skipped, n_clamped)
 
 
 def combined_loss(model, batch, config, step):

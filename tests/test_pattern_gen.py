@@ -139,6 +139,12 @@ class TestDriftDataset:
             DriftSpec(n_events=10, drift_onset=1.5)
         with pytest.raises(SpecViolation):
             DriftSpec(n_events=10, feature_dim=0)
+        # a feature matrix of more float64 elements than numpy can size
+        too_big = r"^n_events \* feature_dim must be at most 1152921504606846975$"
+        for n_events, feature_dim in ((10, 2**62), (2**30, 2**30),
+                                      (np.int64(2**32), np.int64(2**32))):
+            with pytest.raises(SpecViolation, match=too_big):
+                DriftSpec(n_events=n_events, feature_dim=feature_dim)
         with pytest.raises(SpecViolation):
             DriftSpec(n_events=10, burst_fraction=1.0)
         for kwargs in ({"n_events": np.nan}, {"n_events": 10.5}, {"n_events": 10.0},

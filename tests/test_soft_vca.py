@@ -19,7 +19,7 @@ from vcseval import (
     vca_penalty,
     weighted_soft_t,
 )
-from vcseval.soft_vca import FALLBACK_BETA, TARGET_SHARPNESS, _soft_t_values
+from vcseval.soft_vca import FALLBACK_BETA, TARGET_SHARPNESS, _soft_t
 
 from . import oracles
 
@@ -27,6 +27,8 @@ from . import oracles
 class TestSoftNnDistance:
     def test_single_neighbor_collapses_to_exact_distance(self):
         assert soft_nn_distance([1.0, 3.0], 0, 1.0) == 2.0
+        assert soft_nn_distance([1.0, 3.0], -1, 1.0) == 2.0
+        assert soft_nn_distance([1.0, 3.0], np.int64(1), 1.0) == 2.0
 
     def test_two_equidistant_neighbors(self):
         got = soft_nn_distance([0.0, 1.0, 2.0], 1, 1.0)
@@ -395,7 +397,7 @@ def _stages_agree(times, weights, ref, beta):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         full = _call(weighted_soft_t, times, weights, ref, beta)
-        values = _call(lambda *args: _soft_t_values(*args)[0], times, weights, ref, beta)
+        values = _call(lambda *args: _soft_t(*args, gradient=False), times, weights, ref, beta)
     if isinstance(values, Exception):
         assert (type(values), str(values)) == (type(full), str(full))
     elif isinstance(full, Exception):
@@ -477,6 +479,9 @@ class TestStackedRows:
         ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5], [1.5], math.inf),
         # beta times every gap underflows: the soft distances overflow
         ([0.0, 1.0, 3.0], [[0.5, 0.5, 1.0], [1.0, 0.2, 0.0]], [2.0], 5e-324),
+        # reference times of another shape than (r,)
+        ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5], 1.5, 1.0),
+        ([1.0, 2.0, 3.0], [[0.5, 0.5, 0.5], [1.0, 0.2, 0.0]], [[1.5, 2.5]], 1.0),
         # finite soft distances near 1.5e308 whose mean overflows, so
         # d_disg_soft, and with it every gradient entry, is not finite
         ([0.0, 1.5e308], [1.0, 1.0], [0.0, 1.5e308], 1e-300),
@@ -492,7 +497,7 @@ class TestStackedRows:
                 weighted_soft_t(times, stack, ref, 5.0)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                trial, _ = _soft_t_values(times, stack, ref, 5.0)
+                trial = _soft_t(times, stack, ref, 5.0, gradient=False)
                 assert np.isfinite(trial.t_soft).all()
 
 
@@ -654,6 +659,24 @@ class TestNonFiniteInput:
         times = np.random.default_rng(0).random((3, 5))
         with pytest.raises(ValueError, match="^times must be 1-d$"):
             soft_nn_gradient(times, 0, 2.0)
+
+    @pytest.mark.parametrize("index", [3, -4, 1.0, np.float64(0.0), True, np.True_, None],
+                             ids=["n", "-n-1", "float", "np.float64", "bool", "np.bool_", "None"])
+    def test_soft_nn_index_outside_times(self, index):
+        times = [0.0, 1.0, 3.0]
+        for fn, points in ((soft_nn_distance, times), (soft_nn_distance, [times, times]),
+                           (soft_nn_gradient, times)):
+            with pytest.raises(ValueError, match="^index must be an integer position in times$"):
+                fn(points, index, 1.0)
+
+    @pytest.mark.parametrize("ref", [3.0, [[0.5, 1.5]]], ids=["scalar", "1x2"])
+    def test_weighted_soft_t_rejects_other_reference_shapes(self, ref):
+        times = [0.0, 1.0, 2.0]
+        for call in (lambda: weighted_soft_t(times, [0.5, 0.5, 0.5], ref, 1.0),
+                     lambda: weighted_soft_t(times, [[0.5, 0.5, 0.5]] * 2, ref, 1.0),
+                     lambda: soft_t(times, ref, 1.0)):
+            with pytest.raises(ValueError, match="^random_times must be 1-d$"):
+                call()
 
     @pytest.mark.parametrize("timestamps", [[[0.0, 10.0], [0.0, 1.0]], 3.0], ids=["2x2", "scalar"])
     def test_effective_beta_rejects_other_shapes(self, timestamps):

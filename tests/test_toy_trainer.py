@@ -17,10 +17,12 @@ from vcseval import (
     evaluate_model,
     generate_drift_dataset,
     history_csv,
+    soft_vca,
     train,
+    weighted_soft_t,
 )
 from vcseval.pattern_gen import DriftDataset
-from vcseval.toy_trainer import LEARNING_RATE, ToyModel, _augment, _loss_values, _sigmoid
+from vcseval.toy_trainer import LEARNING_RATE, ToyModel, _augment, _losses, _sigmoid
 
 from . import oracles
 
@@ -185,7 +187,7 @@ def assert_value_stage_fails_alike(thetas, ds, config, step, full_error):
     which the full call checks only after the gradients."""
     gradient_failure = f"epoch {step}: weighted soft T weight gradient is not finite"
     try:
-        values = _loss_values(thetas, ds, config, step)
+        values = _losses(thetas, ds, config, step, gradient=False)
     except Exception as exc:
         if str(full_error) == gradient_failure and str(exc) != gradient_failure:
             event("a gradient and a loss are not finite")
@@ -250,7 +252,7 @@ class TestCombinedLosses:
         got = combined_losses(thetas, ds, config, step)
         assert_stack_shapes(got, len(thetas), 5)
         assert [row_bits(got, i) for i in range(len(thetas))] == [loss_bits(w) for w in want]
-        values = _loss_values(thetas, ds, config, step)
+        values = _losses(thetas, ds, config, step, gradient=False)
         assert values.gradient is None
         assert value_bits(values) == value_bits(got)
 
@@ -282,6 +284,33 @@ class TestCombinedLosses:
         combined_losses(thetas[:1], ds, config, step=2)
         with pytest.raises(NonFiniteLoss, match="^epoch 2: loss or gradient is not finite$"):
             combined_losses(np.array([thetas[0], nan_row, thetas[2]]), ds, config, step=2)
+
+    def test_value_only_calls_skip_the_gradient_scan(self, monkeypatch):
+        # the weight gradient takes a second scan; running it for
+        # gradcheck's perturbed rows would cost that command about 14%
+        calls = []
+
+        def counted(*args, _fn=soft_vca._self_excluded_logsum):
+            calls.append(args[1].shape)
+            return _fn(*args)
+
+        monkeypatch.setattr(soft_vca, "_self_excluded_logsum", counted)
+        times, ref = np.array([0.0, 1.0, 3.0, 7.0]), np.array([2.0, 5.0])
+        weights = np.array([[0.5, 0.5, 1.0, 0.2], [1.0, 0.2, 0.0, 0.7]])
+        for gradient, scans in ((False, 1), (True, 2)):
+            calls.clear()
+            soft_vca._soft_t(times, weights, ref, 1.0, gradient=gradient)
+            assert len(calls) == scans
+        calls.clear()
+        weighted_soft_t(times, weights, ref, 1.0)
+        assert len(calls) == 2
+
+        thetas = np.array([[0.3, -0.2, 0.1, 0.4, 0.05], np.zeros(5), [-0.3, 0.2, 0.0, 0.1, 0.0]])
+        for gradient, scans in ((False, 1), (True, 2)):
+            calls.clear()
+            got = _losses(thetas, small_dataset(), TrainConfig(gamma=0.1), 0, gradient=gradient)
+            assert not got.penalty_skipped.any()
+            assert len(calls) == scans
 
     @pytest.mark.parametrize("thetas", [np.zeros((2, 4)), np.zeros((2, 6)), np.zeros(4),
                                         np.zeros((1, 2, 5)), np.zeros(())])
