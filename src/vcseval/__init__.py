@@ -58,10 +58,8 @@ from .soft_vca import (
 )
 from .toy_trainer import (
     LossBreakdown,
-    ToyModel,
     TrainConfig,
     combined_loss,
-    combined_losses,
     evaluate_model,
     history_csv,
     train,

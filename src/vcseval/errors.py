@@ -9,10 +9,17 @@ failure or MemoryError, 2 input error, OSError or UnicodeDecodeError,
 3 undefined statistic.
 """
 
+import numpy as np
+
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_INPUT = 2
 EXIT_UNDEFINED = 3
+
+
+def _integers(*values):
+    """The integer rule of the argument checks: int or numpy integer, not bool."""
+    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
 
 
 class VcsEvalError(Exception):

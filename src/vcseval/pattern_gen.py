@@ -20,19 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecViolation
+from .errors import SpecViolation, _integers
 from .event_stream import EvalStream
 
 PATTERN_KINDS = ("random", "clustered", "regular")
 _MAX_COUNT = np.iinfo(np.intp).max // 8  # the most float64 elements numpy can size
 
 
-def _integers(*values):
-    return all(isinstance(value, (int, np.integer)) for value in values)
-
-
 def _period(period):
-    """The spec's (start, end), a finite pair of positive length."""
+    """The spec's (start, end), a finite pair of positive length from t >= 0."""
     try:
         t_start, t_end = period
         ok = t_start < t_end and math.isfinite(t_end - t_start)
@@ -42,6 +38,8 @@ def _period(period):
         raise SpecViolation("period must be a (start, end) pair") from None
     if not ok:
         raise SpecViolation("period must be finite and have positive length")
+    if t_start < 0:
+        raise SpecViolation("period must start at t >= 0, as parsed timestamps do")
     return t_start, t_end
 
 
@@ -63,8 +61,6 @@ class PatternSpec:
         if not 2 <= self.n_errors <= self.n_events <= _MAX_COUNT:
             raise SpecViolation(f"need 2 <= n_errors <= n_events <= {_MAX_COUNT}")
         t_start, t_end = _period(self.period)
-        if t_start < 0:
-            raise SpecViolation("period must start at t >= 0, as parsed timestamps do")
         overflow = not math.isfinite((self.n_errors - 0.5) * (t_end - t_start))
         if self.kind == "regular" and overflow:
             raise SpecViolation("regular pattern: (n_errors - 0.5) * period length overflows")

@@ -192,7 +192,7 @@ def _gradcheck_combined(rng, step):
     config = TrainConfig(gamma=0.1, seed=int(rng.integers(0, 2**31)))
 
     def value(thetas):
-        point = toy_trainer.combined_loss(toy_trainer.ToyModel(thetas[0]), ds, config, step=0)
+        point = toy_trainer.combined_loss(thetas[0], ds, config, step=0)
         # the perturbed rows' values alone: only row 0's gradient is read
         rest = toy_trainer._losses(thetas[1:], ds, config, 0, gradient=False).total
         return np.concatenate(([point.total], rest)), point.gradient
@@ -236,8 +236,8 @@ def _demo_run(seed, gamma, epochs):
     spec = DriftSpec(seed=seed, **DEMO_BENCHMARK)
     train_part, test_part = _interleaved_split(generate_drift_dataset(spec))
     config = TrainConfig(gamma=gamma, epochs=epochs, seed=seed)
-    model, history = train(train_part, config)
-    summary = toy_trainer.evaluate_model(model, test_part)
+    weights, history = train(train_part, config)
+    summary = toy_trainer.evaluate_model(weights, test_part)
     nan = float("nan")
     ap = nan if summary.ap is None else summary.ap
     vcs_value = nan if summary.vcs_result is None else summary.vcs_result.vcs

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllZeroWeights, InsufficientSet, NonFiniteGradient
+from .errors import AllZeroWeights, InsufficientSet, NonFiniteGradient, _integers
 
 
 TARGET_SHARPNESS = 5.0
@@ -146,7 +146,7 @@ def soft_nn_distance(times, index, beta):
     if not 0 < beta < math.inf:
         raise ValueError("beta must be positive and finite")
     n = t.shape[-1]
-    if isinstance(index, bool) or not (isinstance(index, (int, np.integer)) and -n <= index < n):
+    if not (_integers(index) and -n <= index < n):
         raise ValueError("index must be an integer position in times")
     rows = np.atleast_2d(t)
     order = np.argsort(rows, axis=1, kind="stable")

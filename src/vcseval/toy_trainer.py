@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteGradient, NonFiniteLoss
+from .errors import NonFiniteGradient, NonFiniteLoss, _integers
 from .event_stream import EvalStream
 from .soft_vca import _soft_t, effective_beta, vca_penalty, weighted_soft_t
 from .vcs import evaluate_stream
@@ -32,18 +32,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.epochs, (int, np.integer)) and self.epochs >= 1):
+        if not (_integers(self.epochs) and self.epochs >= 1):
             raise ValueError("epochs must be a positive integer")
         # NaN fails every comparison
         if not 0 <= self.gamma < np.inf:
             raise ValueError("gamma must be finite and non-negative")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        if not (_integers(self.seed) and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """combined_losses' result: floats, a bool and an int for one
+    """combined_loss's result: floats, a bool and an int for one
     parameter row (gradient (d,)), or arrays with one entry per row
     (gradient (c, d)) for a stack."""
 
@@ -53,16 +53,6 @@ class LossBreakdown:
     gradient: np.ndarray = field(repr=False)
     penalty_skipped: bool = False
     n_clamped: int = 0
-
-
-@dataclass(frozen=True)
-class ToyModel:
-    """Logistic scorer over affine features (last weight is the bias)."""
-
-    weights: np.ndarray
-
-    def predict_proba(self, features):
-        return _sigmoid(_augment(features) @ self.weights)
 
 
 def _augment(features):
@@ -79,7 +69,7 @@ def _sigmoid(z):
     return out
 
 
-def combined_losses(thetas, batch, config, step):
+def combined_loss(thetas, batch, config, step):
     """Cross-entropy plus clustering penalty, with the full parameter
     gradient, for one (d,) parameter row or each row of a (c, d) stack.
 
@@ -105,10 +95,10 @@ def combined_losses(thetas, batch, config, step):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _losses(thetas, batch, config, step, gradient):
-    """combined_losses, whose gradient is None unless gradient is set.
+    """combined_loss, whose gradient is None unless gradient is set.
 
     Without the gradient every other field is bit-identical, and it
-    raises what combined_losses raises, except that a gradient that is
+    raises what combined_loss raises, except that a gradient that is
     not finite raises nothing: the penalty rows' soft statistic skips
     its weight gradient, and no parameter gradient is formed.
     """
@@ -176,25 +166,20 @@ def _losses(thetas, batch, config, step, gradient):
     return LossBreakdown(ces, penalty, total, grad, skipped, n_clamped)
 
 
-def combined_loss(model, batch, config, step):
-    """combined_losses for the one parameter row model.weights."""
-    return combined_losses(model.weights, batch, config, step)
-
-
 def train(dataset, config=TrainConfig()):
-    """Full-batch gradient descent from zero init; returns (model, history)."""
+    """Full-batch gradient descent from zero init; returns (weights, history)."""
     weights = np.zeros(dataset.features.shape[1] + 1)
     history = []
     for epoch in range(config.epochs):
-        breakdown = combined_loss(ToyModel(weights), dataset, config, step=epoch)
+        breakdown = combined_loss(weights, dataset, config, step=epoch)
         history.append(breakdown)
         weights = weights - LEARNING_RATE * breakdown.gradient
-    return ToyModel(weights), history
+    return weights, history
 
 
-def evaluate_model(model, test):
-    """Score a test dataset with the model: evaluate_stream on its predictions."""
-    p = model.predict_proba(test.features)
+def evaluate_model(weights, test):
+    """Score a test dataset with weights (bias last): evaluate_stream on its predictions."""
+    p = _sigmoid(_augment(test.features) @ weights)
     return evaluate_stream(EvalStream(test.t, test.y, p))
 
 

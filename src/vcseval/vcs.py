@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDistances, NoPositives, OneClassOnly, TooFewDisagreements
+from .errors import DegenerateDistances, NoPositives, OneClassOnly, TooFewDisagreements, _integers
 from .event_stream import disagreement_set
 from .instance_metrics import auroc, average_precision
 
@@ -57,11 +57,11 @@ class VcsConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if not (isinstance(self.tau, (int, np.integer)) and self.tau >= 1):
+        if not (_integers(self.tau) and self.tau >= 1):
             raise ValueError("tau must be a positive integer")
         if not 0.0 < self.subsample_fraction < 1.0:
             raise ValueError("subsample_fraction must lie in (0, 1)")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+        if not (_integers(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
 
     def subsample_size(self, k_total):

@@ -12,7 +12,7 @@ from vcseval import (
     vcs,
 )
 from vcseval.pattern_gen import DriftDataset
-from vcseval.toy_trainer import ToyModel, TrainConfig, train
+from vcseval.toy_trainer import TrainConfig, evaluate_model, train
 
 from . import oracles
 
@@ -72,16 +72,15 @@ class TestPatterns:
         for period in ((0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan), (-1e308, 1e308)):
             with pytest.raises(SpecViolation):
                 PatternSpec("random", 10, 5, period=period)
-        # parsing rejects negative timestamps, so a period may not start below 0
-        with pytest.raises(SpecViolation, match="t >= 0"):
-            PatternSpec("random", 500, 100, period=(-50.0, 50.0))
         with pytest.raises(SpecViolation):
             PatternSpec("clustered", 10, 5, cluster_width=0.0)
-        for n_events, n_errors in ((10.5, 3), (10, 2.5), (np.nan, 3), (10.0, 3)):
+        for n_events, n_errors in ((10.5, 3), (10, 2.5), (np.nan, 3), (10.0, 3), (True, 3),
+                                   (10, True), (10, False)):
             with pytest.raises(SpecViolation, match="must be integers"):
                 PatternSpec("random", n_events, n_errors)
         assert PatternSpec("random", np.int64(10), np.int32(3)).n_errors == 3
-        for seed in (1.5, 2.0, -1, np.int64(-1), np.nan, "1"):
+        # a bool is not an integer
+        for seed in (1.5, 2.0, -1, np.int64(-1), np.nan, "1", True, False):
             with pytest.raises(SpecViolation, match="^seed must be a non-negative integer$"):
                 PatternSpec("random", 10, 5, seed=seed)
         # no upper bound: SeedSequence takes any non-negative integer
@@ -149,11 +148,12 @@ class TestDriftDataset:
             DriftSpec(n_events=10, burst_fraction=1.0)
         for kwargs in ({"n_events": np.nan}, {"n_events": 10.5}, {"n_events": 10.0},
                        {"n_events": 10, "feature_dim": np.nan},
-                       {"n_events": 10, "feature_dim": 2.5}):
+                       {"n_events": 10, "feature_dim": 2.5}, {"n_events": True},
+                       {"n_events": 10, "feature_dim": True}):
             with pytest.raises(SpecViolation, match="must be integers"):
                 DriftSpec(**kwargs)
         assert len(generate_drift_dataset(DriftSpec(n_events=np.int64(10)))) == 10
-        for seed in (1.5, -1, np.int32(-1), np.nan):
+        for seed in (1.5, -1, np.int32(-1), np.nan, True, False):
             with pytest.raises(SpecViolation, match="^seed must be a non-negative integer$"):
                 DriftSpec(n_events=10, seed=seed)
         assert len(generate_drift_dataset(DriftSpec(n_events=10, seed=2**100))) == 10
@@ -180,6 +180,11 @@ def test_period_must_be_a_pair(make):
         with pytest.raises(SpecViolation,
                            match="^period must be finite and have positive length$"):
             make(period)
+    # parsing rejects negative timestamps, so a period may not start below 0
+    for period in ((-50.0, 50.0), (-100.0, 0.0)):
+        with pytest.raises(SpecViolation,
+                           match=r"^period must start at t >= 0, as parsed timestamps do$"):
+            make(period)
     for period in ([0.0, 1.0], np.array([0.0, 1.0])):
         assert tuple(make(period).period) == (0.0, 1.0)
 
@@ -190,9 +195,8 @@ def fit_early_eval_late(spec, train_frac=0.7):
     cut = int(train_frac * len(ds))
     head = DriftDataset(t=ds.t[:cut], features=ds.features[:cut], y=ds.y[:cut])
     tail = DriftDataset(t=ds.t[cut:], features=ds.features[cut:], y=ds.y[cut:])
-    model, _ = train(head, TrainConfig(gamma=0.0, epochs=200, seed=spec.seed))
-    p = ToyModel(model.weights).predict_proba(tail.features)
-    errors = (p >= 0.5) != (tail.y == 1)
+    weights, _ = train(head, TrainConfig(gamma=0.0, epochs=200, seed=spec.seed))
+    errors = evaluate_model(weights, tail).disagreements
     return tail.t[errors], (float(tail.t.min()), float(tail.t.max()))
 
 

@@ -475,16 +475,24 @@ class TestGradcheckCommand:
     def test_each_combined_trial_takes_one_gradient(self, monkeypatch, capsys):
         # row 0's one-row call computes the only gradient of a trial; the
         # perturbed rows go through the value stage, not weighted_soft_t
-        calls = []
+        calls, loss_calls = [], []
 
         def counted(*args, _fn=toy_trainer.weighted_soft_t):
             calls.append(np.shape(args[1]))
             return _fn(*args)
 
+        # the benchmark's tracer counts calls through this binding, and
+        # each must take one (d,) parameter row
+        def counted_loss(thetas, *args, _fn=toy_trainer.combined_loss, **kwargs):
+            loss_calls.append(np.ndim(thetas))
+            return _fn(thetas, *args, **kwargs)
+
         monkeypatch.setattr(toy_trainer, "weighted_soft_t", counted)
+        monkeypatch.setattr(toy_trainer, "combined_loss", counted_loss)
         assert main(["gradcheck", "--trials", "3"]) == 0
         # one call of one weight row per trial
         assert [shape[0] for shape in calls] == [1, 1, 1]
+        assert loss_calls == [1, 1, 1]
 
     @pytest.mark.parametrize("flags", [
         ["--beta", "0"], ["--beta", "-1"], ["--beta", "nan"],

@@ -179,12 +179,15 @@ class TestVcsConfig:
         assert VcsConfig(subsample_fraction=0.999).subsample_size(4) == 3
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            VcsConfig(tau=0)
+        # a bool is not an integer
+        for tau in (0, 2.0, True, False):
+            with pytest.raises(ValueError, match="^tau must be a positive integer$"):
+                VcsConfig(tau=tau)
         with pytest.raises(ValueError):
             VcsConfig(subsample_fraction=1.0)
-        with pytest.raises(ValueError):
-            VcsConfig(seed=-1)
+        for seed in (-1, True, False):
+            with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer$"):
+                VcsConfig(seed=seed)
 
 
 class TestVcs:
