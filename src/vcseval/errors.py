@@ -9,6 +9,8 @@ failure or MemoryError, 2 input error, OSError or UnicodeDecodeError,
 3 undefined statistic.
 """
 
+import math
+
 import numpy as np
 
 EXIT_OK = 0
@@ -20,6 +22,22 @@ EXIT_UNDEFINED = 3
 def _integers(*values):
     """The integer rule of the argument checks: int or numpy integer, not bool."""
     return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
+
+
+def _finite(*values):
+    """The finite rule of the argument checks; an int past the float range is not finite."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:
+        return False
+
+
+def _as_floats(values, message):
+    """values as a float64 array; an int past the float range raises ValueError(message)."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(message) from None
 
 
 class VcsEvalError(Exception):

@@ -32,6 +32,7 @@ from .errors import (
     UnsortedInput,
 )
 
+FORMATS = ("jsonl", "csv")
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 # JSONL is read about this many characters, and CSV this many rows, at a time,
 # so that no list holds every line or number; much larger chunks raise peak memory
@@ -193,10 +194,24 @@ def _index_columns(lines, rows):
     return None if _bad_values(*columns).any() else columns
 
 
+def _checked_chunk(lines, fields):
+    """([t, y, p] as checked float64, ids or None) of a chunk's field columns
+    t, y, p[, ids]; a value that fails raises MalformedRecord at the first
+    of lines, the chunk's line numbers, whose values _value_problem names."""
+    try:
+        values = [np.fromiter(map(float, column), np.float64, len(column)) for column in fields[:3]]
+        _check_values(*values)
+    except (ValueError, OverflowError, InvalidValue):
+        problems = zip(lines, map(_value_problem, *fields[:3]))
+        line, message = next((line, m) for line, m in problems if m)
+        raise MalformedRecord(line, message) from None
+    return values, (fields[3] if len(fields) > 3 else None)
+
+
 def _jsonl_chunks(pieces):
-    """Yield (line numbers, [t, y, p, ids], None) of the JSONL lines of each
-    text piece, built of their JSON values by _jsonl_columns, or (line numbers,
-    None, [t, y, p]) of a piece in _JSONL_LAYOUT that _index_columns reads.
+    """Yield the checked chunk of the JSONL lines of each text piece, built of
+    their JSON values by _jsonl_columns, or ([t, y, p], None) of a piece in
+    _JSONL_LAYOUT that _index_columns reads.
 
     Each piece ends just after a line feed, so its lines are lines of the
     whole text's splitlines(). In a piece _index_columns declines, each line
@@ -211,7 +226,7 @@ def _jsonl_chunks(pieces):
             columns = _index_columns(piece.translate(_JSONL_KEYS).splitlines(), rows)
             if columns is not None:
                 n = len(columns[0])
-                yield range(first, first + n), None, columns
+                yield columns, None
                 first, rows = first + n, rows + n
                 continue
         lines = piece.splitlines()
@@ -227,18 +242,19 @@ def _jsonl_chunks(pieces):
                 try:
                     value = json.loads(line)
                 except (ValueError, RecursionError) as exc:  # also an int past 4300 digits
-                    yield linenos, _jsonl_columns(linenos, values), None
+                    yield _jsonl_columns(linenos, values)
                     msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
                     raise MalformedRecord(lineno, f"invalid JSON: {msg}") from None
             linenos.append(lineno)
             values.append(value)
-        yield linenos, _jsonl_columns(linenos, values), None
+        yield _jsonl_columns(linenos, values)
         first, rows = first + len(lines), rows + len(values)
 
 
 def _jsonl_columns(linenos, objs):
-    """[t, y, p, ids] of the JSON values as lists, an id None where missing, or
-    MalformedRecord at the first of their lines that _jsonl_problem names."""
+    """The checked chunk of the JSON values' t, y, p and ids, an id None where
+    missing, or MalformedRecord at the first of their lines that
+    _jsonl_problem or _checked_chunk names."""
     try:
         t = [o["t"] for o in objs]
         y = [o["y"] for o in objs]
@@ -246,7 +262,7 @@ def _jsonl_columns(linenos, objs):
         ids = [o.get("id") for o in objs]
         # json loads numbers as exact int or float; bool is its own type
         if set(map(type, t + y + p)) <= {int, float} and set(map(type, ids)) <= {str, type(None)}:
-            return [t, y, p, ids]
+            return _checked_chunk(linenos, [t, y, p, ids])
     except (KeyError, TypeError):
         pass
     line, message = next((line, m) for line, m in zip(linenos, map(_jsonl_problem, objs)) if m)
@@ -269,11 +285,11 @@ def _jsonl_problem(obj):
 
 
 def _csv_chunks(pieces):
-    """Yield (line numbers, None, [t, y, p]) of each piece that _index_columns
-    reads, while the header is a _CSV_LAYOUTS key and each piece is in its
-    layout; from the first piece that is not, or from the start when the first
-    line is no key, (line numbers, [t, y, p[, ids]], None) of one csv.reader,
-    _CHUNK_ROWS rows at a time, with one line count across both.
+    """Yield ([t, y, p], None) of each piece that _index_columns reads, while
+    the header is a _CSV_LAYOUTS key and each piece is in its layout; from the
+    first piece that is not, or from the start when the first line is no key,
+    the checked chunk of one csv.reader's fields, _CHUNK_ROWS rows at a time,
+    with one line count across both.
 
     csv.reader reads the lines of each text piece, split at line feeds only
     as io.StringIO splits them, so a quoted id may hold a carriage return
@@ -293,9 +309,8 @@ def _csv_chunks(pieces):
             if columns is None:
                 first = piece  # csv.reader reads it and the rest
                 break
-            n = len(columns[0])
-            yield range(line + 1, line + n + 1), None, columns
-            line, rows = line + n, rows + n
+            yield columns, None
+            line, rows = line + len(columns[0]), rows + len(columns[0])
         else:
             return
     texts = map(io.StringIO, itertools.chain([first], pieces))
@@ -321,18 +336,14 @@ def _csv_chunks(pieces):
             # only strings outlive the row, and the garbage collector tracks none
             fields += row
             if len(linenos) == _CHUNK_ROWS:
-                yield linenos, [fields[i::width] for i in range(width)], None
+                yield _checked_chunk(linenos, [fields[i::width] for i in range(width)])
                 linenos, fields = [], []
     except csv.Error as exc:
         problem = f"invalid CSV: {exc}"
     if linenos:
-        yield linenos, [fields[i::width] for i in range(width)], None
+        yield _checked_chunk(linenos, [fields[i::width] for i in range(width)])
     if problem:
         raise MalformedRecord(line + reader.line_num, problem)
-
-
-def _floats(fields):
-    return np.fromiter(map(float, fields), np.float64, len(fields))
 
 
 def _index_ids(ids, first):
@@ -358,15 +369,15 @@ def parse_records(data, format, sort=False):
     decoded alone, such as one with a space around its value. From a
     declined CSV piece on, the rest of the log is read by csv.reader,
     _CHUNK_ROWS rows a chunk, since a quoted id may span pieces.
-    Each reader hands over a chunk's field columns t, y, p[, ids]; the JSONL
-    reader names the first bad line itself when its values are not all
-    records. A chunk's t, y and p are checked before the next chunk is read;
-    a chunk that fails is searched once, record by record, so an error names
-    the line of the first bad record. A line that only a reader rejects, such
-    as invalid JSON, is named after the records before it are checked, and a
-    byte that is not UTF-8 when its piece is read. A record without an id
-    gets its index. ids is None when each id is missing or spells out its
-    row index, one id at a time however the chunks fall; such ids are not kept.
+    Every reader hands over one kind of chunk: float64 t, y and p, checked
+    before the next chunk is read, and the ids, or None for row indices. A
+    chunk that fails the check is searched once, record by record, so an
+    error names the line of the first bad record. A line that only a reader
+    rejects, such as invalid JSON, is named after the records before it are
+    checked, and a byte that is not UTF-8 when its piece is read. A record
+    without an id gets its index. ids is None when each id is missing or
+    spells out its row index, one id at a time however the chunks fall; such
+    ids are not kept.
 
     Parameters
     ----------
@@ -381,29 +392,18 @@ def parse_records(data, format, sort=False):
     """
     if isinstance(data, bytes):
         data = io.BytesIO(data)
-    if format not in ("jsonl", "csv"):
+    if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}")
     chunks = (_jsonl_chunks if format == "jsonl" else _csv_chunks)(_pieces(data))
     parts, ids, rows = [], None, 0
-    for lines, fields, values in chunks:
-        if values is None:
-            try:
-                values = [_floats(column) for column in fields[:3]]
-                _check_values(*values)
-            except (ValueError, OverflowError, InvalidValue):
-                problems = zip(lines, map(_value_problem, *fields[:3]))
-                line, message = next((line, m) for line, m in problems if m)
-                raise MalformedRecord(line, message) from None
-            chunk_ids = fields[3] if len(fields) > 3 else ()
-            if ids is None and not _index_ids(chunk_ids, rows):
-                ids = list(map(str, range(rows)))  # the first chunk with ids of its own
-        else:  # read and checked by _index_columns, ids spelling out row indices
-            chunk_ids = map(str, range(rows, rows + len(lines)))
+    for values, chunk_ids in chunks:
+        n = len(values[0])
+        if ids is None and chunk_ids is not None and not _index_ids(chunk_ids, rows):
+            ids = list(map(str, range(rows)))  # the first chunk with ids of its own
         parts.append(values)
-        if ids is not None:
-            ids.extend(chunk_ids)
-        rows += len(lines)
-        del fields  # so that the next chunk is read with one chunk of records alive
+        if ids is not None:  # a chunk without ids gets its row indices
+            ids.extend(map(str, range(rows, rows + n)) if chunk_ids is None else chunk_ids)
+        rows += n
     if not rows:
         raise EmptyInput("no records in input")
     t, y, p = (np.concatenate(column) for column in zip(*parts))
@@ -431,7 +431,7 @@ def serialize_records(stream, format, out=None):
     for writing, each piece is written as it is made and None is returned;
     otherwise the text is returned. A stream whose ids are None is written
     with each row's index as its id."""
-    if format not in ("jsonl", "csv"):
+    if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}")
     pieces = _text_pieces(stream, format)
     if out is None:

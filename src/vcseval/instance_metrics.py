@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NoPositives, OneClassOnly
+from .errors import LengthMismatch, NoPositives, OneClassOnly, _finite
 
 AGGREGATORS = ("sum", "mean", "one_minus_mean")
 
@@ -27,7 +27,7 @@ class InstanceMetricSpec:
 
     def __post_init__(self):
         # NaN fails every comparison
-        if not 0 < self.mismatch_weight < np.inf:
+        if not (self.mismatch_weight > 0 and _finite(self.mismatch_weight)):
             raise ValueError("mismatch_weight must be positive and finite")
         if self.aggregator not in AGGREGATORS:
             raise ValueError(f"aggregator must be one of {AGGREGATORS}")

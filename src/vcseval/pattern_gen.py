@@ -15,12 +15,11 @@ on pre-drift data concentrates errors late in the stream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecViolation, _integers
+from .errors import SpecViolation, _finite, _integers
 from .event_stream import EvalStream
 
 PATTERN_KINDS = ("random", "clustered", "regular")
@@ -28,12 +27,10 @@ _MAX_COUNT = np.iinfo(np.intp).max // 8  # the most float64 elements numpy can s
 
 
 def _period(period):
-    """The spec's (start, end), a finite pair of positive length from t >= 0."""
+    """The spec's (start, end): finite ends, a finite positive length apart, from t >= 0."""
     try:
         t_start, t_end = period
-        ok = t_start < t_end and math.isfinite(t_end - t_start)
-    except OverflowError:  # an int difference past the float range
-        ok = False
+        ok = t_start < t_end and _finite(t_start, t_end) and _finite(t_end - t_start)
     except (TypeError, ValueError):
         raise SpecViolation("period must be a (start, end) pair") from None
     if not ok:
@@ -61,7 +58,7 @@ class PatternSpec:
         if not 2 <= self.n_errors <= self.n_events <= _MAX_COUNT:
             raise SpecViolation(f"need 2 <= n_errors <= n_events <= {_MAX_COUNT}")
         t_start, t_end = _period(self.period)
-        overflow = not math.isfinite((self.n_errors - 0.5) * (t_end - t_start))
+        overflow = not _finite((self.n_errors - 0.5) * (t_end - t_start))
         if self.kind == "regular" and overflow:
             raise SpecViolation("regular pattern: (n_errors - 0.5) * period length overflows")
         if not 0.0 <= self.cluster_center <= 1.0:
@@ -109,9 +106,9 @@ class DriftSpec:
         if not 0.0 <= self.post_class1_rate <= 1.0:
             raise SpecViolation("post_class1_rate must lie in [0, 1]")
         # NaN fails every comparison
-        if not 0 <= self.class_separation < math.inf:
+        if not (self.class_separation >= 0 and _finite(self.class_separation)):
             raise SpecViolation("class_separation must be finite and non-negative")
-        if not math.isfinite(self.drift_shift):
+        if not _finite(self.drift_shift):
             raise SpecViolation("drift_shift must be finite")
         if not (_integers(self.seed) and self.seed >= 0):
             raise SpecViolation("seed must be a non-negative integer")

@@ -17,8 +17,8 @@ import numpy as np
 from . import soft_vca, toy_trainer
 from .errors import (EXIT_FAILURE, EXIT_INPUT, EXIT_OK, EXIT_UNDEFINED, NonFiniteGradient,
                      NonFiniteLoss, VcsEvalError)
-from .event_stream import parse_records, serialize_records
-from .pattern_gen import (_MAX_COUNT, DriftDataset, DriftSpec, PatternSpec,
+from .event_stream import FORMATS, parse_records, serialize_records
+from .pattern_gen import (_MAX_COUNT, PATTERN_KINDS, DriftDataset, DriftSpec, PatternSpec,
                           generate_drift_dataset, generate_pattern)
 from .toy_trainer import TrainConfig, train
 # vcs itself is not called here; perfbench's tests trace it through this binding
@@ -308,7 +308,7 @@ def build_parser():
 
     p = sub.add_parser("evaluate", help="score a prediction log and report VCS/AP/AU-ROC")
     p.add_argument("--input", required=True, help="path to the prediction log")
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    p.add_argument("--format", choices=FORMATS, default="jsonl")
     p.add_argument("--threshold", type=OPEN_UNIT, default=0.5)
     p.add_argument("--tau", type=POSITIVE_INT, default=5)
     p.add_argument("--subsample", type=OPEN_UNIT, default=0.5)
@@ -325,14 +325,14 @@ def build_parser():
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate a synthetic pattern stream")
-    p.add_argument("--pattern", choices=("random", "clustered", "regular"), required=True)
+    p.add_argument("--pattern", choices=PATTERN_KINDS, required=True)
     p.add_argument("--events", type=int, required=True)
     p.add_argument("--errors", type=int, required=True)
     p.add_argument("--period", type=float, nargs=2, default=(0.0, 1000.0))
     p.add_argument("--center", type=float, default=0.9, help="cluster center fraction")
     p.add_argument("--width", type=float, default=0.02, help="cluster width fraction")
     p.add_argument("--seed", type=NON_NEGATIVE_INT, default=0)
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    p.add_argument("--format", choices=FORMATS, default="jsonl")
     p.add_argument("--out", help="output path (stdout when omitted)")
     p.set_defaults(func=cmd_synth)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllZeroWeights, InsufficientSet, NonFiniteGradient, _integers
+from .errors import AllZeroWeights, InsufficientSet, NonFiniteGradient, _as_floats, _finite, _integers
 
 
 TARGET_SHARPNESS = 5.0
@@ -38,7 +38,7 @@ def effective_beta(timestamps):
     Ties sharpness to the time scale of the reference timestamps so
     the soft-min bound log(n-1)/beta stays small regardless of units.
     """
-    ts = np.asarray(timestamps, dtype=np.float64)
+    ts = _as_floats(timestamps, "timestamps must be finite")
     if ts.ndim != 1:
         raise ValueError("timestamps must be 1-d")
     ts = np.sort(ts)
@@ -53,7 +53,7 @@ def effective_beta(timestamps):
         mid = gaps.size // 2
         median = gaps[mid] if gaps.size % 2 else (gaps[mid - 1] + gaps[mid]) / 2
         beta = float(TARGET_SHARPNESS / median)
-    if not 0 < beta < math.inf:
+    if not (beta > 0 and _finite(beta)):
         raise ValueError("timestamps give a beta outside the float64 range")
     return beta
 
@@ -136,14 +136,14 @@ def soft_nn_distance(times, index, beta):
     entry is bit-identical to the one-row call, and a stack with an
     invalid row raises what that row raises alone.
     """
-    t = np.asarray(times, dtype=np.float64)
+    t = _as_floats(times, "times must be finite")
     if t.ndim > 2:
         raise ValueError("times must be (n,) or (c, n)")
     if t.ndim == 0 or t.shape[-1] < 2:
         raise InsufficientSet("soft distance needs at least one other entry")
     if not np.isfinite(t).all():
         raise ValueError("times must be finite")
-    if not 0 < beta < math.inf:
+    if not (beta > 0 and _finite(beta)):
         raise ValueError("beta must be positive and finite")
     n = t.shape[-1]
     if not (_integers(index) and -n <= index < n):
@@ -172,7 +172,7 @@ def soft_nn_gradient(times, index, beta):
     Raises ValueError as soft_nn_distance does, and NonFiniteGradient
     when an entry overflows float64.
     """
-    t = np.asarray(times, dtype=np.float64)
+    t = _as_floats(times, "times must be finite")
     if t.ndim != 1:
         raise ValueError("times must be 1-d")
     return _soft_nn_gradient_at(t, index, beta, soft_nn_distance(t, index, beta))
@@ -227,9 +227,9 @@ def _soft_t(timestamps, weights, random_times, beta, gradient):
     that is not finite raises nothing unless d_disg_soft or t_soft is
     not finite too.
     """
-    t = np.asarray(timestamps, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    r = np.asarray(random_times, dtype=np.float64)
+    t = _as_floats(timestamps, "timestamps must be finite")
+    w = _as_floats(weights, "weights must lie in [0, 1]")
+    r = _as_floats(random_times, "random_times must be finite")
     if t.ndim != 1 or w.ndim not in (1, 2) or w.shape[-1] != t.size:
         raise ValueError("timestamps must be 1-d and weights (n,) or (c, n) for n timestamps")
     if not ((w >= 0) & (w <= 1)).all():
@@ -248,7 +248,7 @@ def _soft_t(timestamps, weights, random_times, beta, gradient):
         raise InsufficientSet("weighted soft T needs >= 2 positive-weight events")
     if r.size < 1:
         raise ValueError("at least one random reference time is required")
-    if not 0 < beta < math.inf:
+    if not (beta > 0 and _finite(beta)):
         raise ValueError("beta must be positive and finite")
     if r.ndim != 1:
         raise ValueError("random_times must be 1-d")
@@ -309,14 +309,14 @@ def _soft_t(timestamps, weights, random_times, beta, gradient):
 
 def soft_t(timestamps, random_times, beta):
     """Unweighted soft T: weighted_soft_t with unit weight on every event."""
-    t = np.asarray(timestamps, dtype=np.float64)
+    t = _as_floats(timestamps, "timestamps must be finite")
     return weighted_soft_t(t, np.ones_like(t), random_times, beta)
 
 
 def vca_penalty(t_soft, gamma):
     """Quadratic pull toward t_soft = 0.5: (value, d value / d t_soft)."""
     # NaN fails every comparison
-    if not 0 <= gamma < math.inf:
+    if not (gamma >= 0 and _finite(gamma)):
         raise ValueError("gamma must be finite and non-negative")
     if not np.isfinite(t_soft).all():
         raise ValueError("t_soft must be finite")
@@ -336,7 +336,7 @@ def finite_difference_check(value, point, step=1e-6):
     difference quotient or analytic entry is not finite has error inf.
     An empty point has error 0.0, and value is not called.
     """
-    if not 0 < step < math.inf:
+    if not (step > 0 and _finite(step)):
         raise ValueError("step must be positive and finite")
     x = np.asarray(point, dtype=np.float64)
     if x.ndim != 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteGradient, NonFiniteLoss, _integers
+from .errors import NonFiniteGradient, NonFiniteLoss, _finite, _integers
 from .event_stream import EvalStream
 from .soft_vca import _soft_t, effective_beta, vca_penalty, weighted_soft_t
 from .vcs import evaluate_stream
@@ -35,7 +35,7 @@ class TrainConfig:
         if not (_integers(self.epochs) and self.epochs >= 1):
             raise ValueError("epochs must be a positive integer")
         # NaN fails every comparison
-        if not 0 <= self.gamma < np.inf:
+        if not (self.gamma >= 0 and _finite(self.gamma)):
             raise ValueError("gamma must be finite and non-negative")
         if not (_integers(self.seed) and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer")

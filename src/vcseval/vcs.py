@@ -21,14 +21,14 @@ regenerated from (seed, i).
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDistances, NoPositives, OneClassOnly, TooFewDisagreements, _integers
+from .errors import (DegenerateDistances, NoPositives, OneClassOnly, TooFewDisagreements,
+                     _as_floats, _finite, _integers)
 from .event_stream import disagreement_set
 from .instance_metrics import auroc, average_precision
 
@@ -97,10 +97,11 @@ def t_statistic(d_r, d_disg):
     # NaN fails every comparison
     if not (d_r >= 0 and d_disg >= 0):
         raise ValueError("distance sums must be non-negative")
-    total = d_r + d_disg
+    # an int past the float range would make a float sum raise OverflowError
+    total = d_r + d_disg if _finite(d_r, d_disg) else np.inf
     if total == 0:
         raise DegenerateDistances("both distance sums are zero")
-    if not math.isfinite(total):
+    if not _finite(total):
         raise DegenerateDistances("distance sums overflow float64")
     return d_r / total
 
@@ -230,14 +231,6 @@ def _map_in_threads(fn, n, workers):
     return results
 
 
-def _finite(x):
-    """math.isfinite, False for an int past the float range."""
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
-
-
 def vcs(times, period, config=VcsConfig()):
     """VCS = |0.5 - mean(t_stat)| over tau trials on the disagreement timestamps.
 
@@ -256,7 +249,7 @@ def vcs(times, period, config=VcsConfig()):
     with one -inf and 2**h +infs, h being the bit length of the most
     times one cell holds.
     """
-    times = np.asarray(times, dtype=np.float64)
+    times = _as_floats(times, "times must be finite")
     if times.ndim != 1:
         raise ValueError("times must be 1-d")
     k_total = times.size
@@ -270,7 +263,7 @@ def vcs(times, period, config=VcsConfig()):
     if np.shape(period) != (2,):
         raise ValueError("period must be a (start, end) pair with start <= end")
     t_start, t_end = period
-    if not (_finite(t_start) and _finite(t_end)):
+    if not _finite(t_start, t_end):
         raise ValueError("period must be finite")
     if t_start > t_end:
         raise ValueError("period must be a (start, end) pair with start <= end")

@@ -88,7 +88,7 @@ class TestInstanceMetric:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             InstanceMetricSpec(-1.0, "sum")
-        for weight in (np.nan, np.inf):
+        for weight in (np.nan, np.inf, 10**400):
             with pytest.raises(ValueError, match="^mismatch_weight must be positive and finite"):
                 InstanceMetricSpec(weight, "sum")
         with pytest.raises(ValueError):

@@ -161,7 +161,8 @@ class TestDriftDataset:
             with pytest.raises(SpecViolation):
                 DriftSpec(n_events=10, period=period)
         for field, value in [("drift_shift", np.nan), ("drift_shift", np.inf),
-                             ("class_separation", np.nan), ("class_separation", np.inf)]:
+                             ("drift_shift", 10**400), ("class_separation", np.nan),
+                             ("class_separation", np.inf), ("class_separation", 10**400)]:
             with pytest.raises(SpecViolation, match=f"^{field} must be finite"):
                 DriftSpec(n_events=10, **{field: value})
         for rate in (1.5, np.nan):
@@ -176,7 +177,8 @@ def test_period_must_be_a_pair(make):
     for period in ((0.0,), (0.0, 1.0, 2.0), 5.0, None, (), ("a", "b")):
         with pytest.raises(SpecViolation, match=r"^period must be a \(start, end\) pair$"):
             make(period)
-    for period in ((5.0, 5.0), (1.0, 0.0), (0.0, np.inf), (np.nan, 1.0), (0, 10**400)):
+    for period in ((5.0, 5.0), (1.0, 0.0), (0.0, np.inf), (np.nan, 1.0), (0, 10**400),
+                   (0.0, 10**400)):
         with pytest.raises(SpecViolation,
                            match="^period must be finite and have positive length$"):
             make(period)

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import vcseval
 from vcseval import NonFiniteGradient, VcsConfig, parse_records, soft_vca, toy_trainer
 from vcseval.report_cli import (
     build_eval_report,
@@ -673,3 +678,20 @@ class TestFuzzedMain:
             assert err.getvalue().startswith("error: out of memory: ")
         else:
             assert rc in (0, 2, 3, "usage")
+
+
+def test_module_entry_runs_as_documented():
+    """python -m vcseval, as the README runs it, exits with main's code."""
+    src = str(pathlib.Path(vcseval.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "vcseval", *argv], env=env,
+                              capture_output=True, text=True)
+
+    done = run("gradcheck", "--trials", "2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("gradcheck: PASS\n")
+    done = run("evaluate")
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage:")

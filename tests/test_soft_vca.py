@@ -46,7 +46,7 @@ class TestSoftNnDistance:
 
     def test_beta_must_be_positive_and_finite(self):
         for fn in (soft_nn_distance, soft_nn_gradient):
-            for beta in (0.0, -1.0, math.inf, math.nan):
+            for beta in (0.0, -1.0, math.inf, math.nan, 10**400):
                 with pytest.raises(ValueError, match="beta must be positive and finite"):
                     fn([0.0, 1.0, 3.0], 0, beta)
 
@@ -255,8 +255,8 @@ class TestWeightedSoftT:
         assert issubclass(NonFiniteGradient, VcsEvalError)
 
     def test_beta_must_be_positive_and_finite(self):
-        for beta in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
+        for beta in (0.0, -1.0, math.inf, math.nan, 10**400):
+            with pytest.raises(ValueError, match="^beta must be positive and finite$"):
                 weighted_soft_t([0.0, 1.0, 2.0], np.ones(3), [0.5], beta)
 
     def test_large_n_is_finite(self):
@@ -523,7 +523,7 @@ class TestVcaPenalty:
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
             vca_penalty(0.5, -0.1)
-        for gamma in (np.nan, np.inf):
+        for gamma in (np.nan, np.inf, 10**400):
             with pytest.raises(ValueError, match="^gamma must be finite"):
                 vca_penalty(0.3, gamma)
         for t_soft in (np.nan, np.array([0.3, np.nan])):
@@ -592,7 +592,8 @@ class TestFiniteDifferenceCheck:
                                    [0.0])
         assert finite_difference_check(value, [1.0], 1e-6) == math.inf
 
-    @pytest.mark.parametrize("step", (0.0, -1e-6, math.inf, math.nan))
+    @pytest.mark.parametrize("step", (0.0, -1e-6, math.inf, math.nan,
+                                      pytest.param(10**400, id="int-past-float-range")))
     def test_step_not_positive_and_finite_rejected(self, step):
         with pytest.raises(ValueError, match="step must be positive and finite"):
             finite_difference_check(self.square, [1.0], step)
@@ -636,7 +637,8 @@ class TestFiniteDifferenceCheck:
         assert finite_difference_check(value, [], 1e-6) == 0.0
 
 
-NON_FINITE = (math.nan, math.inf, -math.inf)
+# an int past the float range is not finite either
+NON_FINITE = (math.nan, math.inf, -math.inf, pytest.param(10**400, id="int-past-float-range"))
 
 
 class TestNonFiniteInput:
@@ -691,6 +693,8 @@ class TestNonFiniteInput:
             weighted_soft_t(times, [0.5, bad, 0.5], ref, 1.0)
         with pytest.raises(ValueError, match="timestamps must be finite"):
             weighted_soft_t([0.0, bad, 2.0], w, ref, 1.0)
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            soft_t([0.0, bad, 2.0], ref, 1.0)
         with pytest.raises(ValueError, match="random_times must be finite"):
             weighted_soft_t(times, w, [0.5, bad], 1.0)
 

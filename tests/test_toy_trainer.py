@@ -419,7 +419,7 @@ class TestConfigValidation:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(gamma=-1.0)
-        for gamma in (np.nan, np.inf):
+        for gamma in (np.nan, np.inf, 10**400):
             with pytest.raises(ValueError, match="^gamma must be finite"):
                 TrainConfig(gamma=gamma)
         # a bool is not an integer

@@ -155,8 +155,11 @@ class TestTStatistic:
     def test_degenerate(self):
         with pytest.raises(DegenerateDistances):
             t_statistic(0.0, 0.0)
-        with pytest.raises(DegenerateDistances, match="overflow"):
-            t_statistic(1e308, 1e308)
+        # an int past the float range, alone or as the sum of two, overflows too
+        for sums in ((1e308, 1e308), (10**400, 0), (0, 10**400), (10**400, 1.0),
+                     (10**308, 10**308)):
+            with pytest.raises(DegenerateDistances, match="^distance sums overflow float64$"):
+                t_statistic(*sums)
 
     def test_negative_rejected(self):
         # a NaN sum fails the sign check too, rather than being named an overflow
@@ -201,7 +204,8 @@ class TestVcs:
             with pytest.raises(TooFewDisagreements):
                 vcs(times, (0.0, 10.0))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     pytest.param(10**400, id="int-past-float-range")])
     def test_non_finite_input_named(self, bad):
         with pytest.raises(ValueError, match="times must be finite"):
             vcs([1.0, bad, 3.0], (0.0, 10.0))
