@@ -32,12 +32,19 @@ def _finite(*values):
         return False
 
 
-def _as_floats(values, message):
-    """values as a float64 array; an int past the float range raises ValueError(message)."""
+def _as_floats(values, name, rule="must be finite"):
+    """values as a float64 array. An int past the float range raises
+    ValueError(f"{name} {rule}"), and complex input a ValueError naming name,
+    where numpy would drop the imaginary part."""
+    array = np.asarray(values)
+    kind = array.dtype.kind
+    if kind == "c" or kind == "O" and any(isinstance(v, (complex, np.complexfloating))
+                                          for v in array.flat):
+        raise ValueError(f"{name} must be real, not complex")
     try:
-        return np.asarray(values, dtype=np.float64)
+        return array.astype(np.float64, copy=False)
     except OverflowError:
-        raise ValueError(message) from None
+        raise ValueError(f"{name} {rule}") from None
 
 
 class VcsEvalError(Exception):

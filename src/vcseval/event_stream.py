@@ -74,10 +74,11 @@ class EvalStream:
     """
 
     def __init__(self, t, y, p, ids=None):
-        t = np.asarray(t, dtype=np.float64)
-        # y is checked as float, so that 0.5 or 2 is rejected, not cast to 0 or 2
-        y = np.asarray(y, dtype=np.float64)
-        p = np.asarray(p, dtype=np.float64)
+        try:
+            # y is checked as float, so that 0.5 or 2 is rejected, not cast to 0 or 2
+            t, y, p = [np.asarray(column, dtype=np.float64) for column in (t, y, p)]
+        except OverflowError:  # an int past the float range, named at its row
+            t, y, p = [np.asarray(column, dtype=object) for column in (t, y, p)]
         if t.ndim != 1 or not t.shape == y.shape == p.shape:
             raise ValueError("t, y and p must be 1-d and of equal length")
         if ids is not None and len(ids) != t.size:
@@ -109,8 +110,12 @@ class EvalStream:
 
 def _check_values(t, y, p, ids=None):
     """Raise InvalidValue at the first row with a value _value_problem names
-    or, when ids are given, an id that is not a string."""
-    bad = _bad_values(t, y, p)
+    or, when ids are given, an id that is not a string. Object columns, which
+    hold an int past the float range, are checked row by row."""
+    if t.dtype == object:
+        bad = np.array([_value_problem(*row) is not None for row in zip(t, y, p)])
+    else:
+        bad = _bad_values(t, y, p)
     if ids is not None and not all(issubclass(kind, str) for kind in set(map(type, ids))):
         bad |= [not isinstance(i, str) for i in ids]
     if bad.any():
@@ -129,7 +134,7 @@ def _value_problem(t, y, p):
     """What keeps t, y and p from being valid values, or None; float() reads all three first."""
     try:
         t, y, p = float(t), float(y), float(p)
-    except (ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         return "t, y, p must be numeric"
     if not math.isfinite(t) or t < 0:
         return f"t must be finite and >= 0, got {t!r}"
@@ -440,18 +445,29 @@ def serialize_records(stream, format, out=None):
 
 
 def _text_pieces(stream, format):
-    """The lines of serialize_records, joined _CHUNK_ROWS at a time."""
+    """The lines of serialize_records, joined _CHUNK_ROWS at a time.
+
+    A row index needs no JSON escaping or CSV quotes, so it goes into its
+    line as an int; an id of the stream's own goes through json's string
+    encoder, the C function json.dumps(str) ends in, or _csv_field."""
+    index_ids = stream.ids is None
     # one iterator across the pieces, so that each piece takes the next ids
-    ids = iter(map(str, range(len(stream))) if stream.ids is None else stream.ids)
+    ids = iter(range(len(stream)) if index_ids else stream.ids)
+    quote = json.encoder.encode_basestring_ascii
     if format == "csv":
         yield "t,y,p,id\n"
     for start in range(0, len(stream), _CHUNK_ROWS):
         block = slice(start, start + _CHUNK_ROWS)
         rows = zip(*(column[block].tolist() for column in (stream.t, stream.y, stream.p)), ids)
-        if format == "jsonl":
-            # t and p are finite, so repr writes them as json.dumps would
-            yield "".join([f'{{"t": {t!r}, "y": {y}, "p": {p!r}, "id": {json.dumps(i)}}}\n'
+        # t and p are finite, so repr writes them as json.dumps would
+        if format == "jsonl" and index_ids:
+            yield "".join([f'{{"t": {t!r}, "y": {y}, "p": {p!r}, "id": "{i}"}}\n'
                            for t, y, p, i in rows])
+        elif format == "jsonl":
+            yield "".join([f'{{"t": {t!r}, "y": {y}, "p": {p!r}, "id": {quote(i)}}}\n'
+                           for t, y, p, i in rows])
+        elif index_ids:
+            yield "".join([f"{t!r},{y},{p!r},{i}\n" for t, y, p, i in rows])
         else:
             yield "".join([f"{t!r},{y},{p!r},{_csv_field(i)}\n" for t, y, p, i in rows])
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NoPositives, OneClassOnly, _finite
+from .errors import LengthMismatch, NoPositives, OneClassOnly, _as_floats, _finite
 
 AGGREGATORS = ("sum", "mean", "one_minus_mean")
 
@@ -35,7 +35,7 @@ class InstanceMetricSpec:
 
 def _as_labels(y, name):
     # checked as float, so that 0.5, NaN or inf is rejected, not cast to an integer
-    arr = np.asarray(y, dtype=np.float64)
+    arr = _as_floats(y, name, "entries must be 0 or 1")
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a nonempty 1-d label list")
     if not np.isin(arr, (0, 1)).all():

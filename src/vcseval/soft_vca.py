@@ -38,7 +38,7 @@ def effective_beta(timestamps):
     Ties sharpness to the time scale of the reference timestamps so
     the soft-min bound log(n-1)/beta stays small regardless of units.
     """
-    ts = _as_floats(timestamps, "timestamps must be finite")
+    ts = _as_floats(timestamps, "timestamps")
     if ts.ndim != 1:
         raise ValueError("timestamps must be 1-d")
     ts = np.sort(ts)
@@ -136,7 +136,7 @@ def soft_nn_distance(times, index, beta):
     entry is bit-identical to the one-row call, and a stack with an
     invalid row raises what that row raises alone.
     """
-    t = _as_floats(times, "times must be finite")
+    t = _as_floats(times, "times")
     if t.ndim > 2:
         raise ValueError("times must be (n,) or (c, n)")
     if t.ndim == 0 or t.shape[-1] < 2:
@@ -172,7 +172,7 @@ def soft_nn_gradient(times, index, beta):
     Raises ValueError as soft_nn_distance does, and NonFiniteGradient
     when an entry overflows float64.
     """
-    t = _as_floats(times, "times must be finite")
+    t = _as_floats(times, "times")
     if t.ndim != 1:
         raise ValueError("times must be 1-d")
     return _soft_nn_gradient_at(t, index, beta, soft_nn_distance(t, index, beta))
@@ -227,9 +227,9 @@ def _soft_t(timestamps, weights, random_times, beta, gradient):
     that is not finite raises nothing unless d_disg_soft or t_soft is
     not finite too.
     """
-    t = _as_floats(timestamps, "timestamps must be finite")
-    w = _as_floats(weights, "weights must lie in [0, 1]")
-    r = _as_floats(random_times, "random_times must be finite")
+    t = _as_floats(timestamps, "timestamps")
+    w = _as_floats(weights, "weights", "must lie in [0, 1]")
+    r = _as_floats(random_times, "random_times")
     if t.ndim != 1 or w.ndim not in (1, 2) or w.shape[-1] != t.size:
         raise ValueError("timestamps must be 1-d and weights (n,) or (c, n) for n timestamps")
     if not ((w >= 0) & (w <= 1)).all():
@@ -309,7 +309,7 @@ def _soft_t(timestamps, weights, random_times, beta, gradient):
 
 def soft_t(timestamps, random_times, beta):
     """Unweighted soft T: weighted_soft_t with unit weight on every event."""
-    t = _as_floats(timestamps, "timestamps must be finite")
+    t = _as_floats(timestamps, "timestamps")
     return weighted_soft_t(t, np.ones_like(t), random_times, beta)
 
 
@@ -338,7 +338,7 @@ def finite_difference_check(value, point, step=1e-6):
     """
     if not (step > 0 and _finite(step)):
         raise ValueError("step must be positive and finite")
-    x = np.asarray(point, dtype=np.float64)
+    x = _as_floats(point, "point", "must fit in float64")
     if x.ndim != 1:
         raise ValueError("point must be 1-d")
     if x.size == 0:

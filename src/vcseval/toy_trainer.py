@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteGradient, NonFiniteLoss, _finite, _integers
+from .errors import NonFiniteGradient, NonFiniteLoss, _as_floats, _finite, _integers
 from .event_stream import EvalStream
 from .soft_vca import _soft_t, effective_beta, vca_penalty, weighted_soft_t
 from .vcs import evaluate_stream
@@ -107,7 +107,7 @@ def _losses(thetas, batch, config, step, gradient):
     n = y.size
     if n == 0:
         raise ValueError("batch must be non-empty")
-    thetas = np.asarray(thetas, dtype=np.float64)
+    thetas = _as_floats(thetas, "thetas", "must fit in float64")
     if thetas.ndim not in (1, 2) or thetas.shape[-1] != x.shape[1]:
         raise ValueError("thetas must be (d,) or (c, d) with d the feature count + 1")
     if thetas.size == 0:

@@ -249,7 +249,7 @@ def vcs(times, period, config=VcsConfig()):
     with one -inf and 2**h +infs, h being the bit length of the most
     times one cell holds.
     """
-    times = _as_floats(times, "times must be finite")
+    times = _as_floats(times, "times")
     if times.ndim != 1:
         raise ValueError("times must be 1-d")
     k_total = times.size

@@ -14,7 +14,8 @@ package's own scan on one column. jsonl_rows, csv_rows and
 record_values raise the package's public MalformedRecord and EmptyInput,
 whose messages they must match. average_precision_ranks and auroc_ranks
 are the rank-array formulas that the package's counting average_precision
-and auroc must match bit for bit.
+and auroc must match bit for bit. records_text is the writer one row at a
+time, which serialize_records must match byte for byte.
 """
 
 import csv
@@ -494,6 +495,30 @@ def csv_rows(text):
             yield reader.line_num, row[0], row[1], row[2], row[3] if len(row) == 4 else None
     except csv.Error as exc:
         raise MalformedRecord(reader.line_num, f"invalid CSV: {exc}") from None
+
+
+def records_text(stream, fmt):
+    """The text serialize_records writes for stream, one row at a time.
+
+    Each row's id is its own, or str of its index where stream.ids is None.
+    A JSONL line is the object with t, y, p and id in that order, each
+    number by repr and the id by json.dumps. CSV has the header t,y,p,id,
+    then one line of the same numbers and the id, which is put in quotes,
+    its quotes doubled, when it holds a comma, a quote, a carriage return
+    or a line feed. csv.writer is not the rule: it leaves a lone carriage
+    return unquoted.
+    """
+    ids = [str(row) for row in range(len(stream))] if stream.ids is None else stream.ids
+    rows = zip(stream.t.tolist(), stream.y.tolist(), stream.p.tolist(), ids)
+    if fmt == "jsonl":
+        return "".join(f'{{"t": {t!r}, "y": {y}, "p": {p!r}, "id": {json.dumps(i)}}}\n'
+                       for t, y, p, i in rows)
+    lines = ["t,y,p,id\n"]
+    for t, y, p, i in rows:
+        if any(c in i for c in ',"\r\n'):
+            i = '"' + i.replace('"', '""') + '"'
+        lines.append(f"{t!r},{y},{p!r},{i}\n")
+    return "".join(lines)
 
 
 def record_values(t, y, p, line):

@@ -1,4 +1,5 @@
 import csv
+import io
 import itertools
 import json
 import tracemalloc
@@ -197,6 +198,32 @@ class TestSerialize:
         assert_same_stream(back, stream)
         assert row_ids(back) == ids
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from(["jsonl", "csv"]), st.booleans(), st.booleans())
+    def test_same_text_as_the_row_writer(self, data, fmt, own_ids, to_file):
+        """Byte for byte, for index and own ids, across piece boundaries."""
+        rows = event_stream._CHUNK_ROWS
+        n = data.draw(st.one_of(st.integers(1, 5), st.integers(rows - 1, 2 * rows + 1)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        t = np.sort(rng.random(n) * 10.0 ** rng.integers(-320, 300, n))
+        t[:data.draw(st.integers(0, 3))] = -0.0
+        p = rng.random(n)
+        p[rng.random(n) < 0.05] = -0.0
+        ids = None
+        if own_ids:
+            awkward = ['"', "\\", ",", "\r", "\n", "", "é", "\u2028", "\x00", "\x1f", "\ud800",
+                       'a "b", c\r\n', "12"]
+            pool = data.draw(st.lists(st.sampled_from(awkward) | st.text(), min_size=1, max_size=8))
+            ids = [pool[row % len(pool)] for row in range(n)]
+        stream = EvalStream(t, rng.integers(0, 2, n), p, ids)
+        if to_file:
+            out = io.StringIO()
+            assert serialize_records(stream, fmt, out) is None
+            text = out.getvalue()
+        else:
+            text = serialize_records(stream, fmt)
+        assert text == oracles.records_text(stream, fmt)
+
     def test_jsonl_lines_are_objects(self):
         stream = parse_records(CSV, "csv")
         for line in serialize_records(stream, "jsonl").splitlines():
@@ -241,6 +268,16 @@ class TestStream:
         assert isinstance(err.value, VcsEvalError)
         assert str(err.value) == message
         assert err.value.row == int(message.split(":")[0].split()[1])
+
+    @pytest.mark.parametrize("column", ["t", "y", "p"])
+    def test_int_past_the_float_range_named_at_its_row(self, column):
+        """With parse_records' wording for such a number, after a valid row."""
+        columns = {"t": [0.0, 1.0, 2.0], "y": [1, 1, 0], "p": [0.1, 0.1, 0.9]}
+        columns[column][1] = 10**400
+        with pytest.raises(InvalidValue, match=r"^row 1: t, y, p must be numeric$"):
+            EvalStream(columns["t"], columns["y"], columns["p"])
+        with pytest.raises(InvalidValue, match=r"^row 0: id must be a string$"):
+            EvalStream(columns["t"], columns["y"], columns["p"], [None, "b", "c"])
 
     def test_first_bad_row_is_named(self):
         with pytest.raises(InvalidValue) as err:

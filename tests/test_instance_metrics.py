@@ -63,6 +63,12 @@ class TestHamming:
             with pytest.raises(ValueError, match=f"^{name} entries must be 0 or 1$"):
                 call()
 
+    def test_int_past_the_float_range_named(self):
+        for call in (lambda: hamming_disagreement([1, 0], [10**400, 0]),
+                     lambda: instance_metric(InstanceMetricSpec(), [1, 0], [10**400, 0])):
+            with pytest.raises(ValueError, match=r"^y_hat entries must be 0 or 1$"):
+                call()
+
     @pytest.mark.parametrize("y", [[], [[0, 1], [1, 0]]], ids=["empty", "2-d"])
     def test_empty_or_2d_label_list_rejected(self, y):
         with pytest.raises(ValueError, match="^y must be a nonempty 1-d label list$"):

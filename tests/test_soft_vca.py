@@ -598,6 +598,10 @@ class TestFiniteDifferenceCheck:
         with pytest.raises(ValueError, match="step must be positive and finite"):
             finite_difference_check(self.square, [1.0], step)
 
+    def test_int_point_past_the_float_range_named(self):
+        with pytest.raises(ValueError, match="^point must fit in float64$"):
+            finite_difference_check(self.square, [10**400])
+
     def test_value_called_once_on_the_stack(self):
         x = np.array([1.0, -2.0, 0.5])
         stacks = []

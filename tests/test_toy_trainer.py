@@ -317,6 +317,10 @@ class TestCombinedLosses:
         with pytest.raises(ValueError, match="thetas"):
             combined_loss(thetas, small_dataset(), TrainConfig(), step=0)
 
+    def test_int_past_the_float_range_named(self):
+        with pytest.raises(ValueError, match="^thetas must fit in float64$"):
+            combined_loss([10**400, 0, 0, 0, 0], small_dataset(), TrainConfig(), step=0)
+
     def test_empty_stack_is_named(self):
         with pytest.raises(ValueError, match="^thetas must hold at least one row$"):
             combined_loss(np.zeros((0, 5)), small_dataset(), TrainConfig(), step=0)

@@ -213,6 +213,15 @@ class TestVcs:
             with pytest.raises(ValueError, match="period must be finite"):
                 vcs([1.0, 2.0, 3.0], period)
 
+    @pytest.mark.parametrize("times", [np.array([1j, 2, 3]), [1j, 2.0, 3.0], np.array([1.0, 2.0, 3.0],
+                                                                              np.complex64),
+                                       [np.complex128(1), 10**400, 3.0]],
+                             ids=["array", "list", "zero-imaginary", "beside-big-int"])
+    def test_complex_input_named(self, times):
+        """Not cast to float, which would drop the imaginary part with a warning."""
+        with pytest.raises(ValueError, match="^times must be real, not complex$"):
+            vcs(times, (0, 5))
+
     @pytest.mark.parametrize("times", [np.arange(9.0).reshape(3, 3), np.zeros((1, 1)), 5.0],
                              ids=["3x3", "1x1", "scalar"])
     def test_times_must_be_1d(self, times):
