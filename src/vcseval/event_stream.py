@@ -74,29 +74,16 @@ class EvalStream:
     """
 
     def __init__(self, t, y, p, ids=None):
-        try:
-            # y is checked as float, so that 0.5 or 2 is rejected, not cast to 0 or 2
-            t, y, p = [np.asarray(column, dtype=np.float64) for column in (t, y, p)]
-        except OverflowError:  # an int past the float range, named at its row
-            t, y, p = [np.asarray(column, dtype=object) for column in (t, y, p)]
+        t, y, p = map(np.asarray, (t, y, p))
         if t.ndim != 1 or not t.shape == y.shape == p.shape:
             raise ValueError("t, y and p must be 1-d and of equal length")
         if ids is not None and len(ids) != t.size:
             raise ValueError("ids must have one entry per row")
         if t.size == 0:
             raise EmptyInput("stream must contain at least one record")
+        # y is checked before it is cast, so that 0.5 or 2 is rejected, not cast to 0 or 2
         _check_values(t, y, p, ids)
-        self._fill(t, y, p, ids)
-
-    @classmethod
-    def _of_checked(cls, t, y, p, ids):
-        """A stream of float64 columns whose values and ids parse_records has
-        checked; only their order is checked here."""
-        stream = cls.__new__(cls)
-        stream._fill(t, y, p, ids)
-        return stream
-
-    def _fill(self, t, y, p, ids):
+        t, y, p = (column.astype(np.float64, copy=False) for column in (t, y, p))
         if np.any(np.diff(t) < 0):
             raise UnsortedInput("timestamps must be nondecreasing")
         self.t, self.y, self.p = t, y.astype(np.int64), p
@@ -110,19 +97,22 @@ class EvalStream:
 
 def _check_values(t, y, p, ids=None):
     """Raise InvalidValue at the first row with a value _value_problem names
-    or, when ids are given, an id that is not a string. Object columns, which
-    hold an int past the float range, are checked row by row."""
-    if t.dtype == object:
-        bad = np.array([_value_problem(*row) is not None for row in zip(t, y, p)])
-    else:
+    or, when ids are given, an id that is not a string. Arrays numpy casts
+    to float64 safely are checked as arrays; any other, such as one holding
+    an int past the float range, None, a string or a complex number, is
+    checked row by row on its Python values."""
+    if all(np.can_cast(column.dtype, np.float64) for column in (t, y, p)):
         bad = _bad_values(t, y, p)
+    else:
+        rows = zip(t.tolist(), y.tolist(), p.tolist())
+        bad = np.array([_value_problem(*row) is not None for row in rows])
     if ids is not None and not all(issubclass(kind, str) for kind in set(map(type, ids))):
         bad |= [not isinstance(i, str) for i in ids]
     if bad.any():
         row = int(bad.argmax())
         if ids is not None and not isinstance(ids[row], str):
             raise InvalidValue(row, "id must be a string")
-        raise InvalidValue(row, _value_problem(t[row], y[row], p[row]))
+        raise InvalidValue(row, _value_problem(t.item(row), y.item(row), p.item(row)))
 
 
 def _bad_values(t, y, p):
@@ -131,7 +121,10 @@ def _bad_values(t, y, p):
 
 
 def _value_problem(t, y, p):
-    """What keeps t, y and p from being valid values, or None; float() reads all three first."""
+    """What keeps t, y and p from being valid values, or None; float() reads all
+    three first, but not a numpy complex number, whose imaginary part it drops."""
+    if any(isinstance(v, np.complexfloating) for v in (t, y, p)):
+        return "t, y, p must be numeric"
     try:
         t, y, p = float(t), float(y), float(p)
     except (TypeError, ValueError, OverflowError):
@@ -419,7 +412,7 @@ def parse_records(data, format, sort=False):
         order = np.argsort(t, kind="stable")
         t, y, p = t[order], y[order], p[order]
         ids = [str(i) if ids is None else ids[i] for i in order]
-    return EvalStream._of_checked(t, y, p, ids)
+    return EvalStream(t, y, p, ids)
 
 
 def _csv_field(text):

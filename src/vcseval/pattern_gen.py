@@ -143,7 +143,11 @@ def generate_pattern(spec):
             hi = min(t_end, t_start + (spec.cluster_center + spec.cluster_width / 2) * span)
             err_times = lo + rng.random(k) * (hi - lo)
         else:
-            err_times = t_start + (np.arange(k) + 0.5) * span / k
+            err_times = np.empty(k)  # before np.arange, which raises ValueError near _MAX_COUNT
+            np.add(np.arange(k), 0.5, out=err_times)
+            err_times *= span
+            err_times /= k
+            err_times += t_start
         times = np.concatenate([base, err_times])
         is_error = np.concatenate([np.zeros(m - k, dtype=bool), np.ones(k, dtype=bool)])
 

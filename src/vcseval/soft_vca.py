@@ -318,7 +318,7 @@ def vca_penalty(t_soft, gamma):
     # NaN fails every comparison
     if not (gamma >= 0 and _finite(gamma)):
         raise ValueError("gamma must be finite and non-negative")
-    if not np.isfinite(t_soft).all():
+    if not np.isfinite(_as_floats(t_soft, "t_soft")).all():
         raise ValueError("t_soft must be finite")
     gap = 0.5 - t_soft
     return gamma * gap * gap, -2.0 * gamma * gap

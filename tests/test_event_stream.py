@@ -271,13 +271,28 @@ class TestStream:
 
     @pytest.mark.parametrize("column", ["t", "y", "p"])
     def test_int_past_the_float_range_named_at_its_row(self, column):
-        """With parse_records' wording for such a number, after a valid row."""
-        columns = {"t": [0.0, 1.0, 2.0], "y": [1, 1, 0], "p": [0.1, 0.1, 0.9]}
-        columns[column][1] = 10**400
-        with pytest.raises(InvalidValue, match=r"^row 1: t, y, p must be numeric$"):
-            EvalStream(columns["t"], columns["y"], columns["p"])
-        with pytest.raises(InvalidValue, match=r"^row 0: id must be a string$"):
-            EvalStream(columns["t"], columns["y"], columns["p"], [None, "b", "c"])
+        """With parse_records' wording for such a number, after a valid row;
+        so is any other value that is not a real number, with no warning. A
+        complex array, even with no imaginary part, is named at row 0, as
+        errors._as_floats names it by its kind."""
+        for value in [10**400, 1j, 1 + 0j, "a", None, {}, np.complex128(1j)]:
+            columns = {"t": [0.0, 1.0, 2.0], "y": [1, 1, 0], "p": [0.1, 0.1, 0.9]}
+            columns[column][1] = value
+            if isinstance(value, np.complex128):  # kept as it is in an object array
+                columns[column] = np.array(columns[column], dtype=object)
+            row = 0 if np.asarray(columns[column]).dtype.kind == "c" else 1
+            with pytest.raises(InvalidValue, match=rf"^row {row}: t, y, p must be numeric$"):
+                EvalStream(columns["t"], columns["y"], columns["p"])
+            with pytest.raises(InvalidValue, match=r"^row 0: id must be a string$"):
+                EvalStream(columns["t"], columns["y"], columns["p"], [None, "b", "c"])
+
+    def test_numeric_strings_and_bools_accepted(self):
+        stream = EvalStream(["0", " 1.5", "2e0"], ["1", "1", "0.0"], np.array(["0", "1", "1"]))
+        assert stream.t.tolist() == [0.0, 1.5, 2.0]
+        assert stream.y.tolist() == [1, 1, 0] and stream.y.dtype == np.int64
+        assert stream.p.tolist() == [0.0, 1.0, 1.0] and stream.p.dtype == np.float64
+        stream = EvalStream([0, 1, 2], [True, True, False], [False, True, np.True_])
+        assert stream.y.tolist() == [1, 1, 0] and stream.p.tolist() == [0.0, 1.0, 1.0]
 
     def test_first_bad_row_is_named(self):
         with pytest.raises(InvalidValue) as err:
@@ -1020,7 +1035,9 @@ class TestLayoutFastPath:
         assert reads == ["reader"]
         assert_same_as_row_path(text, "csv", path=tmp_path / "quoted.csv")
 
-    def test_parsed_columns_are_checked_once(self, monkeypatch):
+    def test_each_chunk_is_checked_then_the_stream(self, monkeypatch):
+        """Each chunk is checked before the next is read, and the stream's
+        constructor, the one way to build a stream, checks the whole."""
         n = 3 * event_stream._CHUNK_ROWS
         stream = random_stream(n, [f"e{i}" for i in range(n)])
         sizes, check = [], event_stream._check_values
@@ -1033,7 +1050,7 @@ class TestLayoutFastPath:
         for fmt in ("jsonl", "csv"):
             sizes.clear()
             assert_same_stream(parse_records(serialize_records(stream, fmt), fmt), stream)
-            assert sum(sizes) == n and max(sizes) < n
+            assert sizes[-1] == n and sum(sizes[:-1]) == n and max(sizes[:-1]) < n
 
 
 def parsed_or_raise(source, fmt):

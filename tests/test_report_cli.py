@@ -346,12 +346,12 @@ def exit_code(argv):
         return exc.code
 
 
-def sized_argv(tmp_path, flag, count):
+def sized_argv(tmp_path, flag, count, pattern="random", errors=2):
     """synth --events count, or evaluate --density-bins count, and the
     output path it would write."""
     out = tmp_path / "out"
     if flag == "--events":
-        return ["synth", "--pattern", "random", "--events", str(count), "--errors", "2",
+        return ["synth", "--pattern", pattern, "--events", str(count), "--errors", str(errors),
                 "--out", str(out)], out
     log = tmp_path / "log.jsonl"
     log.write_text(synthetic_jsonl())
@@ -376,12 +376,17 @@ class TestOversizedCounts:
         assert "error" in captured.err and "Traceback" not in captured.err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, last", [("--events", MAX_COUNT), ("--density-bins", MAX_BINS)])
-    def test_both_sides_of_the_bound(self, flag, last, tmp_path, capsys):
-        argv, _ = sized_argv(tmp_path, flag, last)
-        assert exit_code(argv) == 1
-        assert capsys.readouterr().err.startswith("error: out of memory: ")
-        argv, out = sized_argv(tmp_path, flag, last + 1)
+    @pytest.mark.parametrize("flag, last, pattern", [
+        *[("--events", MAX_COUNT, pattern) for pattern in ("random", "clustered", "regular")],
+        ("--density-bins", MAX_BINS, None),
+    ])
+    def test_both_sides_of_the_bound(self, flag, last, pattern, tmp_path, capsys):
+        """synth runs out of memory with 2 errors and with errors at or one below the bound."""
+        for errors in (2, last - 1, last) if pattern else (2,):
+            argv, _ = sized_argv(tmp_path, flag, last, pattern, errors)
+            assert exit_code(argv) == 1
+            assert capsys.readouterr().err.startswith("error: out of memory: ")
+        argv, out = sized_argv(tmp_path, flag, last + 1, pattern)
         assert exit_code(argv) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()

@@ -526,9 +526,17 @@ class TestVcaPenalty:
         for gamma in (np.nan, np.inf, 10**400):
             with pytest.raises(ValueError, match="^gamma must be finite"):
                 vca_penalty(0.3, gamma)
-        for t_soft in (np.nan, np.array([0.3, np.nan])):
-            with pytest.raises(ValueError, match="^t_soft must be finite"):
+        for t_soft, rule in [(np.nan, "finite"), (np.array([0.3, np.nan]), "finite"),
+                             (10**400, "finite"), (1j, "real, not complex")]:
+            with pytest.raises(ValueError, match=f"^t_soft must be {rule}$"):
                 vca_penalty(t_soft, 0.1)
+
+    def test_real_input_keeps_its_type(self):
+        value, slope = vca_penalty(0.3, 0.1)
+        assert type(value) is float and type(slope) is float
+        assert (value, slope) == (0.1 * 0.2 * 0.2, -2.0 * 0.1 * 0.2)
+        value, slope = vca_penalty(np.array([0.3, 0.5]), 0.1)
+        assert isinstance(value, np.ndarray) and isinstance(slope, np.ndarray)
 
 
 class TestEffectiveBeta:
