@@ -10,6 +10,7 @@ failure or MemoryError, 2 input error, OSError or UnicodeDecodeError,
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -22,6 +23,17 @@ EXIT_UNDEFINED = 3
 def _integers(*values):
     """The integer rule of the argument checks: int or numpy integer, not bool."""
     return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
+
+
+def _real(name, *values):
+    """The type rule of the scalar arguments: TypeError naming name unless every
+    value is a real number, a bool, int or float of Python or numpy, or an array
+    of them. A string, None or a complex number is not, even where float()
+    would read it."""
+    for value in values:
+        if not (isinstance(value, numbers.Real)
+                or isinstance(value, (np.ndarray, np.generic)) and value.dtype.kind in "biuf"):
+            raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
 
 
 def _finite(*values):

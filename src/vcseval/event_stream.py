@@ -41,9 +41,12 @@ _CHUNK_ROWS = 2048
 # The layout serialize_records writes, line by line: JSON numbers without a
 # minus sign (json reads "-0" as the int 0, loadtxt as -0.0) and ids that
 # spell out a row index. A piece that is nothing else is read by np.loadtxt.
-# Digits with no leading zero match as 0|[1-9][0-9]* does, but faster.
-_INDEX = r"(?!0[0-9])[0-9]+"
-_NUMBER = _INDEX + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+# Digits with no leading zero match as 0|[1-9][0-9]* does, but faster. Each
+# repeat is possessive, so fullmatch keeps no state to backtrack into: no
+# character that may follow a digit run, sign, fraction or exponent in a
+# layout can extend it, so the possessive spelling accepts the same lines.
+_INDEX = r"(?!0[0-9])[0-9]++"
+_NUMBER = _INDEX + r"(?:\.[0-9]++)?+(?:[eE][-+]?+[0-9]++)?+"
 
 
 def _layout(line):
@@ -74,7 +77,7 @@ class EvalStream:
     """
 
     def __init__(self, t, y, p, ids=None):
-        t, y, p = map(np.asarray, (t, y, p))
+        t, y, p = map(_column, (t, y, p))
         if t.ndim != 1 or not t.shape == y.shape == p.shape:
             raise ValueError("t, y and p must be 1-d and of equal length")
         if ids is not None and len(ids) != t.size:
@@ -93,6 +96,16 @@ class EvalStream:
 
     def __len__(self):
         return self.t.size
+
+
+def _column(values):
+    """values as an array. A sequence that numpy reads as strings is read
+    again as objects, so that each value is judged as itself: numpy would
+    spell a True among strings "True", and a float32 by its shortest repr."""
+    column = np.asarray(values)
+    if column.dtype.kind in "SU" and not isinstance(values, np.ndarray):
+        return np.asarray(values, dtype=object)
+    return column
 
 
 def _check_values(t, y, p, ids=None):

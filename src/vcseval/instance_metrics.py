@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NoPositives, OneClassOnly, _as_floats, _finite
+from .errors import LengthMismatch, NoPositives, OneClassOnly, _as_floats, _finite, _real
 
 AGGREGATORS = ("sum", "mean", "one_minus_mean")
 
@@ -26,6 +26,7 @@ class InstanceMetricSpec:
     aggregator: str = "one_minus_mean"
 
     def __post_init__(self):
+        _real("mismatch_weight", self.mismatch_weight)
         # NaN fails every comparison
         if not (self.mismatch_weight > 0 and _finite(self.mismatch_weight)):
             raise ValueError("mismatch_weight must be positive and finite")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteGradient, NonFiniteLoss, _as_floats, _finite, _integers
+from .errors import NonFiniteGradient, NonFiniteLoss, _as_floats, _finite, _integers, _real
 from .event_stream import EvalStream
 from .soft_vca import _soft_t, effective_beta, vca_penalty, weighted_soft_t
 from .vcs import evaluate_stream
@@ -34,6 +34,7 @@ class TrainConfig:
     def __post_init__(self):
         if not (_integers(self.epochs) and self.epochs >= 1):
             raise ValueError("epochs must be a positive integer")
+        _real("gamma", self.gamma)
         # NaN fails every comparison
         if not (self.gamma >= 0 and _finite(self.gamma)):
             raise ValueError("gamma must be finite and non-negative")

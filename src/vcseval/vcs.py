@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateDistances, NoPositives, OneClassOnly, TooFewDisagreements,
-                     _as_floats, _finite, _integers)
+                     _as_floats, _finite, _integers, _real)
 from .event_stream import disagreement_set
 from .instance_metrics import auroc, average_precision
 
@@ -59,6 +59,7 @@ class VcsConfig:
     def __post_init__(self):
         if not (_integers(self.tau) and self.tau >= 1):
             raise ValueError("tau must be a positive integer")
+        _real("subsample_fraction", self.subsample_fraction)
         if not 0.0 < self.subsample_fraction < 1.0:
             raise ValueError("subsample_fraction must lie in (0, 1)")
         if not (_integers(self.seed) and 0 <= self.seed < 2**64):
@@ -263,6 +264,7 @@ def vcs(times, period, config=VcsConfig()):
     if np.shape(period) != (2,):
         raise ValueError("period must be a (start, end) pair with start <= end")
     t_start, t_end = period
+    _real("period end", t_start, t_end)
     if not _finite(t_start, t_end):
         raise ValueError("period must be finite")
     if t_start > t_end:

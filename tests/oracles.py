@@ -15,7 +15,10 @@ record_values raise the package's public MalformedRecord and EmptyInput,
 whose messages they must match. average_precision_ranks and auroc_ranks
 are the rank-array formulas that the package's counting average_precision
 and auroc must match bit for bit. records_text is the writer one row at a
-time, which serialize_records must match byte for byte.
+time, which serialize_records must match byte for byte. doubling_logsum
+is the package's prefix log-sum scan with every doubling pass run; the
+package's scan, which stops at a pass it proves empty, must match it bit
+for bit.
 """
 
 import csv
@@ -193,6 +196,30 @@ def one_point_soft_nn_distance(times, index, beta):
     if not math.isfinite(d):
         raise ValueError("soft minimum is not finite at this beta")
     return float(d)
+
+
+def doubling_logsum(gaps, ell):
+    """Laplace-kernel prefix log-sums down each column, excluding the row itself.
+
+    ell: (m, c) log-weights of m points in time order; gaps: (m - 1, c),
+    beta times the gaps between neighbours. Row k holds
+    log sum_{j<k} exp(ell[j] - beta * (t_k - t_j)), by log-depth
+    doubling with every pass run: after the pass with stride h, row k
+    covers the 2h rows before it.
+    """
+    m = ell.shape[0]
+    acc = np.empty_like(ell)
+    acc[0] = -np.inf
+    np.subtract(ell[:-1], gaps, out=acc[1:])
+    decay = gaps
+    step = 1
+    while step < m - 1:
+        if step > 1:
+            half = step // 2
+            decay = decay[half:] + decay[:-half]
+        np.logaddexp(acc[step:], acc[:-step] - decay, out=acc[step:])
+        step *= 2
+    return acc
 
 
 def mask_soft_nn_gradient(times, index, beta):

@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -293,6 +294,15 @@ class TestStream:
         assert stream.p.tolist() == [0.0, 1.0, 1.0] and stream.p.dtype == np.float64
         stream = EvalStream([0, 1, 2], [True, True, False], [False, True, np.True_])
         assert stream.y.tolist() == [1, 1, 0] and stream.p.tolist() == [0.0, 1.0, 1.0]
+
+    def test_mixed_lists_read_each_value_as_itself(self):
+        """numpy reads these lists as strings, "True" and "0.1"; each value is
+        read as itself, as float() reads it."""
+        assert EvalStream(["1", True], [0, 1], [0.5, 0.5]).t.tolist() == [1.0, 1.0]
+        stream = EvalStream([np.float32(0.1), "0.5"], [0, 1], [0.5, 0.5])
+        assert stream.t.tolist() == [0.10000000149011612, 0.5]
+        stream = EvalStream([0, 1], ["1", False], [b"0.5", np.float16(0.1)])
+        assert stream.y.tolist() == [1, 0] and stream.p.tolist() == [0.5, float(np.float16(0.1))]
 
     def test_first_bad_row_is_named(self):
         with pytest.raises(InvalidValue) as err:
@@ -902,6 +912,12 @@ JSONL_LINES = {
     "padded": ' {{"t": {t}, "y": {y}, "p": {p}, "id": "{i}"}} ',
     "blank": "",
     "trailing-comma": '{{"t": {t}, "y": {y}, "p": {p}, "id": "{i}",}}',
+    # number spellings np.loadtxt reads and JSON rejects
+    "leading-zero": '{{"t": 01.5, "y": {y}, "p": {p}, "id": "{i}"}}',
+    "no-integer-part": '{{"t": {t}, "y": {y}, "p": .5, "id": "{i}"}}',
+    "no-fraction-digits": '{{"t": 5., "y": {y}, "p": {p}, "id": "{i}"}}',
+    "plus-sign": '{{"t": +5, "y": {y}, "p": {p}, "id": "{i}"}}',
+    "point-before-exponent": '{{"t": 1.e5, "y": {y}, "p": {p}, "id": "{i}"}}',
 }
 CSV_LINES = {
     "canonical": "{t},{y},{p},{i}",
@@ -919,7 +935,41 @@ CSV_LINES = {
     "upper-exponent": "1E5,1E0,1E-1,{i}",
     "float-y": "{t},{y}.0,{p},{i}",
     "spaces": " {t},{y},{p} ,{i}",
+    "leading-zero": "01.5,{y},{p},{i}",
+    "no-integer-part": "{t},{y},.5,{i}",
+    "no-fraction-digits": "5.,{y},{p},{i}",
+    "plus-sign": "+5,{y},{p},{i}",
+    "point-before-exponent": "1.e5,{y},{p},{i}",
 }
+
+
+# The layouts' numbers and indices spelt with plain repeats, and pieces of
+# text to draw lines from: digits, the characters of a number, separators
+# and the JSONL keys
+PLAIN_INDEX = r"(?!0[0-9])[0-9]+"
+PLAIN_NUMBER = PLAIN_INDEX + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+LAYOUT_ALPHABET = "0123456789.eE+-,\n" + '{}"typid: '
+LAYOUT_TOKENS = [*"0123456789.eE+-,\n", "00", "10", "0.5", "1e5", "2E-3", "12.25e+01",
+                 '{"t": ', ', "y": ', ', "p": ', ', "id": "', '"', "}", "}\n"]
+
+# numbers in the layout's grammar, and spellings just outside it
+LAYOUT_NUMBERS = ["0", "7", "10", "0.5", "1e5", "2E-3", "12.25e+01", "3.0E7"]
+NEAR_NUMBERS = st.one_of(
+    st.sampled_from(["01", "00", "5.", ".5", "+5", "-5", "1.e5", "1e", "1e+", "1E-", "e5", "1.5.2"]),
+    st.text("0123456789.eE+-", min_size=1, max_size=6))
+
+
+@st.composite
+def layout_lines(draw):
+    """A JSONL or CSV line in a layout's shape whose fields are numbers of its
+    grammar, but for at most one drawn near it."""
+    fields = [draw(st.sampled_from(LAYOUT_NUMBERS)) for _ in range(4)]
+    if draw(st.booleans()):
+        fields[draw(st.integers(0, 3))] = draw(NEAR_NUMBERS)
+    t, y, p, i = fields
+    return draw(st.sampled_from([f'{{"t": {t}, "y": {y}, "p": {p}}}',
+                                 f'{{"t": {t}, "y": {y}, "p": {p}, "id": "{i}"}}',
+                                 f"{t},{y},{p}", f"{t},{y},{p},{i}"]))
 
 
 @st.composite
@@ -963,6 +1013,23 @@ class TestLayoutFastPath:
             got = parsed(text, fmt)
         assert got == outcome(lambda: row_path(text, fmt))
         event(f"{fmt} ok={isinstance(got[0], bytes)} pieces read fast: {min(sum(fast), 2)}")
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.text(LAYOUT_ALPHABET, max_size=40),
+        st.lists(st.sampled_from(LAYOUT_TOKENS), max_size=30).map("".join),
+        st.lists(layout_lines(), min_size=1, max_size=4).map("\n".join)))
+    def test_possessive_numbers_accept_what_plain_ones_do(self, text):
+        """Every layout accepts the same pieces with the plain repeats of its
+        numbers and indices, 0|[1-9][0-9]* style, as with the possessive ones."""
+        accepted = []
+        for layout in [event_stream._JSONL_LAYOUT, *event_stream._CSV_LAYOUTS.values()]:
+            pattern = layout.pattern.replace(event_stream._NUMBER, PLAIN_NUMBER)
+            plain = re.compile(pattern.replace(event_stream._INDEX, PLAIN_INDEX))
+            assert plain.pattern.count("++") == 1  # the atomic line repeat
+            accepted.append(bool(layout.fullmatch(text)))
+            assert accepted[-1] == bool(plain.fullmatch(text))
+        event(f"accepted by a layout: {any(accepted)}")
 
     @pytest.mark.parametrize("at", [0, 3], ids=["first", "fourth"])
     @pytest.mark.parametrize("fmt,kind", [("jsonl", kind) for kind in JSONL_LINES]

@@ -1,5 +1,7 @@
+import collections
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from vcseval import (
     vca_penalty,
     weighted_soft_t,
 )
+from vcseval import soft_vca
+from vcseval.report_cli import main
 from vcseval.soft_vca import FALLBACK_BETA, TARGET_SHARPNESS, _soft_t
 
 from . import oracles
@@ -499,6 +503,120 @@ class TestStackedRows:
                 warnings.simplefilter("error")
                 trial = _soft_t(times, stack, ref, 5.0, gradient=False)
                 assert np.isfinite(trial.t_soft).all()
+
+
+@st.composite
+def logsum_cases(draw):
+    """(gaps, ell) of _exclusive_logsum: m from 2 to 2000 points in c
+    columns; gaps from 1e-3 to 1e18 with ties and maybe a late burst of
+    close points, as in train-demo; log-weights of 0, of weights in
+    (0, 1] or spread wide, with -inf entries and rows, offset by up to
+    1e300."""
+    m, c = draw(st.integers(2, 2000)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = rng.exponential(10.0 ** draw(st.floats(-3.0, 18.0)), (m - 1, c))
+    gaps[rng.random((m - 1, c)) < draw(st.floats(0.0, 0.5))] = 0.0
+    if draw(st.booleans()):
+        gaps[draw(st.integers(0, m - 1)):] *= 10.0 ** draw(st.floats(-9.0, -1.0))
+    kind = draw(st.sampled_from(["zero", "weights", "wide"]))
+    ell = {"zero": np.zeros((m, c)), "weights": np.log1p(-rng.random((m, c))),
+           "wide": rng.normal(0.0, 10.0 ** draw(st.floats(0.0, 4.0)), (m, c))}[kind]
+    ell[rng.random((m, c)) < draw(st.sampled_from([0.0, 0.01, 0.3, 0.9]))] = -np.inf
+    ell[rng.random(m) < draw(st.sampled_from([0.0, 0.05]))] = -np.inf
+    ell += draw(st.sampled_from([0.0, 0.0, 2.0**53, -(2.0**53), 3e16, -1e20, 1e300, -1e300]))
+    return gaps, ell
+
+
+def absorbed_decay_case():
+    """A scan that the certificate's first condition alone would stop at
+    stride 64: the decay of 2**66 over rows 1 to 65 absorbs the decay of
+    5000 over rows 65 to 129 when the two are summed for stride 128, so
+    that pass adds to row 129 a source 2000 above its target."""
+    m = 130
+    gaps, ell = np.zeros((m - 1, 1)), np.zeros((m, 1))
+    ell[0] = gaps[1] = 2.0**66
+    ell[2:65] = 50 - math.log(63)
+    ell[65:] = 3000 - math.log(64)
+    gaps[128] = 5000.0
+    return gaps, ell
+
+
+def _scan_warnings(scan, gaps, ell):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = scan(gaps, ell)
+    return got, {(w.category, str(w.message)) for w in caught}
+
+
+class TestCertifiedScan:
+    """_exclusive_logsum, which stops at the first pass its certificate
+    proves empty, against every doubling pass in tests/oracles.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(logsum_cases())
+    @example(absorbed_decay_case())
+    def test_matches_every_pass_bit_for_bit(self, case):
+        gaps, ell = case
+        checks, check = [], soft_vca._adds_nothing
+
+        def recording_check(target, source, gaps):
+            checks.append(check(target, source, gaps))
+            return checks[-1]
+
+        with mock.patch.object(soft_vca, "_adds_nothing", recording_check):
+            got, got_warnings = _scan_warnings(soft_vca._exclusive_logsum, gaps, ell)
+        want, want_warnings = _scan_warnings(oracles.doubling_logsum, gaps, ell)
+        assert got.tobytes() == want.tobytes()
+        # the certified scan runs a prefix of the oracle's operations
+        assert got_warnings <= want_warnings
+        event(f"stopped early: {any(checks)}")
+
+    def test_the_magnitude_bound_is_needed(self, monkeypatch):
+        gaps, ell = absorbed_decay_case()
+        want = oracles.doubling_logsum(gaps, ell)
+        assert soft_vca._exclusive_logsum(gaps, ell).tobytes() == want.tobytes()
+        monkeypatch.setattr(soft_vca, "_CHECKED_MAGNITUDE", math.inf)
+        got = soft_vca._exclusive_logsum(gaps, ell)
+        assert want[129, 0] - got[129, 0] > 1999
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_targets_are_never_certified(self, zero):
+        """Every target at stride 64 is one source's zero log-weight and every
+        source -inf, so every difference is inf: only min |x| > 0 declines."""
+        m = 128
+        gaps, ell = np.zeros((m - 1, 1)), np.full((m, 1), -np.inf)
+        ell[63] = zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = soft_vca._exclusive_logsum(gaps, ell)
+        assert got.tobytes() == oracles.doubling_logsum(gaps, ell).tobytes()
+        assert (got[64:] == 0.0).all()
+
+    def test_train_demo_scans_stop_early_and_match(self, capsys):
+        """Recorded: train-demo --seeds 1 --epochs 200 makes 400 scans of m =
+        750 rows, and each stops at stride 64 or 128."""
+        strides, check, scan = collections.Counter(), soft_vca._adds_nothing, soft_vca._exclusive_logsum
+
+        def recording_check(target, source, gaps):
+            certified = check(target, source, gaps)
+            strides[gaps.shape[0] + 1 - target.shape[0], certified] += 1
+            return certified
+
+        def compared_scan(gaps, ell):
+            got = scan(gaps, ell)
+            assert got.tobytes() == oracles.doubling_logsum(gaps, ell).tobytes()
+            return got
+
+        with mock.patch.object(soft_vca, "_adds_nothing", recording_check), \
+                mock.patch.object(soft_vca, "_exclusive_logsum", compared_scan):
+            assert main(["train-demo", "--seeds", "1", "--epochs", "200"]) == 0
+        capsys.readouterr()
+        assert strides == {(64, True): 354, (64, False): 46, (128, True): 46}
+
+    def test_gradcheck_scans_never_reach_the_first_checked_stride(self, capsys):
+        with mock.patch.object(soft_vca, "_adds_nothing", side_effect=AssertionError):
+            assert main(["gradcheck", "--trials", "20", "--seed", "0"]) == 0
+        capsys.readouterr()
 
 
 class TestVcaPenalty:
