@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecViolation, _finite, _integers
+from .errors import SpecViolation, _finite, _integers, _real
 from .event_stream import EvalStream
 
 PATTERN_KINDS = ("random", "clustered", "regular")
@@ -61,8 +61,10 @@ class PatternSpec:
         overflow = not _finite((self.n_errors - 0.5) * (t_end - t_start))
         if self.kind == "regular" and overflow:
             raise SpecViolation("regular pattern: (n_errors - 0.5) * period length overflows")
+        _real("cluster_center", self.cluster_center)
         if not 0.0 <= self.cluster_center <= 1.0:
             raise SpecViolation("cluster_center must lie in [0, 1]")
+        _real("cluster_width", self.cluster_width)
         if not 0.0 < self.cluster_width <= 1.0:
             raise SpecViolation("cluster_width must lie in (0, 1]")
         if not (_integers(self.seed) and self.seed >= 0):
@@ -94,6 +96,7 @@ class DriftSpec:
             raise SpecViolation("n_events and feature_dim must be integers")
         if not 2 <= self.n_events <= _MAX_COUNT:
             raise SpecViolation(f"n_events must lie in [2, {_MAX_COUNT}]")
+        _real("drift_onset", self.drift_onset)
         if not 0.0 < self.drift_onset < 1.0:
             raise SpecViolation("drift_onset must lie in (0, 1)")
         if self.feature_dim < 1:
@@ -101,13 +104,17 @@ class DriftSpec:
         if int(self.n_events) * int(self.feature_dim) > _MAX_COUNT:
             raise SpecViolation(f"n_events * feature_dim must be at most {_MAX_COUNT}")
         _period(self.period)
+        _real("burst_fraction", self.burst_fraction)
         if not 0.0 <= self.burst_fraction < 1.0:
             raise SpecViolation("burst_fraction must lie in [0, 1)")
+        _real("post_class1_rate", self.post_class1_rate)
         if not 0.0 <= self.post_class1_rate <= 1.0:
             raise SpecViolation("post_class1_rate must lie in [0, 1]")
+        _real("class_separation", self.class_separation)
         # NaN fails every comparison
         if not (self.class_separation >= 0 and _finite(self.class_separation)):
             raise SpecViolation("class_separation must be finite and non-negative")
+        _real("drift_shift", self.drift_shift)
         if not _finite(self.drift_shift):
             raise SpecViolation("drift_shift must be finite")
         if not (_integers(self.seed) and self.seed >= 0):

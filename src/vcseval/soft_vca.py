@@ -297,18 +297,29 @@ def weighted_soft_t(timestamps, weights, random_times, beta):
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _soft_t(timestamps, weights, random_times, beta, gradient):
+def _soft_t(timestamps, weights, random_times, beta, gradient, per_row=False):
     """weighted_soft_t, whose weight_gradient is None unless gradient is set.
 
     Without the gradient every other field is bit-identical, and it
     raises what weighted_soft_t raises, except that a gradient entry
     that is not finite raises nothing unless d_disg_soft or t_soft is
     not finite too.
+
+    With per_row set, timestamps is a (c, n) stack and random_times a
+    (c, r) stack, one row of each per row of the (c, n) weights, so row
+    i is the problem (timestamps[i], weights[i], random_times[i]). Each
+    row has its own sort and scan columns; every field of a row is
+    bit-identical to that problem's own weighted_soft_t call, and a
+    stack with an invalid row raises what that row raises alone.
     """
     t = _as_floats(timestamps, "timestamps")
     w = _as_floats(weights, "weights", "must lie in [0, 1]")
     r = _as_floats(random_times, "random_times")
-    if t.ndim != 1 or w.ndim not in (1, 2) or w.shape[-1] != t.size:
+    if per_row:
+        if not (t.ndim == r.ndim == 2 and t.shape == w.shape and r.shape[0] == t.shape[0]):
+            raise ValueError(
+                "per row, timestamps and weights must be (c, n) and random_times (c, r)")
+    elif t.ndim != 1 or w.ndim not in (1, 2) or w.shape[-1] != t.size:
         raise ValueError("timestamps must be 1-d and weights (n,) or (c, n) for n timestamps")
     if not ((w >= 0) & (w <= 1)).all():
         raise ValueError("weights must lie in [0, 1]")
@@ -329,28 +340,32 @@ def _soft_t(timestamps, weights, random_times, beta, gradient):
     _real("beta", beta)
     if not (beta > 0 and _finite(beta)):
         raise ValueError("beta must be positive and finite")
-    if r.ndim != 1:
+    if not per_row and r.ndim != 1:
         raise ValueError("random_times must be 1-d")
 
-    # Events and reference times share one sorted sequence. A point
-    # that is not a source of a sum carries log-weight -inf in it, so
-    # one self-excluded sum covers event-to-event and event-to-reference
-    # terms alike. Each weight row is one column of the scans.
-    n, c = t.size, rows.shape[0]
-    merged = np.concatenate((t, r))
-    order = np.argsort(merged, kind="stable")
-    times = merged[order]
-    gaps = ((times[1:] - times[:-1]) * beta)[:, None]
-    log_w = np.log(np.concatenate((rows, np.zeros((c, r.size))), axis=1)[:, order].T)
+    # Events and reference times share one sorted sequence per row of
+    # points, which every weight row shares unless per_row is set. A
+    # point that is not a source of a sum carries log-weight -inf in it,
+    # so one self-excluded sum covers event-to-event and
+    # event-to-reference terms alike. Each weight row is one column of
+    # the scans.
+    n, c, n_ref = t.shape[-1], rows.shape[0], r.shape[-1]
+    merged = np.concatenate((t, r), axis=-1)
+    order = np.atleast_2d(np.argsort(merged, axis=-1, kind="stable"))
+    # (row, position) of each sorted point in every (c, n + r) array
+    sort = (np.arange(c)[:, None], order) if per_row else (slice(None), order[0])
+    times = np.atleast_2d(merged)[sort]
+    gaps = ((times[:, 1:] - times[:, :-1]) * beta).T
+    log_w = np.log(np.concatenate((rows, np.zeros((c, n_ref))), axis=1)[sort].T)
     log_s = _self_excluded_logsum(gaps, log_w)
 
     # soft distances -log S / beta, one row per weight row, in input order
-    d = np.empty((c, merged.size))
-    d[:, order] = log_s.T
+    d = np.empty((c, n + n_ref))
+    d[sort] = log_s.T
     d /= -beta
     w_total = rows.sum(axis=1, keepdims=True)
     b = (rows * d[:, :n]).sum(axis=1, keepdims=True) / w_total
-    a = d[:, n:].sum(axis=1, keepdims=True) / r.size
+    a = d[:, n:].sum(axis=1, keepdims=True) / n_ref
     denom = a + b
     t_soft = a / denom
     # t_soft is NaN where a is not finite, but 0 where only b is. A soft
@@ -368,15 +383,16 @@ def _soft_t(timestamps, weights, random_times, beta, gradient):
         # are kernel sums with log-weights log(w_k / beta) - log S_k and
         # -log(beta * r) - log S_k. The 1/beta inside the exponent keeps
         # exp from overflowing where the divided value fits.
-        ell = np.empty((order.size, 2 * c))
+        ell = np.empty((n + n_ref, 2 * c))
         ell[:, :c] = log_w - (log_s + math.log(beta))
-        ell[:, c:] = np.where((order >= n)[:, None], -(log_s + math.log(beta * r.size)), -np.inf)
+        ell[:, c:] = np.where((order >= n).T, -(log_s + math.log(beta * n_ref)), -np.inf)
 
-        # rows [event sums, reference sums] per weight row, in input order
-        sums = np.empty((2 * c, order.size))
-        sums[:, order] = np.exp(_self_excluded_logsum(gaps, ell)).T
-        db = (d[:, :n] - sums[:c, :n] - b) / w_total
-        da = -sums[c:, :n]
+        # [event sums, reference sums] of each weight row, in input order
+        sums = np.empty((2, c, n + n_ref))
+        both = np.tile(gaps, 2) if per_row else gaps  # a row's gaps serve both its columns
+        sums[(slice(None), *sort)] = np.exp(_self_excluded_logsum(both, ell)).T.reshape(2, c, -1)
+        db = (d[:, :n] - sums[0, :, :n] - b) / w_total
+        da = -sums[1, :, :n]
         dt = (da * b - a * db) / (denom * denom)
         if not np.isfinite(dt).all():
             raise NonFiniteGradient("weighted soft T weight gradient is not finite")
@@ -425,8 +441,7 @@ def finite_difference_check(value, point, step=1e-6):
     if x.size == 0:
         return 0.0
     d = x.size
-    shift = np.diag(np.full(d, step))
-    values, grad = value(np.concatenate((x[None], x + shift, x - shift)))
+    values, grad = value(_difference_rows(x[None], step))
     values = np.asarray(values, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     if values.shape != (2 * d + 1,):
@@ -438,3 +453,17 @@ def finite_difference_check(value, point, step=1e-6):
         err = np.abs(fd - grad) / np.maximum(1.0, np.maximum(np.abs(fd), np.abs(grad)))
     err[~(np.isfinite(fd) & np.isfinite(grad))] = np.inf
     return float(err.max())
+
+
+def _difference_rows(points, step):
+    """finite_difference_check's stacks for a (g, d) array of points.
+
+    For each point x in turn, the 2d + 1 rows x, then x + step * e_i for
+    i < d, then x - step * e_i, as one (g * (2d + 1), d) array. Adding
+    -0.0 keeps every bit of x, and adding -step * e_i, whose other
+    entries are -0.0, those of x - step * e_i.
+    """
+    d = points.shape[-1]
+    shift = np.diag(np.full(d, step))
+    shifts = np.concatenate((np.full((1, d), -0.0), shift, -shift))
+    return (points[:, None, :] + shifts).reshape(-1, d)

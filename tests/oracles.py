@@ -18,7 +18,11 @@ and auroc must match bit for bit. records_text is the writer one row at a
 time, which serialize_records must match byte for byte. doubling_logsum
 is the package's prefix log-sum scan with every doubling pass run; the
 package's scan, which stops at a pass it proves empty, must match it bit
-for bit.
+for bit. sequential_gradcheck is the gradcheck command as a loop of one
+trial at a time, each scored in its own calls of the public soft-T
+functions; the command, which scores a block of trials in one stacked
+call per shape, must print the same bytes. It calls the trainer's
+private value-only loss for the perturbed rows, as the command does.
 """
 
 import csv
@@ -29,11 +33,12 @@ from collections import namedtuple
 
 import numpy as np
 
-from vcseval import (EmptyInput, InsufficientSet, LossBreakdown, MalformedRecord,
-                     NonFiniteGradient, NonFiniteLoss, effective_beta, vca_penalty,
-                     weighted_soft_t)
+from vcseval import (DriftSpec, EmptyInput, InsufficientSet, LossBreakdown, MalformedRecord,
+                     NonFiniteGradient, NonFiniteLoss, TrainConfig, combined_loss,
+                     effective_beta, finite_difference_check, generate_drift_dataset,
+                     soft_nn_distance, soft_nn_gradient, vca_penalty, weighted_soft_t)
 from vcseval.soft_vca import _self_excluded_logsum
-from vcseval.toy_trainer import P_CLAMP, WEIGHT_FLOOR
+from vcseval.toy_trainer import P_CLAMP, WEIGHT_FLOOR, _losses
 
 
 def brute_nn_distance(index, times):
@@ -407,6 +412,82 @@ def one_point_combined_loss(theta, batch, config, step):
     if not np.isfinite(total) or not np.all(np.isfinite(gradient)):
         raise NonFiniteLoss(step, "loss or gradient is not finite")
     return LossBreakdown(ce, float(penalty), float(total), gradient, skipped, n_clamped)
+
+
+def _tie_free_times(rng, n):
+    while True:
+        times = rng.random(n) * 10.0
+        if np.min(np.diff(np.sort(times))) > 1e-2:
+            return times
+
+
+def _gradcheck_soft_nn(rng, step, beta):
+    n = int(rng.integers(4, 13))
+    times = _tie_free_times(rng, n)
+
+    def value(points):
+        return soft_nn_distance(points, 0, beta), soft_nn_gradient(points[0], 0, beta)
+
+    return finite_difference_check(value, times, step)
+
+
+def _gradcheck_weighted(rng, step, beta, compose_penalty):
+    n = int(rng.integers(4, 11))
+    times = _tie_free_times(rng, n)
+    ref = _tie_free_times(rng, int(rng.integers(3, 7)))
+    w0 = 0.1 + 0.8 * rng.random(n)
+
+    def value(weight_rows):
+        trial = weighted_soft_t(times, weight_rows, ref, beta)
+        if not compose_penalty:
+            return trial.t_soft, trial.weight_gradient[0]
+        penalty, slope = vca_penalty(trial.t_soft, 0.1)
+        return penalty, slope[0] * trial.weight_gradient[0]
+
+    return finite_difference_check(value, w0, step)
+
+
+def _gradcheck_combined(rng, step):
+    spec = DriftSpec(n_events=40, seed=int(rng.integers(0, 2**31)))
+    ds = generate_drift_dataset(spec)
+    theta0 = 0.5 * rng.standard_normal(spec.feature_dim + 1)
+    config = TrainConfig(gamma=0.1, seed=int(rng.integers(0, 2**31)))
+
+    def value(thetas):
+        point = combined_loss(thetas[0], ds, config, step=0)
+        rest = _losses(thetas[1:], ds, config, 0, gradient=False).total
+        return np.concatenate(([point.total], rest)), point.gradient
+
+    return finite_difference_check(value, theta0, step)
+
+
+def sequential_gradcheck(seed, trials, beta, step):
+    """(exit code, stdout) of gradcheck, one trial at a time.
+
+    Each family draws a trial's inputs from the one rng and scores them
+    at once. The first trial that raises ValueError or NonFiniteGradient
+    gives its family error inf and ends it, with the rng just past that
+    trial's draws; the next family draws on from there.
+    """
+    rng = np.random.default_rng(seed)
+    families = [
+        ("soft_nn_distance", lambda: _gradcheck_soft_nn(rng, step, beta), 1e-5),
+        ("weighted_soft_t", lambda: _gradcheck_weighted(rng, step, beta, False), 1e-5),
+        ("vca_penalty_composed", lambda: _gradcheck_weighted(rng, step, beta, True), 1e-5),
+        ("combined_loss", lambda: _gradcheck_combined(rng, step), 1e-4),
+    ]
+    lines, failed = [], False
+    for name, run, tol in families:
+        try:
+            worst = max(run() for _ in range(trials))
+        except (ValueError, NonFiniteGradient):
+            worst = math.inf
+        ok = worst <= tol
+        failed = failed or not ok
+        lines.append(f"{name:24s} max_rel_err={worst:.3e}  tol={tol:.0e}  "
+                     f"{'PASS' if ok else 'FAIL'}\n")
+    lines.append(f"gradcheck: {'FAIL' if failed else 'PASS'}\n")
+    return (1 if failed else 0), "".join(lines)
 
 
 def average_precision_direct(y, p):

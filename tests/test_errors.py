@@ -4,8 +4,9 @@ raises TypeError naming the argument, from errors._real."""
 import numpy as np
 import pytest
 
-from vcseval import (InstanceMetricSpec, TrainConfig, VcsConfig, finite_difference_check,
-                     soft_nn_distance, vca_penalty, vcs, weighted_soft_t)
+from vcseval import (DriftSpec, InstanceMetricSpec, PatternSpec, TrainConfig, VcsConfig,
+                     finite_difference_check, soft_nn_distance, vca_penalty, vcs,
+                     weighted_soft_t)
 from vcseval.errors import _real
 
 TIMES = np.array([0.0, 1.0, 2.0, 5.0])
@@ -24,6 +25,13 @@ CALLS = {
     "period end": lambda v: vcs(TIMES, (0.0, v)),
     "step": lambda v: finite_difference_check(square, [1.0], step=v),
     "mismatch_weight": lambda v: InstanceMetricSpec(mismatch_weight=v),
+    "cluster_center": lambda v: PatternSpec("random", 10, 5, cluster_center=v),
+    "cluster_width": lambda v: PatternSpec("clustered", 10, 5, cluster_width=v),
+    "drift_onset": lambda v: DriftSpec(n_events=10, drift_onset=v),
+    "drift_shift": lambda v: DriftSpec(n_events=10, drift_shift=v),
+    "class_separation": lambda v: DriftSpec(n_events=10, class_separation=v),
+    "burst_fraction": lambda v: DriftSpec(n_events=10, burst_fraction=v),
+    "post_class1_rate": lambda v: DriftSpec(n_events=10, post_class1_rate=v),
 }
 
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -6,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,13 +15,15 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import vcseval
-from vcseval import NonFiniteGradient, VcsConfig, parse_records, soft_vca, toy_trainer
+from vcseval import NonFiniteGradient, VcsConfig, parse_records, report_cli, soft_vca, toy_trainer
 from vcseval.report_cli import (
     build_eval_report,
     density_csv,
     emit_density_svg,
     main,
 )
+
+from . import oracles
 
 PERFECT = (
     '{"t": 1.0, "y": 1, "p": 0.9}\n'
@@ -469,18 +473,50 @@ class TestGradcheckCommand:
         ]
         assert captured.err == ""
 
-    def test_each_soft_trial_is_one_stacked_call(self, monkeypatch, capsys):
-        # the unperturbed point is row 0 of the stack, so no trial scores
-        # it in a call of its own or takes a second soft minimum
-        calls = dict.fromkeys(("weighted_soft_t", "soft_nn_distance", "soft_nn_gradient"), 0)
+    def test_each_soft_family_takes_one_stacked_call_per_shape(self, monkeypatch, capsys):
+        # 100 trials are one block. Its trials are grouped by shape, and
+        # each group of up to GRADCHECK_STACK trials is scored in one
+        # stacked call, with every trial's unperturbed point as the first
+        # of its 2d + 1 rows; no trial takes a soft-T call of its own or a
+        # second soft minimum for its gradient.
+        trials, stack = 100, report_cli.GRADCHECK_STACK
+        calls = {name: [] for name in
+                 ("weighted_soft_t", "_soft_t", "soft_nn_distance", "soft_nn_gradient")}
         for name in calls:
-            def counted(*args, _name=name, _fn=getattr(soft_vca, name)):
-                calls[_name] += 1
-                return _fn(*args)
+            def counted(*args, _name=name, _fn=getattr(soft_vca, name), **kwargs):
+                ref = np.shape(args[2]) if len(args) > 2 else None
+                calls[_name].append((np.shape(args[0]), ref, kwargs.get("per_row", False)))
+                return _fn(*args, **kwargs)
 
             monkeypatch.setattr(soft_vca, name, counted)
-        assert main(["gradcheck", "--trials", "3"]) == 0
-        assert calls == {"weighted_soft_t": 6, "soft_nn_distance": 3, "soft_nn_gradient": 0}
+        assert 2 < stack < trials < report_cli.GRADCHECK_BLOCK
+        assert main(["gradcheck", "--trials", str(trials)]) == 0
+
+        def check_family(shapes_and_trials):
+            # ceil(k / stack) calls for the k trials of each shape
+            shapes = collections.Counter(shape for shape, _ in shapes_and_trials)
+            members = collections.Counter()
+            for shape, count in shapes_and_trials:
+                assert 1 <= count <= stack
+                members[shape] += count
+            assert sum(members.values()) == trials
+            assert shapes == {shape: -(-k // stack) for shape, k in members.items()}
+            return shapes
+
+        points = [(n, rows // (2 * n + 1)) for (rows, n), _, _ in calls["soft_nn_distance"]]
+        assert max(check_family(points).values()) > 1  # some n had more than stack trials
+        per_row = [((times[1], ref[1]), times[0] // (2 * times[1] + 1))
+                   for times, ref, flag in calls["_soft_t"] if flag]
+        # the weighted family's calls, then the composed family's
+        ends = np.cumsum([count for _, count in per_row])
+        first = int(np.searchsorted(ends, trials)) + 1
+        check_family(per_row[:first])
+        check_family(per_row[first:])
+        # the combined family's weighted_soft_t calls, one per trial on the
+        # shared 1-d timestamps of its dataset, through toy_trainer's binding
+        one_row = [times for times, _, flag in calls["_soft_t"] if not flag]
+        assert one_row == [(40,)] * trials
+        assert calls["weighted_soft_t"] == calls["soft_nn_gradient"] == []
 
     def test_each_combined_trial_takes_one_gradient(self, monkeypatch, capsys):
         # row 0's one-row call computes the only gradient of a trial; the
@@ -503,6 +539,34 @@ class TestGradcheckCommand:
         # one call of one weight row per trial
         assert [shape[0] for shape in calls] == [1, 1, 1]
         assert loss_calls == [1, 1, 1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), block=st.integers(1, 4), stack=st.integers(1, 3),
+           data=st.data(),
+           beta=st.sampled_from(["0.01", "5", "200", "1e308", "1e-320"]),
+           # at 0.11 a weight row leaves [0, 1] in some trials, often past
+           # the first block; at 1.0 and above in every weighted trial
+           step=st.sampled_from(["1e-6", "0.11", "1.0", "30", "1e308"]))
+    def test_matches_the_trial_by_trial_loop(self, seed, block, stack, data, beta, step):
+        # the soft distances overflow at --beta 1e308 and 1e-320, so a
+        # block falls back to one trial at a time, and the next family's
+        # draws pin where that leaves the rng
+        trials = data.draw(st.integers(1, 3 * block))
+        argv = ["gradcheck", "--seed", str(seed), "--trials", str(trials), "--beta", beta,
+                "--step", step]
+        out = io.StringIO()
+        with mock.patch.object(report_cli, "GRADCHECK_BLOCK", block), \
+                mock.patch.object(report_cli, "GRADCHECK_STACK", stack), \
+                contextlib.redirect_stdout(out):
+            code = main(argv)
+        want = oracles.sequential_gradcheck(seed, trials, float(beta), float(step))
+        assert (code, out.getvalue()) == want
+        event(want[1].splitlines()[-1])
+
+    def test_matches_the_trial_by_trial_loop_past_one_full_block(self, capsys):
+        trials = report_cli.GRADCHECK_BLOCK + 1
+        code = main(["gradcheck", "--seed", "5", "--trials", str(trials)])
+        assert (code, capsys.readouterr().out) == oracles.sequential_gradcheck(5, trials, 5.0, 1e-6)
 
     @pytest.mark.parametrize("flags", [
         ["--beta", "0"], ["--beta", "-1"], ["--beta", "nan"],

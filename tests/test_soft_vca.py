@@ -506,6 +506,100 @@ class TestStackedRows:
 
 
 @st.composite
+def per_row_problems(draw):
+    """c problems of n events and r reference times each: their own tied
+    times at their own offsets, weights with zeros and >= 2 positives,
+    and one shared beta."""
+    n, r, c = draw(st.integers(2, 40)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    decimals = draw(st.sampled_from([0, 1, 15]))
+    offsets = np.round(rng.random((c, 1)) * 10.0 ** draw(st.floats(0.0, 6.0)), decimals)
+    times = offsets + np.round(rng.random((c, n)) * 50, decimals)
+    ref = offsets + np.round(rng.random((c, r)) * 60 - 5, decimals)
+    rows = rng.random((c, n))
+    rows[rng.random((c, n)) < draw(st.floats(0.0, 0.9))] = 0.0
+    for row in rows:
+        positive = rng.choice(n, size=2, replace=False)
+        row[positive] = np.maximum(row[positive], 0.5)
+    beta = 10.0 ** draw(st.floats(-1.0, 3.0))
+    return times, rows, ref, beta
+
+
+def _same_bits(got, want):
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestPerRowProblems:
+    """_soft_t with per_row: row i of a (c, n) stack of timestamps and
+    weights and of a (c, r) stack of reference times is one problem.
+
+    Every field of every row is bit-identical to that problem's own
+    weighted_soft_t call, with or without the gradient, and a stack with
+    an invalid row raises what that row raises alone.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(per_row_problems(), st.booleans())
+    def test_rows_match_their_own_calls_bit_for_bit(self, case, gradient):
+        times, rows, ref, beta = case
+        alone = [_call(weighted_soft_t, *problem, beta) for problem in zip(times, rows, ref)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = _call(_soft_t, times, rows, ref, beta, gradient, True)
+        failed = [(type(one), str(one)) for one in alone if isinstance(one, Exception)]
+        if failed:
+            event("a row raises alone")
+            if isinstance(stacked, Exception):
+                assert (type(stacked), str(stacked)) in failed
+                return
+            # without the gradient, only a gradient that is not finite may pass
+            assert not gradient and {kind for kind, _ in failed} == {NonFiniteGradient}
+        for i, one in enumerate(alone):
+            if isinstance(one, Exception):
+                continue
+            for name in ("t_soft", "d_r_soft", "d_disg_soft"):
+                assert type(getattr(one, name)) is float
+                assert _same_bits(getattr(stacked, name)[i], getattr(one, name))
+            if gradient:
+                assert _same_bits(stacked.weight_gradient[i], one.weight_gradient)
+        assert (stacked.weight_gradient is None) is not gradient
+
+    @settings(max_examples=200, deadline=None)
+    @given(per_row_problems(), st.sampled_from(["all_zero", "one_positive", "above_one",
+                                                "negative", "nan", "nan_time", "inf_ref"]),
+           st.data())
+    def test_invalid_row_raises_what_it_raises_alone(self, case, kind, data):
+        times, rows, ref, beta = case
+        i = data.draw(st.integers(0, rows.shape[0] - 1))
+        if kind in ("all_zero", "one_positive"):
+            rows[i] = 0.0
+            if kind == "one_positive":
+                rows[i, 0] = 0.5
+        elif kind == "nan_time":
+            times[i, -1] = math.nan
+        elif kind == "inf_ref":
+            ref[i, 0] = math.inf
+        else:
+            rows[i, 0] = {"above_one": 1.5, "negative": -0.1, "nan": math.nan}[kind]
+        alone = _call(weighted_soft_t, times[i], rows[i], ref[i], beta)
+        assert isinstance(alone, Exception)
+        for gradient in (True, False):
+            stacked = _call(_soft_t, times, rows, ref, beta, gradient, True)
+            assert (type(stacked), str(stacked)) == (type(alone), str(alone))
+
+    @pytest.mark.parametrize("times, weights, ref", [
+        (np.zeros(3), np.ones((1, 3)), np.zeros((1, 2))),
+        (np.zeros((1, 3)), np.ones(3), np.zeros((1, 2))),
+        (np.zeros((2, 3)), np.ones((1, 3)), np.zeros((2, 2))),
+        (np.zeros((2, 3)), np.ones((2, 3)), np.zeros(2)),
+        (np.zeros((2, 3)), np.ones((2, 3)), np.zeros((1, 2))),
+    ], ids=["1-d times", "1-d weights", "fewer weight rows", "1-d ref", "fewer ref rows"])
+    def test_shapes(self, times, weights, ref):
+        with pytest.raises(ValueError, match=r"^per row, timestamps and weights must be \(c, n\)"):
+            _soft_t(times, weights, ref, 1.0, True, per_row=True)
+
+
+@st.composite
 def logsum_cases(draw):
     """(gaps, ell) of _exclusive_logsum: m from 2 to 2000 points in c
     columns; gaps from 1e-3 to 1e18 with ties and maybe a late burst of
@@ -740,6 +834,22 @@ class TestFiniteDifferenceCheck:
         (stack,) = stacks
         shift = np.diag(np.full(3, 0.25))
         assert np.array_equal(stack, np.concatenate((x[None], x + shift, x - shift)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda d: st.lists(
+               st.lists(st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, 1e308])
+                        | st.floats(allow_nan=False), min_size=d, max_size=d),
+               min_size=1, max_size=4)),
+           st.floats(5e-324, 1e308) | st.sampled_from([1e-6, 1.0, 30.0]))
+    def test_stacks_of_many_points_keep_every_bit(self, points, step):
+        # each point's rows x, x + step * e_i and x - step * e_i as they
+        # are written, -0.0 entries included, one point after the other
+        points = np.array(points)
+        shift = np.diag(np.full(points.shape[1], step))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.concatenate([np.concatenate((x[None], x + shift, x - shift)) for x in points])
+            got = soft_vca._difference_rows(points, step)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_point_must_be_1d(self):
         with pytest.raises(ValueError, match="point must be 1-d"):
