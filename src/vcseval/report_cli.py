@@ -190,11 +190,10 @@ def _stacked_errors(problems, step, shape, point, score):
     """finite_difference_check's error at point(p) for each problem p.
 
     The problems are grouped by shape(p), GRADCHECK_STACK at most to a
-    group. score(group, rows, size) scores the concatenated (2d + 1, d)
-    stacks of a group's points, size = 2d + 1 rows per member, in one
-    stacked call, and returns the values of those rows and each member's
-    gradient at its point. Each check's value function returns its
-    member's rows of that result.
+    group, and each group is checked in one finite_difference_check call
+    on the stack of its points. Its value function is score(group,
+    rows), which scores the rows in one stacked call and returns their
+    values and the gradient at each point.
     """
     shapes = {}
     for problem in problems:
@@ -202,32 +201,29 @@ def _stacked_errors(problems, step, shape, point, score):
     errors = []
     for group in (same[i:i + GRADCHECK_STACK] for same in shapes.values()
                   for i in range(0, len(same), GRADCHECK_STACK)):
-        rows = soft_vca._difference_rows(np.array([point(p) for p in group]), step)
-        size = rows.shape[0] // len(group)
-        values, gradients = score(group, rows, size)
-        for k, problem in enumerate(group):
-            mine = values[k * size:(k + 1) * size], gradients[k]
-            errors.append(soft_vca.finite_difference_check(lambda _: mine, point(problem), step))
+        errors.extend(soft_vca.finite_difference_check(
+            lambda rows: score(group, rows), [point(p) for p in group], step))
     return errors
 
 
 def _soft_nn_errors(problems, step, beta):
     # the groups share a point count n
-    def score(group, rows, size):
-        d = soft_vca.soft_nn_distance(rows, 0, beta)
-        return d, [soft_vca._soft_nn_gradient_at(times, 0, beta, d[k * size])
-                   for k, times in enumerate(group)]
+    def score(group, rows):
+        return (soft_vca.soft_nn_distance(rows, 0, beta),
+                soft_vca.soft_nn_gradient(group, 0, beta))
 
     return _stacked_errors(problems, step, np.size, lambda times: times, score)
 
 
 def _weighted_errors(problems, step, beta, compose_penalty):
-    # the groups share an event count and a reference count; each trial's
-    # timestamps and reference times are repeated on its rows
-    def score(group, rows, size):
+    # the groups share an event count and a reference count. Each
+    # trial's rows come together, its point first, so its timestamps
+    # and reference times are repeated on them.
+    def score(group, rows):
+        size = len(rows) // len(group)
         times = np.repeat([p[0] for p in group], size, axis=0)
         ref = np.repeat([p[1] for p in group], size, axis=0)
-        trial = soft_vca._soft_t(times, rows, ref, beta, True, per_row=True)
+        trial = soft_vca.weighted_soft_t(times, rows, ref, beta)
         gradients = trial.weight_gradient[::size]
         if not compose_penalty:
             return trial.t_soft, gradients

@@ -246,27 +246,24 @@ def soft_nn_gradient(times, index, beta):
     Entry j != index is -w_j * sign(t_j - t_index), with w the softmax
     of -beta*|dt|, exp(-beta*|dt| - log S) and log S = -beta *
     soft_nn_distance, so its magnitude is at most 1. Entry index is
-    minus the sum of the others. times must be one (n,) set of points.
-    Raises ValueError as soft_nn_distance does, and NonFiniteGradient
-    when an entry overflows float64.
+    minus the sum of the others. times is one (n,) set of points, giving
+    an (n,) gradient, or a (c, n) stack of sets, giving one row per set,
+    each bit-identical to the one-set call. Raises ValueError as
+    soft_nn_distance does, and NonFiniteGradient when an entry
+    overflows float64.
     """
     t = _as_floats(times, "times")
-    if t.ndim != 1:
-        raise ValueError("times must be 1-d")
-    return _soft_nn_gradient_at(t, index, beta, soft_nn_distance(t, index, beta))
-
-
-def _soft_nn_gradient_at(t, index, beta, d):
-    """soft_nn_gradient of the (n,) float64 points t, given their soft
-    minimum d = soft_nn_distance(t, index, beta)."""
-    dist = np.abs(t - t[index])
-    dist[index] = np.inf
+    d = soft_nn_distance(t, index, beta)
+    rows = np.atleast_2d(t)
+    offsets = rows - rows[:, index, None]
+    dist = np.abs(offsets)
+    dist[:, index] = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        grads = np.exp(-beta * (dist - d)) * np.sign(t - t[index])
-        grads[index] = -grads.sum()
+        grads = np.exp(-beta * (dist - np.reshape(d, (-1, 1)))) * np.sign(offsets)
+        grads[:, index] = -grads.sum(axis=1)
     if not np.isfinite(grads).all():
         raise NonFiniteGradient("soft nearest-neighbour gradient is not finite")
-    return grads
+    return grads[0] if t.ndim == 1 else grads
 
 
 def weighted_soft_t(timestamps, weights, random_times, beta):
@@ -279,14 +276,17 @@ def weighted_soft_t(timestamps, weights, random_times, beta):
     random times to the full weighted set (no exclusion). Returns a
     SoftTrial whose weight_gradient is d t_soft / d weights.
 
-    weights is one (n,) vector or a (c, n) stack of rows. A stack shares
-    one sort and two scans, with c and 2c columns, and gives a SoftTrial
-    with one entry per row in each field (weight_gradient is (c, n));
-    every entry is bit-identical to the one-row call, and a stack with
-    an invalid row raises what that row raises alone.
+    weights is one (n,) vector or a (c, n) stack of rows, which gives a
+    SoftTrial with one entry per row in each field (weight_gradient is
+    (c, n)). With (n,) timestamps and (r,) random_times, every row shares
+    one sort of the points; with (c, n) timestamps and (c, r)
+    random_times, row i of each is the problem of weight row i, with its
+    own sort. Either way a stack takes two scans, with c and 2c columns;
+    every entry is bit-identical to that row's own one-row call, and a
+    stack with an invalid row raises what that row raises alone.
 
-    Raises ValueError when random_times is not 1-d, and when beta is so
-    small or so large against the gaps that a soft distance is not
+    Raises ValueError when the shapes do not fit these, and when beta is
+    so small or so large against the gaps that a soft distance is not
     finite. Raises NonFiniteGradient when a gradient entry is not
     finite. For example, when a positive-weight event is far from every
     other positive-weight event but has a zero-weight event close by,
@@ -297,29 +297,23 @@ def weighted_soft_t(timestamps, weights, random_times, beta):
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _soft_t(timestamps, weights, random_times, beta, gradient, per_row=False):
+def _soft_t(timestamps, weights, random_times, beta, gradient):
     """weighted_soft_t, whose weight_gradient is None unless gradient is set.
 
     Without the gradient every other field is bit-identical, and it
     raises what weighted_soft_t raises, except that a gradient entry
     that is not finite raises nothing unless d_disg_soft or t_soft is
     not finite too.
-
-    With per_row set, timestamps is a (c, n) stack and random_times a
-    (c, r) stack, one row of each per row of the (c, n) weights, so row
-    i is the problem (timestamps[i], weights[i], random_times[i]). Each
-    row has its own sort and scan columns; every field of a row is
-    bit-identical to that problem's own weighted_soft_t call, and a
-    stack with an invalid row raises what that row raises alone.
     """
     t = _as_floats(timestamps, "timestamps")
     w = _as_floats(weights, "weights", "must lie in [0, 1]")
     r = _as_floats(random_times, "random_times")
+    per_row = t.ndim != 1
     if per_row:
-        if not (t.ndim == r.ndim == 2 and t.shape == w.shape and r.shape[0] == t.shape[0]):
-            raise ValueError(
-                "per row, timestamps and weights must be (c, n) and random_times (c, r)")
-    elif t.ndim != 1 or w.ndim not in (1, 2) or w.shape[-1] != t.size:
+        if not (t.ndim == 2 and w.shape == t.shape and r.ndim == 2 and r.shape[0] == t.shape[0]):
+            raise ValueError("timestamps must be (n,), or (c, n) with (c, n) weights "
+                             "and (c, r) random_times")
+    elif w.ndim not in (1, 2) or w.shape[-1] != t.size:
         raise ValueError("timestamps must be 1-d and weights (n,) or (c, n) for n timestamps")
     if not ((w >= 0) & (w <= 1)).all():
         raise ValueError("weights must lie in [0, 1]")
@@ -344,7 +338,7 @@ def _soft_t(timestamps, weights, random_times, beta, gradient, per_row=False):
         raise ValueError("random_times must be 1-d")
 
     # Events and reference times share one sorted sequence per row of
-    # points, which every weight row shares unless per_row is set. A
+    # points, which every weight row shares unless timestamps is a stack. A
     # point that is not a source of a sum carries log-weight -inf in it,
     # so one self-excluded sum covers event-to-event and
     # event-to-reference terms alike. Each weight row is one column of
@@ -414,56 +408,53 @@ def vca_penalty(t_soft, gamma):
     # NaN fails every comparison
     if not (gamma >= 0 and _finite(gamma)):
         raise ValueError("gamma must be finite and non-negative")
-    if not np.isfinite(_as_floats(t_soft, "t_soft")).all():
+    t = _as_floats(t_soft, "t_soft")
+    if not np.isfinite(t).all():
         raise ValueError("t_soft must be finite")
-    gap = 0.5 - t_soft
+    gap = 0.5 - (float(t) if t.ndim == 0 else t)
     return gamma * gap * gap, -2.0 * gamma * gap
 
 
 def finite_difference_check(value, point, step=1e-6):
     """Max relative error between an analytic gradient and central differences.
 
-    point is a 1-d point x of d coordinates. value is called once, on
-    the (2d + 1, d) stack of rows x, then x + step * e_i for i < d, then
-    x - step * e_i, and returns two things: the 2d + 1 values of the
-    rows and the analytic gradient at row 0. The relative error per
-    coordinate is |fd - analytic| / max(1, |fd|, |analytic|), so
-    near-zero gradients are compared absolutely. A coordinate whose
-    difference quotient or analytic entry is not finite has error inf.
-    An empty point has error 0.0, and value is not called.
+    point is one point x of d coordinates, (d,), giving a float, or a
+    (g, d) stack of points, giving one error per point, each
+    bit-identical to the one-point call. value is called once, on the
+    g(2d + 1) rows of every point in turn: x, then x + step * e_i for
+    i < d, then x - step * e_i. It returns two things: the values of
+    those rows and the analytic gradient at each point, of the point's
+    shape. The relative error per coordinate is |fd - analytic| /
+    max(1, |fd|, |analytic|), so near-zero gradients are compared
+    absolutely. A coordinate whose difference quotient or analytic
+    entry is not finite has error inf. An empty point has error 0.0,
+    and value is not called.
     """
     _real("step", step)
     if not (step > 0 and _finite(step)):
         raise ValueError("step must be positive and finite")
     x = _as_floats(point, "point", "must fit in float64")
-    if x.ndim != 1:
-        raise ValueError("point must be 1-d")
+    if x.ndim not in (1, 2):
+        raise ValueError("point must be (d,) or (g, d)")
+    points = np.atleast_2d(x)
+    g, d = points.shape
     if x.size == 0:
-        return 0.0
-    d = x.size
-    values, grad = value(_difference_rows(x[None], step))
+        return 0.0 if x.ndim == 1 else np.zeros(g)
+    # Adding -0.0 keeps every bit of x, and adding -step * e_i, whose
+    # other entries are -0.0, those of x - step * e_i
+    shift = np.diag(np.full(d, step))
+    shifts = np.concatenate((np.full((1, d), -0.0), shift, -shift))
+    values, grad = value((points[:, None, :] + shifts).reshape(-1, d))
     values = np.asarray(values, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
-    if values.shape != (2 * d + 1,):
+    if values.shape != (g * (2 * d + 1),):
         raise ValueError("value must return one value per row of the stack")
     if grad.shape != x.shape:
         raise ValueError("value must return a gradient of the point's shape")
+    values, grad = values.reshape(g, -1), grad.reshape(g, d)
     with np.errstate(over="ignore", invalid="ignore"):
-        fd = (values[1:d + 1] - values[d + 1:]) / (2.0 * step)
+        fd = (values[:, 1:d + 1] - values[:, d + 1:]) / (2.0 * step)
         err = np.abs(fd - grad) / np.maximum(1.0, np.maximum(np.abs(fd), np.abs(grad)))
     err[~(np.isfinite(fd) & np.isfinite(grad))] = np.inf
-    return float(err.max())
-
-
-def _difference_rows(points, step):
-    """finite_difference_check's stacks for a (g, d) array of points.
-
-    For each point x in turn, the 2d + 1 rows x, then x + step * e_i for
-    i < d, then x - step * e_i, as one (g * (2d + 1), d) array. Adding
-    -0.0 keeps every bit of x, and adding -step * e_i, whose other
-    entries are -0.0, those of x - step * e_i.
-    """
-    d = points.shape[-1]
-    shift = np.diag(np.full(d, step))
-    shifts = np.concatenate((np.full((1, d), -0.0), shift, -shift))
-    return (points[:, None, :] + shifts).reshape(-1, d)
+    worst = err.max(axis=1)
+    return float(worst[0]) if x.ndim == 1 else worst

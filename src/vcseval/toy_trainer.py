@@ -86,7 +86,8 @@ def combined_loss(thetas, batch, config, step):
     share one beta, one draw of reference times from the (seed, step)
     substream and one stacked weighted_soft_t call.
 
-    Raises NonFiniteLoss(step) when any row's loss or gradient is not
+    Raises ValueError unless step is a non-negative integer (a bool is
+    not), and NonFiniteLoss(step) when any row's loss or gradient is not
     finite. The work the penalty rows share runs before that check and
     may fail first: effective_beta raises its ValueError, and a
     weighted_soft_t failure becomes NonFiniteLoss(step).
@@ -103,6 +104,10 @@ def _losses(thetas, batch, config, step, gradient):
     not finite raises nothing: the penalty rows' soft statistic skips
     its weight gradient, and no parameter gradient is formed.
     """
+    # checked here, as only the penalty's substream reads step, and numpy
+    # reads a bool or a numeric string as a seed
+    if not (_integers(step) and step >= 0):
+        raise ValueError("step must be a non-negative integer")
     x = _augment(batch.features)
     y = batch.y.astype(np.float64)
     n = y.size
@@ -180,7 +185,13 @@ def train(dataset, config=TrainConfig()):
 
 def evaluate_model(weights, test):
     """Score a test dataset with weights (bias last): evaluate_stream on its predictions."""
-    p = _sigmoid(_augment(test.features) @ weights)
+    x = _augment(test.features)
+    w = _as_floats(weights, "weights")
+    if w.shape != x.shape[1:]:
+        raise ValueError("weights must be (d,) with d the feature count + 1")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
+    p = _sigmoid(x @ w)
     return evaluate_stream(EvalStream(test.t, test.y, p))
 
 

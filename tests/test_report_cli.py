@@ -475,22 +475,47 @@ class TestGradcheckCommand:
 
     def test_each_soft_family_takes_one_stacked_call_per_shape(self, monkeypatch, capsys):
         # 100 trials are one block. Its trials are grouped by shape, and
-        # each group of up to GRADCHECK_STACK trials is scored in one
-        # stacked call, with every trial's unperturbed point as the first
-        # of its 2d + 1 rows; no trial takes a soft-T call of its own or a
-        # second soft minimum for its gradient.
+        # each group of up to GRADCHECK_STACK trials takes one
+        # finite_difference_check call on the (g, d) stack of its points.
+        # Its rows are scored in one soft_nn_distance or weighted_soft_t
+        # call, and the soft_nn family's gradients in one soft_nn_gradient
+        # call on the g points; no trial takes a call of its own.
         trials, stack = 100, report_cli.GRADCHECK_STACK
-        calls = {name: [] for name in
-                 ("weighted_soft_t", "_soft_t", "soft_nn_distance", "soft_nn_gradient")}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(soft_vca, name), **kwargs):
-                ref = np.shape(args[2]) if len(args) > 2 else None
-                calls[_name].append((np.shape(args[0]), ref, kwargs.get("per_row", False)))
-                return _fn(*args, **kwargs)
+        calls = []
+        for name in ("finite_difference_check", "soft_nn_distance", "soft_nn_gradient",
+                     "weighted_soft_t"):
+            def counted(*args, _name=name, _fn=getattr(soft_vca, name)):
+                calls.append((_name, tuple(np.shape(arg) for arg in args)))
+                return _fn(*args)
 
             monkeypatch.setattr(soft_vca, name, counted)
         assert 2 < stack < trials < report_cli.GRADCHECK_BLOCK
         assert main(["gradcheck", "--trials", str(trials)]) == 0
+
+        # each finite_difference_check call, with the calls made inside it
+        groups = []
+        for name, shapes in calls:
+            if name == "finite_difference_check":
+                groups.append((shapes[1], []))
+            else:
+                groups[-1][1].append((name, shapes))
+        # the combined family checks one trial at a time, and its
+        # weighted_soft_t calls go through toy_trainer's binding
+        assert groups[-trials:] == [((5,), [])] * trials
+        soft_nn, weighted = [], []
+        for (g, d), inner in groups[:-trials]:
+            rows = (g * (2 * d + 1), d)
+            if inner[0][0] == "soft_nn_distance":
+                # soft_nn_gradient's own soft minima of the g points
+                assert inner == [("soft_nn_distance", (rows, (), ())),
+                                 ("soft_nn_gradient", ((g, d), (), ())),
+                                 ("soft_nn_distance", ((g, d), (), ()))]
+                soft_nn.append((d, g))
+            else:
+                ((name, (times, weights, ref, _)),) = inner
+                assert name == "weighted_soft_t" and times == weights == rows
+                assert ref[0] == rows[0]
+                weighted.append(((d, ref[1]), g))
 
         def check_family(shapes_and_trials):
             # ceil(k / stack) calls for the k trials of each shape
@@ -503,20 +528,12 @@ class TestGradcheckCommand:
             assert shapes == {shape: -(-k // stack) for shape, k in members.items()}
             return shapes
 
-        points = [(n, rows // (2 * n + 1)) for (rows, n), _, _ in calls["soft_nn_distance"]]
-        assert max(check_family(points).values()) > 1  # some n had more than stack trials
-        per_row = [((times[1], ref[1]), times[0] // (2 * times[1] + 1))
-                   for times, ref, flag in calls["_soft_t"] if flag]
+        assert max(check_family(soft_nn).values()) > 1  # some n had more than stack trials
         # the weighted family's calls, then the composed family's
-        ends = np.cumsum([count for _, count in per_row])
+        ends = np.cumsum([count for _, count in weighted])
         first = int(np.searchsorted(ends, trials)) + 1
-        check_family(per_row[:first])
-        check_family(per_row[first:])
-        # the combined family's weighted_soft_t calls, one per trial on the
-        # shared 1-d timestamps of its dataset, through toy_trainer's binding
-        one_row = [times for times, _, flag in calls["_soft_t"] if not flag]
-        assert one_row == [(40,)] * trials
-        assert calls["weighted_soft_t"] == calls["soft_nn_gradient"] == []
+        check_family(weighted[:first])
+        check_family(weighted[first:])
 
     def test_each_combined_trial_takes_one_gradient(self, monkeypatch, capsys):
         # row 0's one-row call computes the only gradient of a trial; the

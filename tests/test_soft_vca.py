@@ -178,6 +178,35 @@ class TestStackedSoftNn:
         one = soft_nn_distance(stack[0], index, beta)
         assert type(one) is float and one.hex() == want[0]
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        c=st.integers(1, 9),
+        decimals=st.sampled_from([0, 1, 15]),
+        beta=st.floats(1e-2, 1e3) | st.sampled_from([1e300, 1e308, 1.7e308]),
+        bad=st.sampled_from([None, None, None, math.nan, 1e308]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gradient_rows_match_one_set_calls(self, n, c, decimals, beta, bad, seed):
+        # rows of their own, some with ties, a time that is not finite
+        # or a gap whose beta multiple overflows
+        rng = np.random.default_rng(seed)
+        stack = np.round(rng.random((c, n)) * 10, decimals)
+        if bad is not None:
+            stack[rng.integers(0, c), rng.integers(0, n)] = bad
+        index = int(rng.integers(-n, n))
+        alone = [_call(soft_nn_gradient, row, index, beta) for row in stack]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = _call(soft_nn_gradient, stack, index, beta)
+        failed = [(type(one), str(one)) for one in alone if isinstance(one, Exception)]
+        if failed:
+            event(f"raises {failed[0][0].__name__}")
+            assert (type(stacked), str(stacked)) in failed
+            return
+        assert stacked.shape == (c, n)
+        assert [row.tobytes() for row in stacked] == [one.tobytes() for one in alone]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_a_non_finite_row_raises(self, bad):
         stack = np.array([[0.0, 1.0, 3.0], [0.0, bad, 3.0], [2.0, 1.0, 0.5]])
@@ -185,10 +214,11 @@ class TestStackedSoftNn:
             soft_nn_distance(stack, 0, 1.0)
 
     def test_shapes(self):
-        with pytest.raises(InsufficientSet):
-            soft_nn_distance(np.zeros((3, 1)), 0, 1.0)
-        with pytest.raises(ValueError, match=r"\(n,\) or \(c, n\)"):
-            soft_nn_distance(np.zeros((2, 2, 3)), 0, 1.0)
+        for fn in (soft_nn_distance, soft_nn_gradient):
+            with pytest.raises(InsufficientSet):
+                fn(np.zeros((3, 1)), 0, 1.0)
+            with pytest.raises(ValueError, match=r"\(n,\) or \(c, n\)"):
+                fn(np.zeros((2, 2, 3)), 0, 1.0)
 
 
 class TestWeightedSoftT:
@@ -529,23 +559,35 @@ def _same_bits(got, want):
     return np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+# weighted_soft_t, soft_t and the value stage on a stack of per-row problems
+PER_ROW_CALLS = {
+    "weighted_soft_t": weighted_soft_t,
+    "soft_t": lambda times, rows, ref, beta: soft_t(times, ref, beta),
+    "value stage": lambda times, rows, ref, beta: _soft_t(times, rows, ref, beta, gradient=False),
+}
+
+
 class TestPerRowProblems:
-    """_soft_t with per_row: row i of a (c, n) stack of timestamps and
-    weights and of a (c, r) stack of reference times is one problem.
+    """weighted_soft_t and soft_t on (c, n) timestamps: row i of those,
+    of the (c, n) weights and of the (c, r) reference times is one
+    problem.
 
     Every field of every row is bit-identical to that problem's own
-    weighted_soft_t call, with or without the gradient, and a stack with
-    an invalid row raises what that row raises alone.
+    weighted_soft_t call, also in the value stage without the gradient,
+    and a stack with an invalid row raises what that row raises alone.
     """
 
     @settings(max_examples=200, deadline=None)
-    @given(per_row_problems(), st.booleans())
-    def test_rows_match_their_own_calls_bit_for_bit(self, case, gradient):
+    @given(per_row_problems(), st.sampled_from(sorted(PER_ROW_CALLS)))
+    def test_rows_match_their_own_calls_bit_for_bit(self, case, call):
         times, rows, ref, beta = case
+        if call == "soft_t":
+            rows = np.ones_like(times)
+        gradient = call != "value stage"
         alone = [_call(weighted_soft_t, *problem, beta) for problem in zip(times, rows, ref)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stacked = _call(_soft_t, times, rows, ref, beta, gradient, True)
+            stacked = _call(PER_ROW_CALLS[call], times, rows, ref, beta)
         failed = [(type(one), str(one)) for one in alone if isinstance(one, Exception)]
         if failed:
             event("a row raises alone")
@@ -583,20 +625,29 @@ class TestPerRowProblems:
             rows[i, 0] = {"above_one": 1.5, "negative": -0.1, "nan": math.nan}[kind]
         alone = _call(weighted_soft_t, times[i], rows[i], ref[i], beta)
         assert isinstance(alone, Exception)
-        for gradient in (True, False):
-            stacked = _call(_soft_t, times, rows, ref, beta, gradient, True)
+        for call in ("weighted_soft_t", "value stage"):
+            stacked = _call(PER_ROW_CALLS[call], times, rows, ref, beta)
+            assert (type(stacked), str(stacked)) == (type(alone), str(alone))
+        if kind in ("nan_time", "inf_ref"):
+            stacked = _call(soft_t, times, ref, beta)
             assert (type(stacked), str(stacked)) == (type(alone), str(alone))
 
     @pytest.mark.parametrize("times, weights, ref", [
-        (np.zeros(3), np.ones((1, 3)), np.zeros((1, 2))),
         (np.zeros((1, 3)), np.ones(3), np.zeros((1, 2))),
         (np.zeros((2, 3)), np.ones((1, 3)), np.zeros((2, 2))),
         (np.zeros((2, 3)), np.ones((2, 3)), np.zeros(2)),
         (np.zeros((2, 3)), np.ones((2, 3)), np.zeros((1, 2))),
-    ], ids=["1-d times", "1-d weights", "fewer weight rows", "1-d ref", "fewer ref rows"])
+        (np.zeros((1, 2, 3)), np.ones((1, 2, 3)), np.zeros((1, 2))),
+        (np.zeros(()), np.ones(()), np.zeros((1, 2))),
+    ], ids=["1-d weights", "fewer weight rows", "1-d ref", "fewer ref rows", "3-d times",
+            "0-d times"])
     def test_shapes(self, times, weights, ref):
-        with pytest.raises(ValueError, match=r"^per row, timestamps and weights must be \(c, n\)"):
-            _soft_t(times, weights, ref, 1.0, True, per_row=True)
+        calls = [lambda: weighted_soft_t(times, weights, ref, 1.0)]
+        if weights.shape == times.shape:
+            calls.append(lambda: soft_t(times, ref, 1.0))
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^timestamps must be \(n,\), or \(c, n\) with"):
+                call()
 
 
 @st.composite
@@ -750,6 +801,11 @@ class TestVcaPenalty:
         value, slope = vca_penalty(np.array([0.3, 0.5]), 0.1)
         assert isinstance(value, np.ndarray) and isinstance(slope, np.ndarray)
 
+    def test_a_sequence_is_scored_as_its_checked_array(self):
+        want = [part.tobytes() for part in vca_penalty(np.array([0.3, 0.4]), 0.1)]
+        for t_soft in ([0.3, 0.4], (0.3, 0.4)):
+            assert [part.tobytes() for part in vca_penalty(t_soft, 0.1)] == want
+
 
 class TestEffectiveBeta:
     def test_adaptive_beta_from_median_gap(self):
@@ -846,14 +902,57 @@ class TestFiniteDifferenceCheck:
         # are written, -0.0 entries included, one point after the other
         points = np.array(points)
         shift = np.diag(np.full(points.shape[1], step))
+        stacks = []
+
+        def value(rows):
+            stacks.append(rows.copy())
+            return np.zeros(len(rows)), np.zeros(points.shape)
+
         with np.errstate(over="ignore", invalid="ignore"):
             want = np.concatenate([np.concatenate((x[None], x + shift, x - shift)) for x in points])
-            got = soft_vca._difference_rows(points, step)
+            errors = finite_difference_check(value, points, step)
+        (got,) = stacks
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert errors.tolist() == [0.0] * len(points)
 
-    def test_point_must_be_1d(self):
-        with pytest.raises(ValueError, match="point must be 1-d"):
-            finite_difference_check(self.square, [[1.0, 2.0]], 1e-6)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda d: st.lists(
+               st.lists(st.sampled_from([0.0, -0.0, math.inf, math.nan, 1e308])
+                        | st.floats(-1e3, 1e3), min_size=d, max_size=d),
+               min_size=1, max_size=5)),
+           st.sampled_from([1e-6, 1e-2, 1.0, 1e308]),
+           st.sampled_from([1.0, 1.0 + 1e-9, 3.0]))
+    def test_stacked_errors_match_one_point_calls(self, points, step, slope):
+        """A (g, d) stack gives each point the error of its own call, bit
+        for bit, inf included, and raises what a point raises alone."""
+        points = np.array(points)
+
+        def value_of(at):
+            # a value of each row alone; the gradient at each point is
+            # right for slope 1, and NaN where the point is
+            def value(rows):
+                if np.isnan(rows).any():
+                    raise ValueError("a row holds a NaN")
+                return (np.sin(rows) * rows).sum(axis=1), slope * (np.sin(at) + at * np.cos(at))
+            return value
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            alone = [_call(finite_difference_check, value_of(x), x, step) for x in points]
+            stacked = _call(finite_difference_check, value_of(points), points, step)
+        failed = [(type(one), str(one)) for one in alone if isinstance(one, Exception)]
+        if failed:
+            event("raises")
+            assert (type(stacked), str(stacked)) in failed
+            return
+        event("some error is inf" if math.inf in alone else "every error is finite")
+        assert all(type(one) is float for one in alone)
+        assert stacked.shape == (len(points),)
+        assert stacked.tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("point", [1.0, [[[1.0, 2.0]]]], ids=["0-d", "3-d"])
+    def test_point_must_be_1d_or_a_stack(self, point):
+        with pytest.raises(ValueError, match=r"^point must be \(d,\) or \(g, d\)$"):
+            finite_difference_check(self.square, point, 1e-6)
 
     def test_wrong_value_count_rejected(self):
         x = np.array([1.0, 2.0])
@@ -896,20 +995,21 @@ class TestNonFiniteInput:
             with pytest.raises(ValueError, match="times must be finite"):
                 fn([0.0, bad, 2.0], 0, 1.0)
 
-    def test_soft_nn_gradient_rejects_a_stack(self):
-        # soft_nn_distance scores a (c, n) stack; its gradient takes one set
+    def test_soft_nn_gradient_names_a_non_finite_row_of_a_stack(self):
         times = np.random.default_rng(0).random((3, 5))
-        with pytest.raises(ValueError, match="^times must be 1-d$"):
+        times[1, 2] = math.nan
+        with pytest.raises(ValueError, match="^times must be finite$"):
             soft_nn_gradient(times, 0, 2.0)
 
     @pytest.mark.parametrize("index", [3, -4, 1.0, np.float64(0.0), True, np.True_, None],
                              ids=["n", "-n-1", "float", "np.float64", "bool", "np.bool_", "None"])
     def test_soft_nn_index_outside_times(self, index):
         times = [0.0, 1.0, 3.0]
-        for fn, points in ((soft_nn_distance, times), (soft_nn_distance, [times, times]),
-                           (soft_nn_gradient, times)):
-            with pytest.raises(ValueError, match="^index must be an integer position in times$"):
-                fn(points, index, 1.0)
+        for fn in (soft_nn_distance, soft_nn_gradient):
+            for points in (times, [times, times]):
+                with pytest.raises(ValueError,
+                                   match="^index must be an integer position in times$"):
+                    fn(points, index, 1.0)
 
     @pytest.mark.parametrize("ref", [3.0, [[0.5, 1.5]]], ids=["scalar", "1x2"])
     def test_weighted_soft_t_rejects_other_reference_shapes(self, ref):

@@ -325,6 +325,12 @@ class TestCombinedLosses:
         with pytest.raises(ValueError, match="^thetas must hold at least one row$"):
             combined_loss(np.zeros((0, 5)), small_dataset(), TrainConfig(), step=0)
 
+    @pytest.mark.parametrize("step", [-1, np.int64(-1), 1.5, "7", True, None])
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_step_must_be_a_non_negative_integer(self, step, gamma):
+        with pytest.raises(ValueError, match="^step must be a non-negative integer$"):
+            combined_loss(np.zeros(5), small_dataset(), TrainConfig(gamma=gamma), step=step)
+
     def test_empty_batch_is_named(self):
         ds = small_dataset()
         empty = DriftDataset(ds.t[:0], ds.features[:0], ds.y[:0])
@@ -398,6 +404,20 @@ class TestEvaluateModel:
         summary = evaluate_model(weights, tail)
         assert summary.vcs_result is not None
         assert summary.vcs_result.vcs > uniform_band["p999"]
+
+
+    @pytest.mark.parametrize("weights, message", [
+        ([10**400] * 5, "finite"), ([np.inf] * 5, "finite"), ([np.nan] * 5, "finite"),
+        (np.zeros(4), r"\(d,\) with d the feature count \+ 1"),
+        (np.zeros((1, 5)), r"\(d,\) with d the feature count \+ 1"),
+    ])
+    def test_weights_checked(self, weights, message):
+        with pytest.raises(ValueError, match=f"^weights must be {message}$"):
+            evaluate_model(weights, small_dataset(seed=7, n=100))
+
+    def test_numeric_strings_read_as_their_floats(self):
+        ds = small_dataset(seed=7, n=100)
+        assert evaluate_model(["1"] * 5, ds).ap == evaluate_model(np.ones(5), ds).ap
 
 
 class TestHistoryCsv:
